@@ -178,7 +178,7 @@ func (s *Service) Connect() *Session {
 		svc:      s,
 		id:       s.nextSess,
 		lastBeat: time.Now(),
-		watches:  make(map[int]*watch),
+		watches:  make(map[<-chan Event]*watch),
 	}
 	s.sessions[sess.id] = sess
 	return sess
@@ -238,8 +238,7 @@ type Session struct {
 	id       int64
 	lastBeat time.Time
 	closed   bool
-	watches  map[int]*watch
-	nextW    int
+	watches  map[<-chan Event]*watch // by the channel handed to the caller
 }
 
 // ID returns the session identifier (used in tests and diagnostics).
@@ -360,9 +359,9 @@ func (c *Session) DeleteVersion(path string, version uint64) error {
 		c.svc.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	if n.version != version {
+	if cur := n.version; cur != version {
 		c.svc.mu.Unlock()
-		return fmt.Errorf("%w: %s at %d, want %d", ErrBadVersion, path, n.version, version)
+		return fmt.Errorf("%w: %s at %d, want %d", ErrBadVersion, path, cur, version)
 	}
 	if len(n.children) > 0 {
 		c.svc.mu.Unlock()
@@ -447,9 +446,9 @@ func (c *Session) CompareAndSet(path string, data []byte, version uint64) (uint6
 		c.svc.mu.Unlock()
 		return 0, err
 	}
-	if n.version != version {
+	if cur := n.version; cur != version {
 		c.svc.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s at %d, want %d", ErrBadVersion, path, n.version, version)
+		return 0, fmt.Errorf("%w: %s at %d, want %d", ErrBadVersion, path, cur, version)
 	}
 	n.data = append([]byte(nil), data...)
 	n.version = c.svc.nextVersionLocked()
@@ -544,9 +543,22 @@ func (c *Session) addWatch(path string, children bool) (<-chan Event, error) {
 		return nil, ErrSessionClosed
 	}
 	w := &watch{path: "/" + strings.Trim(path, "/"), children: children, ch: make(chan Event, 1)}
-	c.watches[c.nextW] = w
-	c.nextW++
+	c.watches[w.ch] = w
 	return w.ch, nil
+}
+
+// Unwatch cancels a watch that has not fired, given the channel Watch or
+// WatchChildren returned. A waiter that gives up (a deadline, a different
+// event) calls it so the watch does not sit in the session — scanned on
+// every znode change — until its path next changes. Cancelling a nil, spent
+// or already cancelled watch is a no-op.
+func (c *Session) Unwatch(ch <-chan Event) {
+	if ch == nil {
+		return
+	}
+	c.svc.mu.Lock()
+	delete(c.watches, ch)
+	c.svc.mu.Unlock()
 }
 
 // pendingEvent pairs a spent watch channel with its notification.
@@ -571,7 +583,7 @@ func (s *Service) collectEventsLocked(path string, typ EventType) []pendingEvent
 	parent := parentPath(norm)
 	var out []pendingEvent
 	for _, sess := range s.sessions {
-		for id, w := range sess.watches {
+		for ch, w := range sess.watches {
 			var fire bool
 			if w.children {
 				fire = (typ == EventCreated || typ == EventDeleted) && parent == w.path
@@ -580,7 +592,7 @@ func (s *Service) collectEventsLocked(path string, typ EventType) []pendingEvent
 			}
 			if fire {
 				out = append(out, pendingEvent{ch: w.ch, ev: Event{Type: typ, Path: norm}})
-				delete(sess.watches, id)
+				delete(sess.watches, ch)
 			}
 		}
 	}
@@ -652,7 +664,7 @@ func (c *Session) endSession(notify bool) {
 			events = append(events, pendingEvent{ch: w.ch, ev: Event{Type: EventSessionExpired, Path: w.path}})
 		}
 	}
-	c.watches = make(map[int]*watch)
+	c.watches = make(map[<-chan Event]*watch)
 	c.svc.mu.Unlock()
 	deliver(events)
 }

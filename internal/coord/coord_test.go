@@ -456,3 +456,55 @@ func TestDeleteVersionGuard(t *testing.T) {
 		t.Fatal("guarded delete removed the re-created znode")
 	}
 }
+
+// TestUnwatchCancelsTimedOutWaits: a waiter that gives up cancels its watch,
+// so a thousand timed-out waits leave the session holding exactly the
+// watches it held before — and a cancelled watch never fires.
+func TestUnwatchCancelsTimedOutWaits(t *testing.T) {
+	svc := NewService(0)
+	c := svc.Connect()
+	defer c.Close()
+	if err := c.EnsurePath("/r/0"); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := c.Watch("/r/0/leader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	watches := func() int {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return len(c.watches)
+	}
+	before := watches()
+	var cancelled <-chan Event
+	for i := 0; i < 1000; i++ {
+		w, err := c.Watch("/r/0/leader")
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-w:
+			t.Fatalf("watch fired with nothing changed: %+v", ev)
+		default: // the waiter's deadline
+		}
+		c.Unwatch(w)
+		cancelled = w
+	}
+	c.Unwatch(nil)
+	if after := watches(); after != before {
+		t.Fatalf("session holds %d watches after 1000 cancelled waits, want %d", after, before)
+	}
+	if _, err := c.Create("/r/0/leader", []byte("n"), FlagEphemeral); err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-kept; ev.Type != EventCreated {
+		t.Errorf("kept watch got %+v", ev)
+	}
+	select {
+	case ev := <-cancelled:
+		t.Errorf("cancelled watch fired: %+v", ev)
+	default:
+	}
+	c.Unwatch(kept) // spent: a no-op
+}

@@ -36,7 +36,17 @@ type Client struct {
 
 	mu      sync.Mutex
 	layout  *cluster.Layout // refreshed from coord on StatusWrongLayout
-	leaders map[uint32]string
+	leaders map[uint32]cachedLeader
+}
+
+// cachedLeader is a resolved leader together with the one-shot watch that
+// was armed on its znode before the znode was read (the electionLoop
+// idiom): once the watch has fired the znode has changed — the leader died,
+// stepped down or was replaced — and the entry is stale, whether or not any
+// call to it has failed yet.
+type cachedLeader struct {
+	id    string
+	watch <-chan coord.Event
 }
 
 // SetStrictWrites toggles strict write handling; see the field comment.
@@ -52,7 +62,7 @@ func NewClient(layout *cluster.Layout, ep transport.Endpoint, coordSvc *coord.Se
 		sess:     coordSvc.Connect(),
 		rng:      rand.New(rand.NewSource(seed)),
 		asyncSem: make(chan struct{}, maxAsyncInFlight),
-		leaders:  make(map[uint32]string),
+		leaders:  make(map[uint32]cachedLeader),
 	}
 }
 
@@ -83,34 +93,56 @@ func (c *Client) refreshLayout() {
 		c.layout = l
 		// Leadership of moved ranges changes with the layout; drop the
 		// whole cache rather than track which moved.
-		c.leaders = make(map[uint32]string)
+		for id, old := range c.leaders {
+			c.sess.Unwatch(old.watch)
+			delete(c.leaders, id)
+		}
 	}
 	c.mu.Unlock()
 }
 
-// leader resolves (with caching) the leader of a range.
-func (c *Client) leader(rangeID uint32) (string, error) {
+// leader resolves (with caching) the leader of a range. A cache hit costs
+// one non-blocking poll of the entry's watch. A miss arms a fresh watch and
+// then reads the znode; when the range has no leader, that watch is handed
+// back (with the error) for the caller to wait on and Unwatch.
+func (c *Client) leader(rangeID uint32) (string, <-chan coord.Event, error) {
 	c.mu.Lock()
 	if l, ok := c.leaders[rangeID]; ok {
-		c.mu.Unlock()
-		return l, nil
+		select {
+		case <-l.watch:
+			delete(c.leaders, rangeID)
+		default:
+			c.mu.Unlock()
+			return l.id, nil, nil
+		}
 	}
 	c.mu.Unlock()
+	watch, err := c.sess.Watch(leaderPath(rangeID))
+	if err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
+	}
 	data, err := c.sess.Get(leaderPath(rangeID))
 	if err != nil {
-		return "", fmt.Errorf("%w: range %d has no leader", ErrUnavailable, rangeID)
+		return "", watch, fmt.Errorf("%w: range %d has no leader", ErrUnavailable, rangeID)
 	}
-	l := string(data)
+	l := cachedLeader{id: string(data), watch: watch}
 	c.mu.Lock()
+	if old, ok := c.leaders[rangeID]; ok {
+		c.sess.Unwatch(old.watch) // a concurrent resolve stored first
+	}
 	c.leaders[rangeID] = l
 	c.mu.Unlock()
-	return l, nil
+	return l.id, nil, nil
 }
 
-// forgetLeader drops a cached leader after a NotLeader or timeout.
-func (c *Client) forgetLeader(rangeID uint32) {
+// forgetLeader drops the cached leader of a range after it refused or
+// failed a call, unless a concurrent operation has already replaced it.
+func (c *Client) forgetLeader(rangeID uint32, id string) {
 	c.mu.Lock()
-	delete(c.leaders, rangeID)
+	if l, ok := c.leaders[rangeID]; ok && l.id == id {
+		c.sess.Unwatch(l.watch)
+		delete(c.leaders, rangeID)
+	}
 	c.mu.Unlock()
 }
 
@@ -126,83 +158,125 @@ func (c *Client) anyReplica(rangeID uint32) string {
 	return cohort[c.rng.Intn(len(cohort))]
 }
 
-// writeRetries bounds leader re-resolution on routing misses.
-const writeRetries = 8
+// retryBackoff caps the doubling back-off between routing attempts. The
+// back-off covers what no watch can see — a leader znode that exists while
+// its owner is still mid-takeover (tens of milliseconds), a layout about to
+// be republished — so it starts short and stays short.
+const (
+	minRetryBackoff = time.Millisecond
+	retryBackoff    = 25 * time.Millisecond
+)
 
-// retryBackoff spaces routing retries so an in-flight election or takeover
-// (tens of milliseconds) can complete instead of burning all attempts in
-// microseconds.
-const retryBackoff = 25 * time.Millisecond
+// routeDeadline bounds re-routing: no attempt starts later than this after
+// an operation's first miss. It is the worst-case patience of the fixed
+// eight-attempt loop it replaces (a 250 ms call timeout plus a 25 ms sleep
+// per attempt), so nothing that loop would have completed fails now.
+const routeDeadline = 8 * (250*time.Millisecond + retryBackoff)
 
-// write routes a WriteOp to the range leader, retrying through leader
-// changes and layout changes (the row's range is re-resolved on every
-// attempt, so a refresh after StatusWrongLayout re-routes the next try),
-// and returns the assigned versions.
+// reply is a decoded response; its status drives routing.
+type reply interface {
+	outcome() (status uint8, detail string)
+}
+
+func (r writeResult) outcome() (uint8, string) { return r.Status, r.Detail }
+func (r getResp) outcome() (uint8, string)     { return r.Status, "" }
+func (r rowResp) outcome() (uint8, string)     { return r.Status, "" }
+
+// route is the client's one routing loop: resolve the row's range (again on
+// every attempt, so a layout refresh re-routes the next try) and a target —
+// the range's leader, or any cohort member for timeline reads — call it,
+// and classify the outcome. StatusOK returns the decoded reply. A routing
+// miss (no leader, NotLeader, Unavailable, WrongLayout, a transport error)
+// forgets the leader, refreshes the layout where that may be the cause, and
+// waits for the leader znode to change or the back-off to pass, whichever
+// is first. Any other status returns the reply with its StatusError.
+//
+// Strict writes stop at the first attempt whose effect is unknown: a
+// StatusAmbiguous reply, or a transport error that is not NeverLeft (the
+// request may have reached the leader and been sequenced; a retry could
+// execute it twice).
+func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader bool, decode func([]byte) (R, error)) (R, error) {
+	var (
+		zero     R
+		strict   = c.strictWrites && kind == MsgWrite
+		deadline time.Time // armed at the first miss: a hit reads no clock
+		backoff  = minRetryBackoff
+	)
+	for {
+		rangeID := c.rangeOf(row)
+		var (
+			target string
+			watch  <-chan coord.Event // armed iff the range has no leader
+			err    error
+		)
+		if toLeader {
+			target, watch, err = c.leader(rangeID)
+		} else if target = c.anyReplica(rangeID); target == "" {
+			err = ErrUnavailable
+		}
+		if err != nil {
+			// The range may no longer exist (stale layout after a split).
+			c.refreshLayout()
+		} else {
+			var resp transport.Message
+			resp, err = c.ep.Call(transport.Message{To: target, Kind: kind, Cohort: rangeID, Payload: payload})
+			if err != nil {
+				if strict && !transport.NeverLeft(err) {
+					return zero, fmt.Errorf("%w: %v", ErrAmbiguous, err)
+				}
+			} else {
+				res, derr := decode(resp.Payload)
+				if derr != nil {
+					return zero, derr
+				}
+				status, detail := res.outcome()
+				if status == StatusOK {
+					return res, nil
+				}
+				err = StatusError(status, detail)
+				switch status {
+				case StatusNotLeader, StatusUnavailable:
+					// NotLeader: re-resolve. Unavailable: a mid-takeover
+					// leader not serving yet. Neither took effect.
+				case StatusWrongLayout:
+					c.refreshLayout()
+				case StatusAmbiguous:
+					if strict {
+						return res, err
+					}
+				default:
+					return res, err
+				}
+			}
+			if toLeader {
+				c.forgetLeader(rangeID, target)
+			}
+		}
+
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(routeDeadline)
+		} else if !now.Before(deadline) {
+			c.sess.Unwatch(watch)
+			return zero, err
+		}
+		t := time.NewTimer(backoff)
+		select {
+		case <-watch: // nil, so never ready, when a target was found
+			backoff = minRetryBackoff
+		case <-t.C:
+			c.sess.Unwatch(watch)
+			backoff = min(2*backoff, retryBackoff)
+		}
+		t.Stop()
+	}
+}
+
+// write routes a WriteOp to the range leader and returns the assigned
+// versions.
 func (c *Client) write(op WriteOp) ([]uint64, error) {
-	var lastErr error
-	for attempt := 0; attempt < writeRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryBackoff)
-		}
-		rangeID := c.rangeOf(op.Row)
-		leader, err := c.leader(rangeID)
-		if err != nil {
-			// The range may no longer exist (stale layout after a
-			// split); refresh before the next attempt re-routes.
-			c.refreshLayout()
-			lastErr = err
-			continue
-		}
-		resp, err := c.ep.Call(transport.Message{
-			To: leader, Kind: MsgWrite, Cohort: rangeID, Payload: EncodeWriteOp(nil, op),
-		})
-		if err != nil {
-			c.forgetLeader(rangeID)
-			if c.strictWrites && errors.Is(err, transport.ErrTimeout) {
-				// A timed-out call may have reached the leader and
-				// been sequenced; a retry could execute the write
-				// twice. Other transport errors (unknown node, send
-				// failure) prove the request never left, so retrying
-				// stays safe even in strict mode.
-				return nil, fmt.Errorf("%w: %v", ErrAmbiguous, err)
-			}
-			lastErr = err
-			continue
-		}
-		res, err := decodeWriteResult(resp.Payload)
-		if err != nil {
-			return nil, err
-		}
-		switch res.Status {
-		case StatusOK:
-			return res.Versions, nil
-		case StatusNotLeader, StatusUnavailable:
-			// Definite no-effect failures: always safe to retry.
-			c.forgetLeader(rangeID)
-			lastErr = StatusError(res.Status, res.Detail)
-			continue
-		case StatusWrongLayout:
-			// Routing miss under a stale layout (no effect): refresh
-			// and re-route.
-			c.forgetLeader(rangeID)
-			c.refreshLayout()
-			lastErr = StatusError(res.Status, res.Detail)
-			continue
-		case StatusAmbiguous:
-			c.forgetLeader(rangeID)
-			if c.strictWrites {
-				return nil, StatusError(res.Status, res.Detail)
-			}
-			lastErr = StatusError(res.Status, res.Detail)
-			continue
-		default:
-			return nil, StatusError(res.Status, res.Detail)
-		}
-	}
-	if lastErr == nil {
-		lastErr = ErrUnavailable
-	}
-	return nil, lastErr
+	res, err := route(c, op.Row, MsgWrite, EncodeWriteOp(nil, op), true, decodeWriteResult)
+	return res.Versions, err
 }
 
 // maxAsyncInFlight bounds a client's concurrent asynchronous writes so a
@@ -381,119 +455,19 @@ func (c *Client) ConditionalMultiPut(row string, cols []Column, versions []uint6
 // exchange for better performance.
 func (c *Client) Get(row, col string, consistent bool) ([]byte, uint64, error) {
 	req := encodeGetReq(getReq{Row: row, Col: col, Consistent: consistent})
-	var lastErr error
-	for attempt := 0; attempt < writeRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryBackoff)
-		}
-		rangeID := c.rangeOf(row)
-		var target string
-		if consistent {
-			var err error
-			if target, err = c.leader(rangeID); err != nil {
-				c.refreshLayout()
-				lastErr = err
-				continue
-			}
-		} else if target = c.anyReplica(rangeID); target == "" {
-			c.refreshLayout()
-			lastErr = ErrUnavailable
-			continue
-		}
-		resp, err := c.ep.Call(transport.Message{To: target, Kind: MsgGet, Cohort: rangeID, Payload: req})
-		if err != nil {
-			if consistent {
-				c.forgetLeader(rangeID)
-			}
-			lastErr = err
-			continue
-		}
-		res, err := decodeGetResp(resp.Payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		switch res.Status {
-		case StatusOK:
-			return res.Value, res.Version, nil
-		case StatusNotFound:
-			return nil, res.Version, ErrNotFound
-		case StatusNotLeader, StatusUnavailable:
-			// NotLeader: re-resolve. Unavailable: a mid-takeover
-			// leader that cannot serve strong reads yet; retry.
-			c.forgetLeader(rangeID)
-			lastErr = StatusError(res.Status, "")
-			continue
-		case StatusWrongLayout:
-			// The range moved or split; refresh the layout and
-			// re-route.
-			c.forgetLeader(rangeID)
-			c.refreshLayout()
-			lastErr = StatusError(res.Status, "")
-			continue
-		default:
-			return nil, 0, StatusError(res.Status, "")
-		}
+	res, err := route(c, row, MsgGet, req, consistent, decodeGetResp)
+	if err != nil {
+		return nil, res.Version, err // ErrNotFound carries the tombstone's version
 	}
-	if lastErr == nil {
-		lastErr = ErrUnavailable
-	}
-	return nil, 0, lastErr
+	return res.Value, res.Version, nil
 }
 
 // GetRow reads every live column of a row with the chosen consistency.
 func (c *Client) GetRow(row string, consistent bool) ([]kv.Entry, error) {
 	req := encodeGetReq(getReq{Row: row, Consistent: consistent})
-	var lastErr error
-	for attempt := 0; attempt < writeRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryBackoff)
-		}
-		rangeID := c.rangeOf(row)
-		var target string
-		if consistent {
-			var err error
-			if target, err = c.leader(rangeID); err != nil {
-				c.refreshLayout()
-				lastErr = err
-				continue
-			}
-		} else if target = c.anyReplica(rangeID); target == "" {
-			c.refreshLayout()
-			lastErr = ErrUnavailable
-			continue
-		}
-		resp, err := c.ep.Call(transport.Message{To: target, Kind: MsgGetRow, Cohort: rangeID, Payload: req})
-		if err != nil {
-			if consistent {
-				c.forgetLeader(rangeID)
-			}
-			lastErr = err
-			continue
-		}
-		res, err := decodeRowResp(resp.Payload)
-		if err != nil {
-			return nil, err
-		}
-		switch res.Status {
-		case StatusOK:
-			return res.Entries, nil
-		case StatusNotFound:
-			return nil, ErrNotFound
-		case StatusNotLeader, StatusUnavailable:
-			c.forgetLeader(rangeID)
-			lastErr = StatusError(res.Status, "")
-			continue
-		case StatusWrongLayout:
-			c.forgetLeader(rangeID)
-			c.refreshLayout()
-			lastErr = StatusError(res.Status, "")
-			continue
-		default:
-			return nil, StatusError(res.Status, "")
-		}
+	res, err := route(c, row, MsgGetRow, req, consistent, decodeRowResp)
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = ErrUnavailable
-	}
-	return nil, lastErr
+	return res.Entries, nil
 }

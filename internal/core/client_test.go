@@ -1,0 +1,150 @@
+package core
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spinnaker/internal/cluster"
+	"spinnaker/internal/coord"
+	"spinnaker/internal/transport"
+)
+
+// TestLeaderCacheStaleOnZnodeChange drives the client's leader cache against
+// a bare coordination service (no nodes, so no call can fail): an entry is
+// served from the cache without allocating until its znode is deleted or
+// rewritten, and is stale from that moment — the shape of a leader that is
+// isolated rather than crashed. With no leader, the armed watch comes back
+// for the caller to wait on.
+func TestLeaderCacheStaleOnZnodeChange(t *testing.T) {
+	svc := coord.NewService(0)
+	defer svc.Stop()
+	net := transport.NewNetwork(0)
+	defer net.Close()
+	layout, err := cluster.Uniform([]string{"n0", "n1", "n2"}, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(layout, net.Join("client"), svc, 1)
+	defer c.Close()
+	admin := svc.Connect()
+	defer admin.Close()
+	if err := admin.EnsurePath(rangePath(0)); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(want string) {
+		t.Helper()
+		if got, watch, err := c.leader(0); got != want || watch != nil || err != nil {
+			t.Fatalf("leader(0) = %q, watch %v, %v; want %q from the cache or a fresh read", got, watch != nil, err, want)
+		}
+	}
+
+	if _, err := admin.Create(leaderPath(0), []byte("n0"), 0); err != nil {
+		t.Fatal(err)
+	}
+	expect("n0")
+	if allocs := testing.AllocsPerRun(100, func() { expect("n0") }); allocs != 0 {
+		t.Errorf("cache hit allocates %.0f objects, want 0", allocs)
+	}
+
+	if err := admin.Delete(leaderPath(0)); err != nil {
+		t.Fatal(err)
+	}
+	_, watch, err := c.leader(0)
+	if !errors.Is(err, ErrUnavailable) || watch == nil {
+		t.Fatalf("leader(0) with the znode deleted = watch %v, %v; want ErrUnavailable and a watch to wait on", watch != nil, err)
+	}
+	if _, err := admin.Create(leaderPath(0), []byte("n1"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if ev := <-watch; ev.Type != coord.EventCreated {
+		t.Fatalf("watch fired with %v, want created", ev.Type)
+	}
+	expect("n1")
+
+	if err := admin.Set(leaderPath(0), []byte("n2")); err != nil {
+		t.Fatal(err)
+	}
+	expect("n2")
+}
+
+// detourEndpoint sends its next few calls to a closed endpoint instead of
+// their destination, so they fail exactly as a call to a crashed node does.
+type detourEndpoint struct {
+	transport.Endpoint
+	detours atomic.Int32
+	calls   atomic.Int32
+}
+
+func (e *detourEndpoint) Call(m transport.Message) (transport.Message, error) {
+	e.calls.Add(1)
+	if e.detours.Add(-1) >= 0 {
+		m.To = "gone"
+	}
+	return e.Endpoint.Call(m)
+}
+
+// TestStrictWriteRetriesNeverLeftFailure: a transport failure that proves the
+// request never left is retried even by a strict-write client.
+func TestStrictWriteRetriesNeverLeftFailure(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	tc.waitAllLeaders()
+	tc.net.Join("gone").Close()
+	ep := &detourEndpoint{Endpoint: tc.net.Join("strict-client")}
+	c := NewClient(tc.layout, ep, tc.coord, 1)
+	defer c.Close()
+	c.SetStrictWrites(true)
+
+	ep.detours.Store(2)
+	if _, err := c.Put(row0(1), "c", []byte("v")); err != nil {
+		t.Fatalf("strict put after two never-left failures: %v", err)
+	}
+	if n := ep.calls.Load(); n != 3 {
+		t.Errorf("put took %d calls, want 3 (two refused, one served)", n)
+	}
+}
+
+// TestStrictWriteSurfacesInFlightPeerClose: the leader dies holding a
+// sequenced, uncommitted write. The client's call returns at once (its 30 s
+// timeout plays no part) and a strict-write client reports ErrAmbiguous
+// rather than retry a write that may yet commit.
+func TestStrictWriteSurfacesInFlightPeerClose(t *testing.T) {
+	tc := newTestCluster(t, 3, func(cfg *Config) { cfg.WriteTimeout = 30 * time.Second })
+	tc.waitAllLeaders()
+	ep := tc.net.Join("strict-client")
+	ep.SetCallTimeout(30 * time.Second)
+	c := NewClient(tc.layout, ep, tc.coord, 1)
+	defer c.Close()
+	c.SetStrictWrites(true)
+	if _, err := c.Put(row0(1), "c", []byte("committed")); err != nil {
+		t.Fatal(err)
+	}
+
+	leader := tc.leaderOf(0)
+	for _, name := range tc.layout.Cohort(0) {
+		if name != leader.ID() {
+			tc.net.Partition(leader.ID(), name) // no quorum: the write stays pending
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Put(row0(2), "c", []byte("in flight"))
+		errc <- err
+	}()
+	for {
+		if st, _ := leader.ReplicaStats(0); st.Pending > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tc.crashNode(leader.ID())
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrAmbiguous) {
+			t.Errorf("strict put in flight at the crash: %v, want ErrAmbiguous", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("put still waiting after its leader crashed")
+	}
+}

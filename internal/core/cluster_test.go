@@ -72,13 +72,6 @@ func newTestCluster(t *testing.T, nodeCount int, tweak func(*Config)) *testClust
 	return tc
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (tc *testCluster) startNode(name string) *Node {
 	tc.t.Helper()
 	cfg := tc.cfgTmpl

@@ -860,13 +860,13 @@ func (n *Node) LogStats() (appends, forces int64) { return n.log.Stats() }
 func (n *Node) LogTruncated(cohort uint32) wal.LSN { return n.log.Truncated(cohort) }
 
 // Stop shuts the node down gracefully: loops stop, the session closes
-// (deleting its ephemerals), and the log is forced.
+// (deleting its ephemerals), and the log is forced and closed.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
 	n.ep.Close()
 	n.coordSess.Close()
 	n.wg.Wait()
-	_ = n.log.Force()
+	_ = n.log.Close() // shutting down: nobody is left to act on the error
 }
 
 // Crash simulates a process crash: loops die, the endpoint drops off the

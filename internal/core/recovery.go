@@ -867,7 +867,12 @@ func (r *replica) runCatchupLoop() {
 			r.leaderID = ""
 			r.mu.Unlock()
 		}
-		if attempt > 50 {
+		if attempt > 50 || errors.Is(err, transport.ErrPeerClosed) {
+			// A closed peer will not answer the next fifty attempts
+			// either, and while this loop spins a recovering replica's
+			// election loop (which called it) is not standing for the
+			// election that replaces the dead leader. The leader znode's
+			// watch re-enters catch-up against the successor.
 			return
 		}
 		time.Sleep(r.n.cfg.RetryInterval)

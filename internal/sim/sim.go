@@ -291,8 +291,10 @@ func (sc *SpinnakerCluster) LeaderOf(rangeID uint32) string {
 	return string(data)
 }
 
-// clientCallTimeout makes client calls to crashed nodes fail fast so that
-// leader re-resolution, not the transport deadline, dominates measured
+// clientCallTimeout bounds a client call that gets no answer: one into a
+// partition, or to a leader stalled without a quorum. It is not what detects
+// a crashed node — the transport reports a closed peer at once and the
+// client follows the leader znode — so it no longer figures in measured
 // unavailability (Table 1 likewise excludes the failure-detection timeout).
 const clientCallTimeout = 250 * time.Millisecond
 

@@ -55,7 +55,7 @@ func NewNetwork(delay time.Duration) *Network {
 func (n *Network) Join(id string) *LocalEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ep := &LocalEndpoint{id: id, net: n, pending: make(map[uint64]chan Message), done: make(chan struct{})}
+	ep := &LocalEndpoint{id: id, net: n, pending: make(map[uint64]pendingCall), done: make(chan struct{})}
 	n.eps[id] = ep
 	return ep
 }
@@ -282,12 +282,13 @@ type LocalEndpoint struct {
 	callTimeout atomic.Int64  // nanoseconds; 0 = DefaultCallTimeout
 
 	mu      sync.Mutex
-	pending map[uint64]chan Message
+	pending map[uint64]pendingCall
 }
 
 // SetCallTimeout overrides the per-Call deadline; zero restores the
-// default. Clients use a short timeout so a call to a crashed node fails
-// fast and routing retries take over.
+// default. The deadline bounds a call into a partition or to a stalled peer;
+// a closed or crashed peer is reported at once (ErrPeerClosed) and does not
+// wait for it.
 func (e *LocalEndpoint) SetCallTimeout(d time.Duration) {
 	e.callTimeout.Store(int64(d))
 }
@@ -301,21 +302,27 @@ func (e *LocalEndpoint) SetHandler(h Handler) { e.handler.Store(h) }
 // Send implements Endpoint.
 func (e *LocalEndpoint) Send(m Message) error {
 	if e.closed.Load() {
-		return ErrClosed
+		return errSendClosed
 	}
 	m.From = e.id
 	e.net.mu.Lock()
-	_, known := e.net.eps[m.To]
+	dst, known := e.net.eps[m.To]
 	cut := e.net.cutLocked(e.id, m.To)
 	e.net.mu.Unlock()
 	if !known {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, m.To)
+		return notSent(fmt.Errorf("%w: %s", ErrUnknownNode, m.To))
 	}
 	if cut {
 		// A TCP send into a partition buffers and eventually times
 		// out; the message never arrives. Model as a silent drop.
 		e.net.dropped.Add(1)
 		return nil
+	}
+	if dst.closed.Load() {
+		// Connection refused: the peer closed or crashed and has not
+		// re-joined. Nothing is enqueued.
+		e.net.dropped.Add(1)
+		return errSendRefused
 	}
 	l := e.net.getLink(e.id, m.To)
 	select {
@@ -324,7 +331,7 @@ func (e *LocalEndpoint) Send(m Message) error {
 	default:
 		// Link buffer overflow: shed load like a saturated socket.
 		e.net.dropped.Add(1)
-		return fmt.Errorf("transport: link %s→%s overloaded", e.id, m.To)
+		return notSent(fmt.Errorf("transport: link %s→%s overloaded", e.id, m.To))
 	}
 }
 
@@ -337,7 +344,7 @@ func (e *LocalEndpoint) Call(m Message) (Message, error) {
 	m.ID = id
 	ch := make(chan Message, 1)
 	e.mu.Lock()
-	e.pending[id] = ch
+	e.pending[id] = pendingCall{ch: ch, to: m.To}
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
@@ -353,14 +360,20 @@ func (e *LocalEndpoint) Call(m Message) (Message, error) {
 	}
 	select {
 	case reply := <-ch:
+		if !reply.Reply {
+			// Connection reset: the peer closed with the call in flight
+			// (resetCallsTo). It may have processed the request, so this
+			// is not a NeverLeft error.
+			return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrPeerClosed, e.id, m.To, m.Kind)
+		}
 		return reply, nil
 	case <-time.After(timeout):
 		return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrTimeout, e.id, m.To, m.Kind)
 	case <-e.done:
 		// The caller's own endpoint closed (node stopping). Without this
-		// arm, every in-flight call to a dead peer pins its goroutine for
-		// the full timeout after teardown — the goroutine-leak sentinel in
-		// internal/sim is what catches regressions here.
+		// arm, every in-flight call into a partition pins its goroutine
+		// for the full timeout after teardown — the goroutine-leak
+		// sentinel in internal/sim is what catches regressions here.
 		return Message{}, fmt.Errorf("%w: %s", ErrClosed, e.id)
 	}
 }
@@ -377,14 +390,14 @@ func (e *LocalEndpoint) Reply(req Message, m Message) error {
 func (e *LocalEndpoint) dispatch(m Message) {
 	if m.Reply {
 		e.mu.Lock()
-		ch, ok := e.pending[m.ID]
+		pc, ok := e.pending[m.ID]
 		e.mu.Unlock()
 		if ok {
 			// Non-blocking: a duplicated reply (fault plane) or one
 			// racing the call's timeout must not wedge the link's
 			// delivery goroutine on the full one-slot buffer.
 			select {
-			case ch <- m:
+			case pc.ch <- m:
 			default:
 			}
 		}
@@ -399,8 +412,35 @@ func (e *LocalEndpoint) dispatch(m Message) {
 func (e *LocalEndpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
 		close(e.done)
+		e.net.resetCallsTo(e)
 	}
 	return nil
+}
+
+// resetCallsTo is the connection reset that the peers of a closing endpoint
+// see: their calls in flight to it fail now instead of waiting out the call
+// timeout. Ordering makes it complete: a Call registers itself before it
+// sends, and Send refuses once dst.closed is set, so every call that got
+// past Send is in its endpoint's pending set by the time this scans it. A
+// peer partitioned from dst is skipped — no reset crosses a partition, and a
+// TCP peer's death behind one goes unseen too — as is everything when dst was
+// already replaced by a re-join.
+func (n *Network) resetCallsTo(dst *LocalEndpoint) {
+	n.mu.Lock()
+	var peers []*LocalEndpoint
+	if n.eps[dst.id] == dst {
+		for id, ep := range n.eps {
+			if ep != dst && !n.cutLocked(dst.id, id) {
+				peers = append(peers, ep)
+			}
+		}
+	}
+	n.mu.Unlock()
+	for _, ep := range peers {
+		ep.mu.Lock()
+		resetCalls(ep.pending, dst.id)
+		ep.mu.Unlock()
+	}
 }
 
 var _ Endpoint = (*LocalEndpoint)(nil)

@@ -16,18 +16,23 @@ import (
 // reader goroutine preserves in-order delivery per connection, matching the
 // paper's design choice (Appendix A.1).
 type TCPEndpoint struct {
-	id      string
-	addrs   map[string]string // node id → host:port
-	ln      net.Listener
-	handler atomic.Value // Handler
-	closed  atomic.Bool
-	callSeq atomic.Uint64
+	id          string
+	addrs       map[string]string // node id → host:port
+	ln          net.Listener
+	handler     atomic.Value // Handler
+	closed      atomic.Bool
+	callSeq     atomic.Uint64
+	callTimeout atomic.Int64 // nanoseconds; 0 = DefaultCallTimeout
 
-	mu      sync.Mutex
-	conns   map[string]*tcpConn
-	pending map[uint64]chan Message
+	mu       sync.Mutex
+	conns    map[string]*tcpConn   // outbound, by destination
+	accepted map[net.Conn]struct{} // inbound; Close resets them
+	pending  map[uint64]pendingCall
 }
 
+// tcpConn is an outbound connection. Replies come back on the peer's own
+// outbound connection, so nothing is ever read from this one: its reader
+// (watchConn) returns only when the peer closes or resets it.
 type tcpConn struct {
 	mu sync.Mutex // serializes writes
 	c  net.Conn
@@ -45,11 +50,12 @@ func ListenTCP(id string, addrs map[string]string) (*TCPEndpoint, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	e := &TCPEndpoint{
-		id:      id,
-		addrs:   addrs,
-		ln:      ln,
-		conns:   make(map[string]*tcpConn),
-		pending: make(map[uint64]chan Message),
+		id:       id,
+		addrs:    addrs,
+		ln:       ln,
+		conns:    make(map[string]*tcpConn),
+		accepted: make(map[net.Conn]struct{}),
+		pending:  make(map[uint64]pendingCall),
 	}
 	go e.acceptLoop()
 	return e, nil
@@ -58,18 +64,37 @@ func ListenTCP(id string, addrs map[string]string) (*TCPEndpoint, error) {
 // Addr returns the bound listen address (useful with ":0" ports).
 func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 
+// SetCallTimeout overrides the per-Call deadline; zero restores
+// DefaultCallTimeout. See LocalEndpoint.SetCallTimeout.
+func (e *TCPEndpoint) SetCallTimeout(d time.Duration) {
+	e.callTimeout.Store(int64(d))
+}
+
 func (e *TCPEndpoint) acceptLoop() {
 	for {
 		c, err := e.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		e.mu.Lock()
+		if e.closed.Load() {
+			e.mu.Unlock()
+			c.Close()
+			return
+		}
+		e.accepted[c] = struct{}{}
+		e.mu.Unlock()
 		go e.readLoop(c)
 	}
 }
 
 func (e *TCPEndpoint) readLoop(c net.Conn) {
-	defer c.Close()
+	defer func() {
+		c.Close()
+		e.mu.Lock()
+		delete(e.accepted, c)
+		e.mu.Unlock()
+	}()
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
@@ -94,10 +119,16 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 func (e *TCPEndpoint) dispatch(m Message) {
 	if m.Reply {
 		e.mu.Lock()
-		ch, ok := e.pending[m.ID]
+		pc, ok := e.pending[m.ID]
 		e.mu.Unlock()
 		if ok {
-			ch <- m
+			// Non-blocking: a reply racing the call's timeout (or a
+			// forged duplicate) must not wedge the connection's reader
+			// on the full one-slot buffer.
+			select {
+			case pc.ch <- m:
+			default:
+			}
 		}
 		return
 	}
@@ -112,7 +143,8 @@ func (e *TCPEndpoint) ID() string { return e.id }
 // SetHandler implements Endpoint.
 func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(h) }
 
-// conn returns (dialing if necessary) the outbound connection to node.
+// conn returns (dialing if necessary) the outbound connection to node. Its
+// errors are all NeverLeft: nothing has been written yet.
 func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 	e.mu.Lock()
 	tc, ok := e.conns[node]
@@ -122,11 +154,11 @@ func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 	}
 	addr, ok := e.addrs[node]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, node)
+		return nil, notSent(fmt.Errorf("%w: %s", ErrUnknownNode, node))
 	}
 	c, err := net.DialTimeout("tcp", addr, 3*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", node, err)
+		return nil, notSent(fmt.Errorf("transport: dial %s: %w", node, err))
 	}
 	tc = &tcpConn{c: c}
 	e.mu.Lock()
@@ -135,15 +167,43 @@ func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 		c.Close()
 		return cur, nil
 	}
+	if e.closed.Load() { // Close has emptied conns; do not refill it
+		e.mu.Unlock()
+		c.Close()
+		return nil, errSendClosed
+	}
 	e.conns[node] = tc
 	e.mu.Unlock()
+	go e.watchConn(node, tc)
 	return tc, nil
+}
+
+// watchConn is an outbound connection's reader: it blocks until the peer
+// closes or resets the connection (EOF/RST — the peer process died or its
+// endpoint closed) or this side drops it, then forgets the connection, so
+// the next Send re-dials, and fails the calls in flight to that peer.
+func (e *TCPEndpoint) watchConn(node string, tc *tcpConn) {
+	_, _ = io.Copy(io.Discard, tc.c)
+	e.dropConn(node, tc)
+	e.mu.Lock()
+	resetCalls(e.pending, node)
+	e.mu.Unlock()
+}
+
+// dropConn forgets and closes a broken outbound connection.
+func (e *TCPEndpoint) dropConn(node string, tc *tcpConn) {
+	e.mu.Lock()
+	if e.conns[node] == tc {
+		delete(e.conns, node)
+	}
+	e.mu.Unlock()
+	tc.c.Close()
 }
 
 // Send implements Endpoint.
 func (e *TCPEndpoint) Send(m Message) error {
 	if e.closed.Load() {
-		return ErrClosed
+		return errSendClosed
 	}
 	m.From = e.id
 	tc, err := e.conn(m.To)
@@ -155,13 +215,10 @@ func (e *TCPEndpoint) Send(m Message) error {
 	_, err = tc.c.Write(buf)
 	tc.mu.Unlock()
 	if err != nil {
-		// Connection broke; forget it so the next send re-dials.
-		e.mu.Lock()
-		if e.conns[m.To] == tc {
-			delete(e.conns, m.To)
-		}
-		e.mu.Unlock()
-		tc.c.Close()
+		// Connection broke mid-write. Part of the frame may be on the
+		// wire, so this is not a NeverLeft error. Forget the connection
+		// so the next send re-dials.
+		e.dropConn(m.To, tc)
 		return fmt.Errorf("transport: send to %s: %w", m.To, err)
 	}
 	return nil
@@ -173,7 +230,7 @@ func (e *TCPEndpoint) Call(m Message) (Message, error) {
 	m.ID = id
 	ch := make(chan Message, 1)
 	e.mu.Lock()
-	e.pending[id] = ch
+	e.pending[id] = pendingCall{ch: ch, to: m.To}
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
@@ -183,10 +240,20 @@ func (e *TCPEndpoint) Call(m Message) (Message, error) {
 	if err := e.Send(m); err != nil {
 		return Message{}, err
 	}
+	timeout := time.Duration(e.callTimeout.Load())
+	if timeout <= 0 {
+		timeout = DefaultCallTimeout
+	}
 	select {
 	case reply := <-ch:
+		if !reply.Reply {
+			// Connection reset with the call in flight (watchConn): the
+			// peer may have processed the request, so this is not a
+			// NeverLeft error.
+			return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrPeerClosed, e.id, m.To, m.Kind)
+		}
 		return reply, nil
-	case <-time.After(DefaultCallTimeout):
+	case <-time.After(timeout):
 		return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrTimeout, e.id, m.To, m.Kind)
 	}
 }
@@ -199,7 +266,8 @@ func (e *TCPEndpoint) Reply(req Message, m Message) error {
 	return e.Send(m)
 }
 
-// Close implements Endpoint.
+// Close implements Endpoint. Closing the accepted connections is what a
+// peer sees as the reset that fails its sends and in-flight calls.
 func (e *TCPEndpoint) Close() error {
 	e.closed.Store(true)
 	err := e.ln.Close()
@@ -208,6 +276,9 @@ func (e *TCPEndpoint) Close() error {
 		tc.c.Close()
 	}
 	e.conns = make(map[string]*tcpConn)
+	for c := range e.accepted {
+		c.Close()
+	}
 	e.mu.Unlock()
 	return err
 }

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Message is the unit of communication. ID correlates requests with
@@ -48,25 +49,80 @@ type Endpoint interface {
 	// ID returns the node identifier this endpoint is registered under.
 	ID() string
 	// Send delivers m to m.To asynchronously, reliably, and in order
-	// with respect to other Sends to the same destination.
+	// with respect to other Sends to the same destination. Sending to a
+	// closed or crashed peer fails at once with a NeverLeft error.
 	Send(m Message) error
-	// Call sends m and blocks for the matching reply.
+	// Call sends m and blocks for the matching reply, the call deadline
+	// (ErrTimeout), or the peer closing with the call in flight
+	// (ErrPeerClosed, not NeverLeft).
 	Call(m Message) (Message, error)
 	// Reply responds to a received request.
 	Reply(req Message, m Message) error
 	// SetHandler installs the inbound message handler; it must be called
 	// before messages arrive.
 	SetHandler(h Handler)
-	// Close detaches the endpoint; in-flight messages to it are dropped.
+	// Close detaches the endpoint: in-flight messages to it are dropped,
+	// and peers' sends and in-flight calls to it fail promptly.
 	Close() error
 }
 
-// Errors returned by transports.
+// Errors returned by transports. They fall into two classes, told apart by
+// NeverLeft. Definite: the message was never handed to the network (unknown
+// node, own or peer endpoint closed at Send, dial refused, link overloaded),
+// so the receiver cannot have acted on it. Indefinite — everything else
+// (ErrTimeout, ErrPeerClosed or ErrClosed while a Call was in flight, a
+// broken TCP write): the message may have been delivered and processed.
 var (
 	ErrClosed      = errors.New("transport: endpoint closed")
 	ErrUnknownNode = errors.New("transport: unknown node")
 	ErrTimeout     = errors.New("transport: call timed out")
+	// ErrPeerClosed is connection refused (at Send) or connection reset
+	// (a Call in flight) from a destination that has closed or crashed.
+	ErrPeerClosed = errors.New("transport: peer closed")
+
+	errNotSent = errors.New("transport: not sent")
 )
+
+// notSent marks err as definite: the message never left this endpoint.
+func notSent(err error) error { return fmt.Errorf("%w: %w", errNotSent, err) }
+
+// Preallocated: a node keeps sending protocol traffic to a crashed peer
+// (and discards the error), so these are returned per message.
+var (
+	errSendClosed  = notSent(ErrClosed)
+	errSendRefused = notSent(ErrPeerClosed)
+)
+
+// NeverLeft reports whether a Send or Call error proves the message was
+// never handed to the network, which makes a retry safe even for a request
+// that is not idempotent. Any other error leaves the outcome unknown.
+func NeverLeft(err error) bool { return errors.Is(err, errNotSent) }
+
+// pendingCall is a Call awaiting its reply, and where it was sent.
+type pendingCall struct {
+	ch chan Message // one slot: the reply, or the zero Message for a reset
+	to string
+}
+
+// resetCalls fails the calls in pending that are in flight to node `to`,
+// which has closed or reset the connection: each receives the zero Message
+// (a genuine reply has Reply set) unless its reply is already in the slot.
+// Callers hold the lock that guards pending.
+func resetCalls(pending map[uint64]pendingCall, to string) {
+	var ids []uint64
+	for id, pc := range pending {
+		if pc.to == to {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids) // wake callers in call order, not map order (seed replay)
+	for _, id := range ids {
+		select {
+		case pending[id].ch <- Message{}:
+		default:
+		}
+	}
+}
 
 // EncodeMessage serializes m with length framing for the TCP transport.
 func EncodeMessage(m Message) []byte {

@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -220,30 +222,123 @@ func TestLocalIsolate(t *testing.T) {
 	}
 }
 
-func TestLocalClosedEndpointDropsInbound(t *testing.T) {
+// TestLocalSendToClosedPeerNeverLeft pins connection-refused semantics: a
+// send to a closed endpoint fails at once with a definite error, and nothing
+// is enqueued (no link, hence no delivery goroutine, is ever created).
+func TestLocalSendToClosedPeerNeverLeft(t *testing.T) {
 	net := NewNetwork(0)
 	a := net.Join("a")
 	b := net.Join("b")
-	var n sync.Map
-	b.SetHandler(func(m Message) { n.Store(m.ID, true) })
+	var got atomic.Int64
+	b.SetHandler(func(Message) { got.Add(1) })
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.Send(Message{To: "b", ID: 9})
-	time.Sleep(20 * time.Millisecond)
-	if _, ok := n.Load(uint64(9)); ok {
-		t.Error("closed endpoint received a message")
+	for name, err := range map[string]error{
+		"send": a.Send(Message{To: "b", ID: 9}),
+		"call": func() error { _, err := a.Call(Message{To: "b"}); return err }(),
+	} {
+		if !errors.Is(err, ErrPeerClosed) || !NeverLeft(err) {
+			t.Errorf("%s to closed peer: %v, want a NeverLeft ErrPeerClosed", name, err)
+		}
 	}
-	if err := b.Send(Message{To: "a"}); err == nil {
-		t.Error("send from closed endpoint succeeded")
+	net.mu.Lock()
+	links := len(net.links)
+	net.mu.Unlock()
+	if links != 0 || got.Load() != 0 {
+		t.Errorf("closed peer: %d links created, %d messages handled; want none", links, got.Load())
+	}
+	if err := b.Send(Message{To: "a"}); !errors.Is(err, ErrClosed) || !NeverLeft(err) {
+		t.Errorf("send from closed endpoint: %v, want a NeverLeft ErrClosed", err)
+	}
+}
+
+// TestLocalCallFailsWhenPeerClosesInFlight pins connection-reset semantics:
+// a call the peer has received returns as soon as the peer closes — the 30 s
+// call timer never gets to fire — and the error is indefinite, because the
+// peer may have acted on the request.
+func TestLocalCallFailsWhenPeerClosesInFlight(t *testing.T) {
+	net := NewNetwork(0)
+	defer net.Close()
+	a := net.Join("a")
+	a.SetCallTimeout(30 * time.Second)
+	b := net.Join("b")
+	received := make(chan struct{})
+	b.SetHandler(func(Message) { close(received) }) // never replies
+	errc := make(chan error, 1)
+	go func() {
+		_, err := a.Call(Message{To: "b"})
+		errc <- err
+	}()
+	<-received
+	b.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrPeerClosed) || NeverLeft(err) || errors.Is(err, ErrTimeout) {
+			t.Errorf("in-flight call: %v, want an indefinite ErrPeerClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call still waiting after its peer closed")
+	}
+}
+
+// TestLocalErrorClasses checks the remaining error classes against the one
+// predicate: a partition keeps its silent drop and ends in ErrTimeout
+// (indefinite) even when the far side dies meanwhile, the caller's own close
+// mid-call is indefinite, and an overloaded link is definite.
+func TestLocalErrorClasses(t *testing.T) {
+	net := NewNetwork(0)
+	defer net.Close()
+	a := net.Join("a")
+	b := net.Join("b")
+	b.SetHandler(func(Message) {})
+
+	net.Partition("a", "b")
+	a.SetCallTimeout(20 * time.Millisecond)
+	b.Close() // unseen across the partition, as a TCP peer's death would be
+	if _, err := a.Call(Message{To: "b"}); !errors.Is(err, ErrTimeout) || NeverLeft(err) {
+		t.Errorf("call into a partition: %v, want an indefinite ErrTimeout", err)
+	}
+
+	a.SetCallTimeout(30 * time.Second)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := a.Call(Message{To: "b"})
+		errc <- err
+	}()
+	for {
+		a.mu.Lock()
+		n := len(a.pending)
+		a.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.Close()
+	if err := <-errc; !errors.Is(err, ErrClosed) || NeverLeft(err) {
+		t.Errorf("own endpoint closed mid-call: %v, want an indefinite ErrClosed", err)
+	}
+
+	c := net.Join("c")
+	d := net.Join("d")
+	block := make(chan struct{})
+	defer close(block)
+	d.SetHandler(func(Message) { <-block })
+	var err error
+	for i := 0; i <= linkBuffer+1 && err == nil; i++ {
+		err = c.Send(Message{To: "d"})
+	}
+	if err == nil || !NeverLeft(err) {
+		t.Errorf("send on a full link: %v, want a NeverLeft error", err)
 	}
 }
 
 func TestLocalUnknownDestination(t *testing.T) {
 	net := NewNetwork(0)
 	a := net.Join("a")
-	if err := a.Send(Message{To: "ghost"}); err == nil {
-		t.Error("send to unknown node succeeded")
+	if err := a.Send(Message{To: "ghost"}); !errors.Is(err, ErrUnknownNode) || !NeverLeft(err) {
+		t.Errorf("send to unknown node: %v, want a NeverLeft ErrUnknownNode", err)
 	}
 }
 

@@ -38,6 +38,11 @@ type Log struct {
 	// a dropped segment; catch-up requests reaching at or below it cannot
 	// be served from the log (paper §6.1: serve from SSTables instead).
 	truncated map[uint32]LSN
+	// scanning counts Scans in progress. A scan reads its snapshot of segs
+	// outside mu, so a segment dropped meanwhile stays open (unlinked but
+	// readable) in retired until the last scan out closes it.
+	scanning int
+	retired  []Device
 
 	// Group commit state. appendOff/durableOff are logical offsets over
 	// the whole log (monotonic across segments).
@@ -362,7 +367,18 @@ func (l *Log) scanSegment(seg *segment, fn func(rec Record, off int64) error) (i
 func (l *Log) Scan(fn func(rec Record) error) error {
 	l.mu.Lock()
 	segs := append([]*segment(nil), l.segs...)
+	l.scanning++
 	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		if l.scanning--; l.scanning == 0 {
+			for _, dev := range l.retired {
+				_ = dev.Close() // unlinked already; nothing left to lose
+			}
+			l.retired = nil
+		}
+		l.mu.Unlock()
+	}()
 	for _, seg := range segs {
 		if _, err := l.scanSegment(seg, func(rec Record, _ int64) error {
 			return fn(rec)
@@ -440,6 +456,12 @@ func (l *Log) DropCapturedSegments(captured map[uint32]LSN) ([]uint64, error) {
 		if err := l.cfg.Store.Remove(seg.id); err != nil {
 			return dropped, fmt.Errorf("wal: remove segment %d: %w", seg.id, err)
 		}
+		// Release the descriptor too, or every truncation leaks one.
+		if l.scanning == 0 {
+			_ = seg.dev.Close() // unlinked already; nothing left to lose
+		} else {
+			l.retired = append(l.retired, seg.dev)
+		}
 		for cohort, maxLSN := range seg.maxLSN {
 			if maxLSN > l.truncated[cohort] {
 				l.truncated[cohort] = maxLSN
@@ -458,17 +480,23 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Close forces and releases all segments.
+// Close forces and releases all segments, whether or not the force succeeds
+// (a failed device still holds a descriptor).
 func (l *Log) Close() error {
-	if err := l.Force(); err != nil && !errors.Is(err, ErrDeviceFailed) {
-		return err
+	err := l.Force()
+	if errors.Is(err, ErrDeviceFailed) {
+		err = nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for _, dev := range l.retired {
+		_ = dev.Close()
+	}
+	l.retired = nil
 	for _, seg := range l.segs {
-		if err := seg.dev.Close(); err != nil {
-			return err
+		if cerr := seg.dev.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
-	return nil
+	return err
 }

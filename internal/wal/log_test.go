@@ -348,3 +348,88 @@ func TestLogConcurrentAppendersAllRecovered(t *testing.T) {
 		}
 	}
 }
+
+// countingStore counts the devices a Log holds open.
+type countingStore struct {
+	SegmentStore
+	open int
+}
+
+type countedDevice struct {
+	Device
+	s *countingStore
+}
+
+func (s *countingStore) track(d Device, err error) (Device, error) {
+	if err != nil {
+		return nil, err
+	}
+	s.open++
+	return &countedDevice{d, s}, nil
+}
+
+func (s *countingStore) Open(id uint64) (Device, error)   { return s.track(s.SegmentStore.Open(id)) }
+func (s *countingStore) Create(id uint64) (Device, error) { return s.track(s.SegmentStore.Create(id)) }
+
+func (d *countedDevice) Close() error {
+	d.s.open--
+	return d.Device.Close()
+}
+
+// TestLogClosesDroppedSegments: a truncation closes the devices of the
+// segments it removes (each is a file descriptor on a file store) — at once
+// when nothing is reading them, and when the last scan finishes otherwise, so
+// that a scan already under way still sees every record of its snapshot.
+func TestLogClosesDroppedSegments(t *testing.T) {
+	store := &countingStore{SegmentStore: NewMemSegmentStore(DeviceInstant)}
+	l := newTestLog(t, store, 64)
+	appendTo := func(through uint64) {
+		t.Helper()
+		for seq := through - 19; seq <= through; seq++ {
+			if err := l.AppendForce(writeRec(0, 1, seq, "0123456789abcdef")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendTo(20)
+	segs := l.Segments()
+	if segs < 3 || store.open != segs {
+		t.Fatalf("%d segments, %d open devices; want ≥3 and equal", segs, store.open)
+	}
+
+	seen := 0
+	if err := l.Scan(func(Record) error {
+		if seen++; seen == 1 {
+			dropped, err := l.DropCapturedSegments(map[uint32]LSN{0: MakeLSN(1, 20)})
+			if err != nil || len(dropped) != segs-1 {
+				t.Fatalf("dropped %v, %v; want %d segments", dropped, err, segs-1)
+			}
+			if store.open != segs {
+				t.Errorf("%d devices open mid-scan, want all %d still readable", store.open, segs)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 20 {
+		t.Errorf("scan saw %d records across the truncation, want 20", seen)
+	}
+	if store.open != 1 {
+		t.Errorf("%d devices open after the scan, want 1 (the current segment)", store.open)
+	}
+
+	appendTo(40)
+	if _, err := l.DropCapturedSegments(map[uint32]LSN{0: MakeLSN(1, 40)}); err != nil {
+		t.Fatal(err)
+	}
+	if store.open != 1 {
+		t.Errorf("%d devices open after an unobserved truncation, want 1", store.open)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.open != 0 {
+		t.Errorf("%d devices open after Close, want 0", store.open)
+	}
+}

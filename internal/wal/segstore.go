@@ -60,6 +60,11 @@ func (s *MemSegmentStore) Open(id uint64) (Device, error) {
 	if !ok {
 		return nil, fmt.Errorf("wal: segment %d does not exist", id)
 	}
+	// The device outlives the Log that closed it (a node restarted over the
+	// same stores): opening it again makes it usable, as with a file.
+	d.mu.Lock()
+	d.closed = false
+	d.mu.Unlock()
 	return d, nil
 }
 
