@@ -99,9 +99,9 @@ func BenchmarkAblationStaleness(b *testing.B) { runExperiment(b, "ablation-stale
 // design choice of Figure 4.
 func BenchmarkAblationParallelPropose(b *testing.B) { runExperiment(b, "ablation-parallelpropose") }
 
-// BenchmarkAblationProposalBatching compares the batched, pipelined
-// replication path against the paper's per-write protocol at 1/4/16/64
-// concurrent writers.
+// BenchmarkAblationProposalBatching compares proposal batching against one
+// write per propose message (the paper's Figure 4 message pattern) at
+// 1/4/16/64 concurrent writers.
 func BenchmarkAblationProposalBatching(b *testing.B) { runExperiment(b, "ablation-batching") }
 
 // BenchmarkScaleOut measures write throughput while the same running

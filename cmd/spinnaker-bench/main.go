@@ -34,21 +34,10 @@ func main() {
 		value   = flag.Int("value", 4096, "value size in bytes (paper: 4KB)")
 		threads = flag.String("threads", "1,2,4,8,16,32", "comma-separated client thread counts")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
-		jsonOut = flag.String("json", "", "run the perf-trajectory suite and write a BENCH_*.json report to this path")
-		smoke   = flag.Bool("smoke", false, "with -json: minimal measurement windows (CI schema/guard check, numbers not meaningful)")
-		guard   = flag.String("guard", "", "compare the two newest committed BENCH_*.json files in this directory and fail on regression")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile of the experiment run to this file")
 	)
 	flag.Parse()
-
-	if *guard != "" {
-		if err := bench.Guard(*guard, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "regression guard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -103,23 +92,6 @@ func main() {
 		cfg.Progress = func(line string) { fmt.Fprintf(os.Stderr, "  .. %s\n", line) }
 	}
 
-	if *jsonOut != "" {
-		if *smoke {
-			cfg.PointDuration = 60 * time.Millisecond
-		}
-		report, err := bench.Trajectory(cfg, *smoke)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trajectory: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteReport(*jsonOut, report); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d scenarios)\n", *jsonOut, len(report.Scenarios))
-		return
-	}
-
 	var names []string
 	switch {
 	case *all:
@@ -127,7 +99,7 @@ func main() {
 	case *exp != "":
 		names = []string{*exp}
 	default:
-		fmt.Fprintln(os.Stderr, "need -all, -exp <name>, -json <file>, or -guard <dir>; see -list")
+		fmt.Fprintln(os.Stderr, "need -all or -exp <name>; see -list")
 		os.Exit(2)
 	}
 

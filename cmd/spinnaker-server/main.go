@@ -64,7 +64,6 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:7070", "client listen address")
 		httpAddr   = flag.String("http", "", "admin HTTP listen address serving /metrics and /status (empty = disabled)")
 		commit     = flag.Duration("commit-period", 100*time.Millisecond, "commit message period")
-		noBatch    = flag.Bool("no-proposal-batching", false, "disable the batched replication pipeline (ablation)")
 		flushBytes = flag.Int64("flush-bytes", 0, "memtable size in bytes that triggers a flush (0 = default 4MiB)")
 		maxTbls    = flag.Int("max-tables", 0, "table count that triggers a compaction round (0 = default 8)")
 	)
@@ -74,7 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	s, err := newServer(*dir, *nodes, *commit, *noBatch, *flushBytes, *maxTbls)
+	s, err := newServer(*dir, *nodes, *commit, *flushBytes, *maxTbls)
 	if err != nil {
 		log.Fatalf("start cluster: %v", err)
 	}
@@ -102,7 +101,7 @@ func main() {
 	}
 }
 
-func newServer(dir string, nodeCount int, commitPeriod time.Duration, noBatch bool, flushBytes int64, maxTables int) (*server, error) {
+func newServer(dir string, nodeCount int, commitPeriod time.Duration, flushBytes int64, maxTables int) (*server, error) {
 	names := make([]string, nodeCount)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%03d", i)
@@ -122,11 +121,10 @@ func newServer(dir string, nodeCount int, commitPeriod time.Duration, noBatch bo
 		stores:   make(map[string]*core.Stores),
 		nodes:    make(map[string]*core.Node),
 		cfg: core.Config{
-			Layout:                  layout,
-			CommitPeriod:            commitPeriod,
-			DisableProposalBatching: noBatch,
-			FlushBytes:              flushBytes,
-			MaxTables:               maxTables,
+			Layout:       layout,
+			CommitPeriod: commitPeriod,
+			FlushBytes:   flushBytes,
+			MaxTables:    maxTables,
 		},
 	}
 	// Publish the layout: nodes follow the published version (the same

@@ -8,8 +8,8 @@ import (
 
 // hotpath enforces allocation hygiene on //spinnaker:hotpath functions
 // — the submit/commit/append/codec paths PR 5 profiled down to their
-// current allocs/op, statically complementing the spinnaker-bench
-// -guard gate. Inside an annotated function it flags:
+// current allocs/op, statically complementing BENCHMARK.json's
+// allocs_per_op bound. Inside an annotated function it flags:
 //
 //   - any call into package fmt (fmt.Errorf on a cold error branch
 //     belongs in a non-annotated helper or behind a static error);

@@ -10,7 +10,7 @@
 //     obligations, lock-ordering pairs, and "never hold this lock across
 //     blob I/O or channel sends" (PR 4).
 //   - hotpath   — allocation hygiene for //spinnaker:hotpath functions,
-//     the static complement to the spinnaker-bench -guard allocs gate
+//     the static complement to BENCHMARK.json's allocs_per_op bound
 //     (PR 5).
 //
 // The loader below is deliberately dependency-free: module-internal

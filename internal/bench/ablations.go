@@ -185,13 +185,15 @@ func AblationPiggyback(cfg Config) (Table, error) {
 	return table, nil
 }
 
-// AblationProposalBatching quantifies the batched, pipelined replication
-// path against the paper's per-write protocol ("Practical Experience
+// AblationProposalBatching quantifies proposal batching against the paper's
+// one-propose-one-ack-per-write message pattern ("Practical Experience
 // Report: The Performance of Paxos in the Cloud" identifies batching and
 // pipelining as the dominant throughput levers for cloud Paxos): with
 // batching on, the leader coalesces concurrently sequenced writes into one
 // propose batch per peer and followers reply with one cumulative ack per
 // batch, so per-message overhead is paid per batch instead of per write.
+// With it off the same pipeline sends every write in a message of its own,
+// so the ablation isolates messages, frames and acks per write.
 //
 // The experiment runs pipelined writers (each closed-loop iteration is a
 // Batch of pipeWindow puts — the workload batching exists for) on the
@@ -268,9 +270,9 @@ func AblationProposalBatching(cfg Config) (Table, error) {
 
 	table := Table{
 		ID:      "Ablation: proposal batching",
-		Title:   "write throughput, batched vs per-write replication (256B values, mem log, 8-deep pipelined writers, median of 3)",
+		Title:   "write throughput, batched vs one write per propose message (256B values, mem log, 8-deep pipelined writers, median of 3)",
 		Columns: []string{"writers", "batched req/s", "unbatched req/s", "batched avg ms", "unbatched avg ms"},
-		Notes:   "batching amortizes per-message and per-write overhead; avg ms is per 8-write pipelined burst",
+		Notes:   "batching amortizes per-message overhead (sends, frames, acks); avg ms is per 8-write pipelined burst",
 	}
 	for _, threads := range []int{1, 4, 16, 64} {
 		batched, err := median(false, threads)

@@ -8,11 +8,10 @@ import (
 )
 
 // CodecBenchmarks exposes the hot-path codec round trips as testing.Benchmark
-// functions so the perf-trajectory harness (internal/bench, spinnaker-bench
-// -json) can measure their ns/op and allocs/op from a plain binary. The same
-// pairs are benchmarked under `go test -bench` in proto_test.go; this hook
-// exists because the codecs are unexported and the trajectory report is
-// generated outside the test harness.
+// functions so the benchmark harness (benchmark/probes.go) can measure their
+// ns/op and allocs/op from a plain binary. The same pairs are benchmarked
+// under `go test -bench` in proto_test.go; this hook exists because the
+// codecs are unexported and the harness runs outside the test binary.
 func CodecBenchmarks() map[string]func(b *testing.B) {
 	op := func(lsn wal.LSN) WriteOp {
 		return WriteOp{Row: "user:0042134077", Cols: []ColWrite{{
@@ -39,15 +38,6 @@ func CodecBenchmarks() map[string]func(b *testing.B) {
 		}
 	}
 	return map[string]func(b *testing.B){
-		"codec-propose-roundtrip": func(b *testing.B) {
-			p := proposePayload{LSN: wal.MakeLSN(3, 7), CommittedThrough: wal.MakeLSN(3, 5), Op: op(wal.MakeLSN(3, 7))}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := decodePropose(encodePropose(p)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
 		"codec-propose-batch-roundtrip-8":  batchBench(8),
 		"codec-propose-batch-roundtrip-64": batchBench(64),
 		"codec-write-result-roundtrip": func(b *testing.B) {

@@ -22,6 +22,15 @@ type testCluster struct {
 	stores  map[string]*Stores
 	nodes   map[string]*Node
 	cfgTmpl Config
+	hooks   testHooks
+}
+
+// testHooks lets a test decorate what each node is built over; nil members
+// keep the defaults (in-memory stores on the instant device, the bare
+// in-process endpoint).
+type testHooks struct {
+	stores   func(name string) *Stores
+	endpoint func(name string, ep transport.Endpoint) transport.Endpoint
 }
 
 // init (not newTestCluster) sets the global paranoia flag: per-test writes
@@ -32,6 +41,17 @@ func init() {
 
 func newTestCluster(t *testing.T, nodeCount int, tweak func(*Config)) *testCluster {
 	t.Helper()
+	return newHookedTestCluster(t, nodeCount, tweak, testHooks{})
+}
+
+func newHookedTestCluster(t *testing.T, nodeCount int, tweak func(*Config), hooks testHooks) *testCluster {
+	t.Helper()
+	if hooks.stores == nil {
+		hooks.stores = func(string) *Stores { return NewMemStores(wal.DeviceInstant) }
+	}
+	if hooks.endpoint == nil {
+		hooks.endpoint = func(_ string, ep transport.Endpoint) transport.Endpoint { return ep }
+	}
 	names := make([]string, nodeCount)
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
@@ -47,6 +67,7 @@ func newTestCluster(t *testing.T, nodeCount int, tweak func(*Config)) *testClust
 		layout: layout,
 		stores: make(map[string]*Stores),
 		nodes:  make(map[string]*Node),
+		hooks:  hooks,
 	}
 	tc.cfgTmpl = Config{
 		Layout:          layout,
@@ -57,15 +78,15 @@ func newTestCluster(t *testing.T, nodeCount int, tweak func(*Config)) *testClust
 		RetryInterval:   5 * time.Millisecond,
 		FlushInterval:   20 * time.Millisecond,
 		// SPINNAKER_TEST_NO_BATCHING=1 runs the whole package under the
-		// ProposalBatching=false ablation (per-write proposes and acks);
-		// CI exercises both modes.
+		// ProposalBatching=false ablation (every propose message capped
+		// at one write); CI exercises both settings.
 		DisableProposalBatching: os.Getenv("SPINNAKER_TEST_NO_BATCHING") != "",
 	}
 	if tweak != nil {
 		tweak(&tc.cfgTmpl)
 	}
 	for _, name := range names {
-		tc.stores[name] = NewMemStores(wal.DeviceInstant)
+		tc.stores[name] = hooks.stores(name)
 		tc.startNode(name)
 	}
 	t.Cleanup(tc.shutdown)
@@ -76,7 +97,7 @@ func (tc *testCluster) startNode(name string) *Node {
 	tc.t.Helper()
 	cfg := tc.cfgTmpl
 	cfg.ID = name
-	n, err := NewNode(cfg, tc.stores[name], tc.net.Join(name), tc.coord)
+	n, err := NewNode(cfg, tc.stores[name], tc.hooks.endpoint(name, tc.net.Join(name)), tc.coord)
 	if err != nil {
 		tc.t.Fatalf("NewNode(%s): %v", name, err)
 	}

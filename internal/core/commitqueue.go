@@ -9,8 +9,8 @@ import (
 	"spinnaker/internal/wal"
 )
 
-// writeOutcome is delivered to the goroutine waiting on a leader-side write
-// when the write commits (or fails permanently).
+// writeOutcome is delivered to a leader-side write's responder when the
+// write commits (or fails permanently).
 type writeOutcome struct {
 	status   uint8
 	detail   string
@@ -26,17 +26,10 @@ type pendingWrite struct {
 	lsn        wal.LSN
 	op         WriteOp
 	selfForced bool // the local log force for this write completed
-	// ackFrom records which followers acked this LSN individually
-	// (per-write protocol; leader only). The batched protocol instead
-	// tracks per-peer cumulative watermarks on the queue itself, and the
-	// commit rule counts distinct peers across both.
-	ackFrom  map[string]struct{}
-	done     chan writeOutcome
-	doneOnce sync.Once
-	// respond delivers the outcome of an asynchronously handled client
-	// write (the batched write path replies on commit instead of holding
-	// a goroutine per write); enqueuedAt bounds its wait via the leader's
-	// WriteTimeout sweep.
+	doneOnce   sync.Once
+	// respond delivers the outcome of a client write (the leader replies
+	// on commit instead of holding a goroutine per write); enqueuedAt
+	// bounds its wait via the leader's WriteTimeout sweep.
 	respond    func(writeOutcome)
 	enqueuedAt time.Time
 	// lastPropose is when the leader last sent (or re-sent) the propose
@@ -74,9 +67,6 @@ func (p *pendingWrite) observe(f func(committed bool)) {
 // (which have no waiting client).
 func (p *pendingWrite) finish(out writeOutcome) {
 	p.doneOnce.Do(func() {
-		if p.done != nil {
-			p.done <- out
-		}
 		if p.respond != nil {
 			p.respond(out)
 		}
@@ -102,11 +92,10 @@ type commitQueue struct {
 	order   []wal.LSN // ascending
 	byKey   map[kv.Key]wal.LSN
 	keyLSNs map[kv.Key][]wal.LSN
-	// peerAcked is the batched protocol's per-peer cumulative ack
-	// watermark: peer p durably holds every write of the cohort at or
-	// below peerAcked[p]. Reset on leadership transitions — a watermark
-	// earned under an old epoch may cover LSNs the peer has since
-	// logically truncated.
+	// peerAcked is the per-peer cumulative ack watermark: peer p durably
+	// holds every write of the cohort at or below peerAcked[p]. Reset on
+	// leadership transitions — a watermark earned under an old epoch may
+	// cover LSNs the peer has since logically truncated.
 	peerAcked map[string]wal.LSN
 }
 
@@ -159,22 +148,8 @@ func (q *commitQueue) markForced(lsn wal.LSN) {
 	}
 }
 
-// markAck records a follower's per-write ack for lsn (the unbatched
-// protocol). Duplicate acks from the same peer are idempotent.
-func (q *commitQueue) markAck(from string, lsn wal.LSN) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if p, ok := q.byLSN[lsn]; ok {
-		if p.ackFrom == nil {
-			p.ackFrom = make(map[string]struct{}, 2)
-		}
-		p.ackFrom[from] = struct{}{}
-	}
-}
-
-// markAckedThrough advances a peer's cumulative ack watermark (the batched
-// protocol): the peer durably holds every write of the cohort at or below
-// lsn. Watermarks only move forward, so stale or reordered acks — including
+// markAckedThrough advances a peer's cumulative ack watermark: the peer
+// durably holds every write of the cohort at or below lsn. Watermarks only move forward, so stale or reordered acks — including
 // acks carrying LSNs from a prior epoch, which compare below every LSN of
 // the current epoch — are ignored.
 func (q *commitQueue) markAckedThrough(from string, lsn wal.LSN) {
@@ -185,9 +160,8 @@ func (q *commitQueue) markAckedThrough(from string, lsn wal.LSN) {
 	}
 }
 
-// ackCountLocked returns the number of distinct peers among the allowed set
-// that acknowledge lsn, by per-write ack or by cumulative watermark; a nil
-// allowed set admits every peer. Callers hold q.mu. The filter exists for
+// ackCountLocked returns the number of peers among the allowed set whose
+// cumulative watermark covers p; a nil allowed set admits every peer. Callers hold q.mu. The filter exists for
 // live cohort reconfiguration: a member that has been moved out of the
 // cohort may logically truncate what it acked, so its acks stop counting
 // toward quorum the moment the leader adopts the new membership.
@@ -195,19 +169,8 @@ func (q *commitQueue) markAckedThrough(from string, lsn wal.LSN) {
 //spinnaker:locked(mu)
 func (q *commitQueue) ackCountLocked(p *pendingWrite, allowed map[string]bool) int {
 	n := 0
-	for peer := range p.ackFrom {
-		if allowed == nil || allowed[peer] {
-			n++
-		}
-	}
 	for peer, through := range q.peerAcked {
-		if through < p.lsn {
-			continue
-		}
-		if allowed != nil && !allowed[peer] {
-			continue
-		}
-		if _, dup := p.ackFrom[peer]; !dup {
+		if through >= p.lsn && (allowed == nil || allowed[peer]) {
 			n++
 		}
 	}
@@ -242,8 +205,8 @@ func (q *commitQueue) popCommittable(quorum int, peers []string) []*pendingWrite
 	return out
 }
 
-// resetAcks forgets every follower acknowledgement — per-write and
-// cumulative — without touching the pending writes themselves. Called on
+// resetAcks forgets every follower acknowledgement without touching the
+// pending writes themselves. Called on
 // leadership transitions: acks gathered under an earlier leadership no
 // longer prove durability (a peer may have logically truncated writes it
 // once acked), so takeover re-proposals must earn a fresh quorum.
@@ -251,9 +214,6 @@ func (q *commitQueue) resetAcks() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.peerAcked = make(map[string]wal.LSN)
-	for _, p := range q.byLSN {
-		p.ackFrom = nil
-	}
 }
 
 // popThrough removes and returns, in LSN order, all pending writes with
@@ -431,7 +391,7 @@ func (q *commitQueue) stalePending(age time.Duration) []proposeRec {
 	return out
 }
 
-// staleResponders returns the async-responded pendings older than timeout,
+// staleResponders returns the client-facing pendings older than timeout,
 // for the leader's WriteTimeout sweep (finish is idempotent, so re-listing
 // an already-expired write is harmless).
 func (q *commitQueue) staleResponders(timeout time.Duration) []*pendingWrite {

@@ -37,15 +37,16 @@ func TestCommitQueuePopCommittableInOrder(t *testing.T) {
 	if got := q.popCommittable(2, nil); len(got) != 0 {
 		t.Fatalf("popped %d writes with no acks", len(got))
 	}
-	// LSN 2 satisfied first: commits must still wait for LSN 1 (writes
-	// execute in LSN order within a cohort, §5.1).
+	// LSN 2 satisfied first (its force completed, and the follower's
+	// watermark covers it): commits must still wait for LSN 1, whose local
+	// force is outstanding (writes execute in LSN order within a cohort,
+	// §5.1).
 	q.markForced(wal.MakeLSN(1, 2))
-	q.markAck("f1", wal.MakeLSN(1, 2))
+	q.markAckedThrough("f1", wal.MakeLSN(1, 2))
 	if got := q.popCommittable(2, nil); len(got) != 0 {
 		t.Fatalf("LSN 2 committed ahead of LSN 1")
 	}
 	q.markForced(wal.MakeLSN(1, 1))
-	q.markAck("f1", wal.MakeLSN(1, 1))
 	got := q.popCommittable(2, nil)
 	if len(got) != 2 || got[0].lsn != wal.MakeLSN(1, 1) || got[1].lsn != wal.MakeLSN(1, 2) {
 		t.Fatalf("popped %d writes, want [1.1 1.2]", len(got))
@@ -61,7 +62,7 @@ func TestCommitQueueQuorumRule(t *testing.T) {
 	q.add(pw(1, "r", "c"))
 	// An ack without the local force is not enough (the commit rule is
 	// 2-of-3 logs *including* the leader's, §8.1).
-	q.markAck("f1", wal.MakeLSN(1, 1))
+	q.markAckedThrough("f1", wal.MakeLSN(1, 1))
 	if got := q.popCommittable(2, nil); len(got) != 0 {
 		t.Fatal("committed without local force")
 	}
@@ -201,19 +202,14 @@ func TestCommitQueueStalePending(t *testing.T) {
 }
 
 func TestPendingWriteFinishOnce(t *testing.T) {
-	p := &pendingWrite{done: make(chan writeOutcome, 1)}
+	var got []writeOutcome
+	p := &pendingWrite{respond: func(out writeOutcome) { got = append(got, out) }}
 	p.finish(writeOutcome{status: StatusOK})
-	p.finish(writeOutcome{status: StatusUnavailable}) // must not double-send
-	out := <-p.done
-	if out.status != StatusOK {
-		t.Errorf("outcome = %d", out.status)
+	p.finish(writeOutcome{status: StatusUnavailable}) // must not respond twice
+	if len(got) != 1 || got[0].status != StatusOK {
+		t.Errorf("outcomes = %+v, want exactly one StatusOK", got)
 	}
-	select {
-	case <-p.done:
-		t.Error("second outcome delivered")
-	default:
-	}
-	// Follower-side pendings have no channel; finish must not panic.
+	// Follower-side pendings have no responder; finish must not panic.
 	(&pendingWrite{}).finish(writeOutcome{})
 }
 
@@ -294,7 +290,7 @@ func TestCommitQueueQuorumAckFromStaleLeaderEpoch(t *testing.T) {
 	for _, lsn := range []wal.LSN{wal.MakeLSN(1, 5), wal.MakeLSN(1, 6), wal.MakeLSN(2, 7)} {
 		q.markForced(lsn)
 	}
-	q.markAck("f1", wal.MakeLSN(1, 5))
+	q.markAckedThrough("f1", wal.MakeLSN(1, 5))
 	q.markAckedThrough("f2", wal.MakeLSN(1, 6))
 
 	// Takeover: the new leader discards every pre-transition ack.
@@ -314,9 +310,9 @@ func TestCommitQueueQuorumAckFromStaleLeaderEpoch(t *testing.T) {
 	if got := q.popCommittable(2, nil); len(got) != 0 {
 		t.Fatal("epoch-2 write committed on a quorum of stale-epoch acks")
 	}
-	// A per-write ack for an LSN that is no longer pending (logically
-	// truncated on another branch) is a no-op.
-	q.markAck("f1", wal.MakeLSN(1, 99))
+	// An old-epoch watermark beyond anything pending (earned on a branch
+	// that was since logically truncated) still compares below epoch 2.
+	q.markAckedThrough("f1", wal.MakeLSN(1, 99))
 	if got := q.popCommittable(2, nil); len(got) != 0 {
 		t.Fatal("ack for a truncated LSN committed something")
 	}
@@ -384,13 +380,13 @@ func TestCommitQueueCumulativeAckForceInterleavings(t *testing.T) {
 
 func TestCommitQueueDistinctPeerQuorum(t *testing.T) {
 	// A 5-way cohort (quorum 3) needs acks from two DISTINCT peers; one
-	// peer acking through both paths (per-write and cumulative) must not
-	// be double-counted.
+	// peer acking twice (a duplicated or re-sent ack) must not be
+	// double-counted.
 	q := newCommitQueue()
 	lsn := wal.MakeLSN(1, 1)
 	q.add(pw(1, "r", "c"))
 	q.markForced(lsn)
-	q.markAck("f1", lsn)
+	q.markAckedThrough("f1", lsn)
 	q.markAckedThrough("f1", lsn)
 	if got := q.popCommittable(3, nil); len(got) != 0 {
 		t.Fatal("one peer double-counted toward a 3-quorum")
@@ -402,14 +398,14 @@ func TestCommitQueueDistinctPeerQuorum(t *testing.T) {
 }
 
 func TestCommitQueueResetAcksOnStepDown(t *testing.T) {
-	// A leadership transition discards watermarks and per-write acks: a
-	// peer may have logically truncated writes it acked under an earlier
+	// A leadership transition discards every peer's watermark: a peer may
+	// have logically truncated writes it acked under an earlier
 	// leadership, so re-proposals must earn a fresh quorum.
 	q := newCommitQueue()
 	lsn := wal.MakeLSN(1, 1)
 	q.add(pw(1, "r", "c"))
 	q.markForced(lsn)
-	q.markAck("f1", lsn)
+	q.markAckedThrough("f1", lsn)
 	q.markAckedThrough("f2", lsn)
 	q.resetAcks()
 	if got := q.popCommittable(2, nil); len(got) != 0 {

@@ -90,18 +90,6 @@ func FuzzDecodeWriteOp(f *testing.F) {
 	})
 }
 
-func FuzzDecodePropose(f *testing.F) {
-	f.Add(encodePropose(proposePayload{LSN: 12, CommittedThrough: 11, Op: fuzzWriteOp()}))
-	f.Add(encodePropose(proposePayload{})[:15])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := decodePropose(b)
-		if err != nil {
-			return
-		}
-		fixpoint(t, p, encodePropose, decodePropose)
-	})
-}
-
 func FuzzDecodeProposeBatch(f *testing.F) {
 	batch := proposeBatchPayload{CommittedThrough: 41, Recs: []proposeRec{
 		{LSN: 42, Op: fuzzWriteOp()},

@@ -155,14 +155,14 @@ type Config struct {
 	// SequentialPropose makes the leader force its log *before* sending
 	// propose messages instead of in parallel (Fig 4). Ablation only.
 	SequentialPropose bool
-	// DisableProposalBatching turns off the batched replication pipeline
-	// (the ProposalBatching=false ablation). The default (batching on)
-	// coalesces every write sequenced since the batcher's last send into
-	// a single MsgProposeBatch per peer, and followers append the whole
-	// batch under one lock acquisition, issue one force, and reply with
-	// one cumulative acked-through LSN. With batching disabled, the
-	// leader sends one MsgPropose per write and followers ack each LSN
-	// individually — the paper's Figure 4 read literally.
+	// DisableProposalBatching caps every propose message at one write
+	// (the ProposalBatching=false ablation). The default coalesces every
+	// write sequenced since the batcher's last send into a single
+	// MsgProposeBatch per peer, and followers append the whole batch
+	// under one lock acquisition, issue one force, and reply with one
+	// cumulative acked-through LSN. With the cap, the same pipeline sends
+	// one message per write per peer and so draws one ack per write —
+	// the message pattern of the paper's Figure 4 read literally.
 	DisableProposalBatching bool
 	// DisableSnapshotCatchup forces catch-up onto the entry-replay path
 	// even when the leader's log is truncated past the follower's f.cmt
@@ -603,26 +603,15 @@ func (n *Node) handle(m transport.Message) {
 		if err != nil {
 			return
 		}
-		if r.batched() {
-			// Batched pipeline: sequence now, reply on commit. The
-			// link goroutine is freed immediately, so one client's
-			// pipelined writes coalesce into shared batches instead
-			// of running in lockstep.
-			r.submitWriteAsync(op, func(out writeOutcome) {
-				n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeWriteResult(writeResult{
-					Status: out.status, Detail: out.detail, Versions: out.versions})})
-			})
-			return
-		}
-		out := r.submitWrite(op)
-		n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeWriteResult(writeResult{
-			Status: out.status, Detail: out.detail, Versions: out.versions})})
-	case MsgPropose:
-		r.onPropose(m)
+		// Sequence now, reply on commit. The link goroutine is freed
+		// immediately, so one client's pipelined writes coalesce into
+		// shared batches instead of running in lockstep.
+		r.submitWriteAsync(op, func(out writeOutcome) {
+			n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeWriteResult(writeResult{
+				Status: out.status, Detail: out.detail, Versions: out.versions})})
+		})
 	case MsgProposeBatch:
 		r.onProposeBatch(m)
-	case MsgAck:
-		r.onAck(m)
 	case MsgAckBatch:
 		r.onAckBatch(m)
 	case MsgCommit:

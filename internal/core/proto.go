@@ -5,14 +5,15 @@
 // §6, and the leader election protocol of §7.
 //
 // Two ways this implementation goes beyond the paper's figures as drawn:
-// the default write path is a batched, pipelined proposal stream (leaders
-// coalesce concurrently sequenced writes into one MsgProposeBatch per peer
-// and followers reply with one cumulative acked-through LSN; the literal
-// one-propose-one-ack-per-write protocol of Figure 4 survives as the
-// DisableProposalBatching ablation), and cluster membership is live: nodes
-// follow the versioned layout published through the coordination service,
-// creating, retiring, and re-membering cohort replicas as ranges split and
-// move (elastic scale-out, §4's placement made dynamic).
+// the write path is a batched, pipelined proposal stream (leaders coalesce
+// concurrently sequenced writes into one MsgProposeBatch per peer and
+// followers reply with one cumulative acked-through LSN; Figure 4's literal
+// one-propose-one-ack-per-write pattern is the same stream capped at one
+// write per message, the DisableProposalBatching ablation), and cluster
+// membership is live: nodes follow the versioned layout published through
+// the coordination service, creating, retiring, and re-membering cohort
+// replicas as ranges split and move (elastic scale-out, §4's placement made
+// dynamic).
 package core
 
 import (
@@ -31,19 +32,19 @@ const (
 	MsgGet uint8 = 1 + iota
 	MsgGetRow
 	MsgWrite // put / delete / conditional put / conditional delete / multi-column
-	// Replication protocol (§5, Figure 4).
+	// Retired kinds; nodes ignore them.
 	MsgPropose
 	MsgAck
+	// Replication protocol (§5, Figure 4): the periodic commit message;
+	// propose and ack are MsgProposeBatch and MsgAckBatch below.
 	MsgCommit
 	// Recovery (§6).
 	MsgStateReq    // new leader asks follower for its f.cmt (Fig 6 line 4)
 	MsgTakeover    // leader → follower: catch up to l.cmt (Fig 6 lines 5-6)
 	MsgCatchupReq  // recovering follower → leader: advertise f.cmt (§6.1)
 	MsgCatchupResp // leader → follower: committed writes after f.cmt
-	// Batched replication (default write path): one propose message per
-	// batch of sequenced writes, one cumulative ack per batch. The
-	// per-write MsgPropose/MsgAck pair above remains as the
-	// DisableProposalBatching ablation.
+	// The write path's propose and ack: one propose message per batch of
+	// one or more sequenced writes, one cumulative ack per message.
 	MsgProposeBatch
 	MsgAckBatch // payload: AckedThrough LSN (cumulative)
 	// Bulk catch-up (§6.1, SSTable-based): when the leader's log has been
@@ -325,44 +326,12 @@ func (op WriteOp) Entries(lsn wal.LSN) []kv.Entry {
 	return out
 }
 
-// proposePayload is the body of MsgPropose: the LSN plus the op. The commit
-// piggyback (App. D.1) rides along: committedThrough tells the follower it
-// may apply everything at or below that LSN.
-type proposePayload struct {
-	LSN              wal.LSN
-	CommittedThrough wal.LSN
-	Op               WriteOp
-}
-
-func encodePropose(p proposePayload) []byte {
-	buf := make([]byte, 16, 16+WriteOpEncodedSize(p.Op))
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(p.LSN))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(p.CommittedThrough))
-	return EncodeWriteOp(buf, p.Op)
-}
-
-func decodePropose(b []byte) (proposePayload, error) {
-	var p proposePayload
-	if len(b) < 16 {
-		return p, fmt.Errorf("core: propose truncated")
-	}
-	p.LSN = wal.LSN(binary.LittleEndian.Uint64(b[0:8]))
-	p.CommittedThrough = wal.LSN(binary.LittleEndian.Uint64(b[8:16]))
-	op, _, err := DecodeWriteOp(b[16:])
-	if err != nil {
-		return p, err
-	}
-	p.Op = op
-	return p, nil
-}
-
-// proposeRec is one sequenced write inside a batched propose: the LSN plus
-// the op, exactly the per-write protocol state of Fig 4 without the
-// per-message envelope. Raw, when non-nil, is Op's encoding: the leader
-// fills it when sequencing (the same bytes become the WAL record payload)
-// so batch encoding copies instead of re-encoding, and decode fills it by
-// slicing the message payload so the follower's WAL append never re-encodes
-// either. Raw and Op must describe the same write.
+// proposeRec is one sequenced write inside a propose message: the LSN plus
+// the op, Fig 4's per-write protocol state. Raw, when non-nil, is Op's
+// encoding: the leader fills it when sequencing (the same bytes become the
+// WAL record payload) so batch encoding copies instead of re-encoding, and
+// decode fills it by slicing the message payload so the follower's WAL
+// append never re-encodes either. Raw and Op must describe the same write.
 type proposeRec struct {
 	LSN wal.LSN
 	Op  WriteOp
@@ -380,8 +349,8 @@ const (
 )
 
 // proposeBatchPayload is the body of MsgProposeBatch: the commit piggyback
-// (as in proposePayload) followed by the batch's records in ascending LSN
-// order. In steady state the records are the contiguous run of writes the
+// (App. D.1: the follower may apply everything at or below CommittedThrough)
+// followed by the batch's records in ascending LSN order. In steady state the records are the contiguous run of writes the
 // leader sequenced since the previous batch; retransmissions may carry
 // non-contiguous records, so every record carries its full LSN.
 type proposeBatchPayload struct {
@@ -461,9 +430,8 @@ func decodeProposeBatch(b []byte) (proposeBatchPayload, error) {
 	return p, nil
 }
 
-// ackPayload is the body of MsgAck and MsgAckBatch: the acked LSN (per-write
-// ack) or the cumulative acked-through watermark (batch ack), plus the
-// follower's durable tombstone-GC floor — its storage checkpoint, below
+// ackPayload is the body of MsgAckBatch: the cumulative acked-through
+// watermark, plus the follower's durable tombstone-GC floor — its storage checkpoint, below
 // which every write is captured in SSTables and survives any crash. The
 // leader takes the minimum floor across cohort members as the tombstone-GC
 // watermark: compaction may only drop tombstones at or below it, because a

@@ -115,24 +115,6 @@ func TestWriteOpEntries(t *testing.T) {
 	}
 }
 
-func TestProposeRoundTrip(t *testing.T) {
-	p := proposePayload{
-		LSN:              wal.MakeLSN(3, 14),
-		CommittedThrough: wal.MakeLSN(3, 10),
-		Op:               WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v")}}},
-	}
-	got, err := decodePropose(encodePropose(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LSN != p.LSN || got.CommittedThrough != p.CommittedThrough || got.Op.Row != "r" {
-		t.Errorf("decoded %+v", got)
-	}
-	if _, err := decodePropose([]byte{1, 2, 3}); err == nil {
-		t.Error("short propose decoded")
-	}
-}
-
 func TestCatchupCodecs(t *testing.T) {
 	req := catchupReq{
 		Cmt:       wal.MakeLSN(1, 10),
@@ -285,8 +267,8 @@ func TestProposeBatchTruncation(t *testing.T) {
 // --- Codec microbenchmarks ---------------------------------------------------
 //
 // Every codec pair on the replication hot path gets a -benchmem round-trip
-// benchmark so per-message allocation cost is pinned: regressions show up as
-// allocs/op diffs in the BENCH_*.json trajectory (see EXPERIMENTS.md).
+// benchmark so per-message allocation cost is pinned (allocs/op is exact and
+// repeats).
 
 // benchOp builds a representative 256-byte single-column write.
 func benchOp(lsn wal.LSN) WriteOp {
@@ -302,16 +284,6 @@ func benchBatch(n int) proposeBatchPayload {
 		p.Recs = append(p.Recs, proposeRec{LSN: lsn, Op: benchOp(lsn)})
 	}
 	return p
-}
-
-func BenchmarkProposeRoundTrip(b *testing.B) {
-	p := proposePayload{LSN: wal.MakeLSN(3, 7), CommittedThrough: wal.MakeLSN(3, 5), Op: benchOp(wal.MakeLSN(3, 7))}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodePropose(encodePropose(p)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func benchmarkProposeBatch(b *testing.B, n int) {

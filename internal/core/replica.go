@@ -99,12 +99,11 @@ type replica struct {
 	peerFloors map[string]wal.LSN
 	gcFloor    wal.LSN
 
-	// Leader-side proposal batcher (default write path): writes are
-	// sequenced into batchBuf under r.mu; the first writer to find no
-	// drain in progress becomes the drainer and sends everything
-	// sequenced since the last send as one MsgProposeBatch per peer,
-	// looping while further writes accumulate behind it. batchSending
-	// marks the active drainer (guarded by r.mu).
+	// Leader-side proposal batcher: writes are sequenced into batchBuf
+	// under r.mu; the first writer to find no drain in progress becomes
+	// the drainer and sends everything sequenced since the last send
+	// (sendProposals), looping while further writes accumulate behind it.
+	// batchSending marks the active drainer (guarded by r.mu).
 	batchBuf     []proposeRec
 	batchEnd     int64 // max log offset of buffered records (force target)
 	batchSending bool
@@ -123,10 +122,6 @@ type replica struct {
 	m              rangeMetrics
 	commitAdvanced time.Time
 }
-
-// batched reports whether the cohort uses the batched replication pipeline
-// (on unless the DisableProposalBatching ablation is set).
-func (r *replica) batched() bool { return !r.n.cfg.DisableProposalBatching }
 
 // membership snapshots the cohort membership (peers and quorum) under lock;
 // both change when a newer layout is adopted mid-flight.
@@ -300,121 +295,13 @@ func (r *replica) snapshotState() (role Role, cmt, lst wal.LSN, leader string) {
 
 // --- Write path (paper §5, Figure 4) ---------------------------------------
 
-// submitWrite runs the leader's side of the per-write replication protocol
-// (the DisableProposalBatching ablation) for one client write and blocks
-// until the write commits (or fails). The flow is Figure 4: force a log
-// record for W; in parallel append W to the commit queue and send propose
-// messages; after the local force and at least one ack, apply W to the
-// memtable and return to the client. The batched pipeline (the default)
-// uses submitWriteAsync instead.
-func (r *replica) submitWrite(op WriteOp) writeOutcome {
-	r.mu.Lock()
-	if !r.inBoundsLocked(op.Row) {
-		r.mu.Unlock()
-		return r.wrongLayoutOutcome()
-	}
-	if r.role != RoleLeader || !r.open {
-		leader := r.leaderID
-		r.mu.Unlock()
-		if leader != "" && leader != r.n.cfg.ID {
-			return writeOutcome{status: StatusNotLeader, detail: leader}
-		}
-		return writeOutcome{status: StatusUnavailable, detail: "no leader for range"}
-	}
-
-	// Conditional checks run before sequencing (§5.1), against the
-	// effective state: the newest pending write for the column if one is
-	// queued (writes execute in LSN order), else the committed cell.
-	if out, dep := r.checkCondsLocked(op); out != nil {
-		r.mu.Unlock()
-		if dep == nil {
-			return *out
-		}
-		// The rejection hinges on an uncommitted write: hold the reply
-		// until that write resolves so the mismatch never precedes the
-		// state that justifies it.
-		ch := make(chan writeOutcome, 1)
-		deferMismatch(dep, *out, func(o writeOutcome) { ch <- o })
-		select {
-		case o := <-ch:
-			return o
-		case <-time.After(r.n.cfg.WriteTimeout):
-			return writeOutcome{status: StatusUnavailable, detail: "conditional check timed out awaiting a pending write"}
-		}
-	}
-
-	lsn := wal.MakeLSN(r.epoch, r.nextSeq)
-	r.nextSeq++
-	versions := make([]uint64, len(op.Cols))
-	for i := range op.Cols {
-		op.Cols[i].Version = uint64(lsn)
-		versions[i] = uint64(lsn)
-	}
-	p := &pendingWrite{lsn: lsn, op: op, enqueuedAt: time.Now(), done: make(chan writeOutcome, 1)}
-	r.queue.add(p)
-	r.m.keys.Note(op.Row)
-	rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: lsn,
-		Payload: EncodeWriteOp(nil, op)}
-	// Appending under the lock keeps the cohort's records in LSN order in
-	// the shared log; the force (the slow part) happens outside.
-	end, err := r.n.log.Append(rec)
-	if err != nil {
-		r.queue.remove(lsn)
-		r.mu.Unlock()
-		return writeOutcome{status: StatusUnavailable, detail: err.Error()}
-	}
-	r.lastLSN = lsn
-	committedThrough := wal.LSN(0)
-	if r.n.cfg.PiggybackCommits {
-		committedThrough = r.lastCommitted
-	}
-	// Propose to the followers in parallel with the local log force
-	// (Fig 4); the SequentialPropose ablation forces first, then sends.
-	// Sends happen under r.mu (they only enqueue on the in-order links)
-	// so proposes leave in LSN order and followers never see spurious
-	// sequence gaps.
-	payload := encodePropose(proposePayload{LSN: lsn, CommittedThrough: committedThrough, Op: op})
-	r.queue.touchPropose(lsn)
-	peers := append([]string(nil), r.peers...)
-	propose := func() {
-		for _, peer := range peers {
-			r.n.send(peer, transport.Message{Kind: MsgPropose, Cohort: r.rangeID, Payload: payload})
-		}
-	}
-	if !r.n.cfg.SequentialPropose {
-		propose()
-	}
-	r.mu.Unlock()
-
-	if err := r.n.log.ForceTo(end); err != nil {
-		// The write is already sequenced, queued, and (unless the
-		// SequentialPropose ablation is on) proposed: followers may log
-		// and ack it, and a takeover can re-commit it. Ambiguous, not
-		// definite-no-effect.
-		return writeOutcome{status: StatusAmbiguous, detail: err.Error()}
-	}
-	if r.n.cfg.SequentialPropose {
-		propose()
-	}
-	r.queue.markForced(lsn)
-	r.tryCommit()
-
-	select {
-	case out := <-p.done:
-		out.versions = versions
-		return out
-	case <-time.After(r.n.cfg.WriteTimeout):
-		return writeOutcome{status: StatusAmbiguous, detail: "write timed out awaiting quorum"}
-	}
-}
-
-// submitWriteAsync runs the leader's side of the batched replication
-// pipeline for one client write without blocking the caller: the write is
-// sequenced, logged, and handed to the cohort's proposal drainer, and
-// respond is invoked with the outcome when the write commits (or fails).
-// Not holding a goroutine per in-flight write is what lets a single client
-// pipeline many writes through one leader link. The WriteTimeout bound is
-// enforced by the commit timer's sweep of staleResponders.
+// submitWriteAsync runs the leader's side of the write protocol (Fig 4) for
+// one client write without blocking the caller: the write is sequenced,
+// logged, and handed to the cohort's proposal drainer, and respond is invoked
+// with the outcome when the write commits (or fails). Not holding a goroutine
+// per in-flight write is what lets a single client pipeline many writes
+// through one leader link. The WriteTimeout bound is enforced by the commit
+// timer's sweep of staleResponders.
 //
 //spinnaker:hotpath
 func (r *replica) submitWriteAsync(op WriteOp, respond func(writeOutcome)) {
@@ -435,7 +322,8 @@ func (r *replica) submitWriteAsync(op WriteOp, respond func(writeOutcome)) {
 		return
 	}
 	// Conditional checks run before sequencing (§5.1), against the
-	// effective state, exactly as in submitWrite.
+	// effective state: the newest pending write for the column if one is
+	// queued (writes execute in LSN order), else the committed cell.
 	if out, dep := r.checkCondsLocked(op); out != nil {
 		r.mu.Unlock()
 		if dep == nil {
@@ -603,7 +491,7 @@ func (r *replica) claimDrainLocked() bool {
 
 // drainProposals streams the cohort's proposal buffer to the followers:
 // it repeatedly swaps out everything sequenced since the last swap, sends
-// it as one MsgProposeBatch per peer, forces the leader's log through the
+// it to every peer (sendProposals), forces the leader's log through the
 // batch in parallel (Fig 4's overlap, per batch instead of per write), and
 // commits what the acks allow. Writes sequenced while a batch is being
 // sent and forced accumulate behind it and leave in the next batch, so
@@ -624,39 +512,64 @@ func (r *replica) drainProposals() {
 		}
 		peers := append([]string(nil), r.peers...)
 		r.mu.Unlock()
-		payload := encodeProposeBatch(proposeBatchPayload{
-			CommittedThrough: committedThrough, Recs: recs,
-		})
-		send := func() {
-			for _, peer := range peers {
-				r.n.send(peer, transport.Message{
-					Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload,
-				})
-			}
-		}
 		// The SequentialPropose ablation forces before sending.
 		if !r.n.cfg.SequentialPropose {
-			send()
+			r.sendProposals(peers, committedThrough, recs)
 		}
-		forced := true
+		var forceErr error
 		if end > 0 {
-			forced = r.n.log.ForceTo(end) == nil
+			forceErr = r.n.log.ForceTo(end)
 		}
 		if r.n.cfg.SequentialPropose {
-			send()
+			r.sendProposals(peers, committedThrough, recs)
 		}
-		if forced {
+		if forceErr == nil {
 			for _, rec := range recs {
 				r.queue.markForced(rec.LSN)
 			}
 			r.tryCommit()
+		} else {
+			// The writes are already sequenced, queued, and proposed:
+			// followers may log and ack them, and a takeover can re-commit
+			// them, so they stay queued. Their clients learn now, rather
+			// than at the WriteTimeout sweep, that the outcome is ambiguous
+			// (not definite-no-effect).
+			out := writeOutcome{status: StatusAmbiguous, detail: forceErr.Error()}
+			for _, rec := range recs {
+				if p, ok := r.queue.get(rec.LSN); ok {
+					p.finish(out)
+				}
+			}
 		}
-		// On a force error the writes stay pending; the WriteTimeout
-		// sweep fails their clients.
 		r.mu.Lock()
 	}
 	r.batchSending = false
 	r.mu.Unlock()
+}
+
+// sendProposals sends recs (ascending by LSN) to every peer. This is the one
+// place the DisableProposalBatching ablation acts: normally recs leave as one
+// MsgProposeBatch per peer; with the ablation set each record leaves in a
+// MsgProposeBatch of its own — one propose and, since followers answer every
+// message with one cumulative MsgAckBatch, one ack per write per link, which
+// is Figure 4's message pattern.
+//
+//spinnaker:hotpath
+func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs []proposeRec) {
+	per := len(recs)
+	if r.n.cfg.DisableProposalBatching {
+		per = 1
+	}
+	for ; len(recs) > 0; recs = recs[per:] {
+		payload := encodeProposeBatch(proposeBatchPayload{
+			CommittedThrough: committedThrough, Recs: recs[:per],
+		})
+		for _, peer := range peers {
+			r.n.send(peer, transport.Message{
+				Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload,
+			})
+		}
+	}
 }
 
 // tryCommit commits the maximal committable prefix of the queue: each write
@@ -696,126 +609,11 @@ func (r *replica) tryCommit() {
 
 // --- Follower message handlers ----------------------------------------------
 
-// onPropose handles a propose message (Fig 4, follower column): force a log
-// record for W, append W to the commit queue, send an ack. The force and
-// ack run off the link goroutine so concurrent proposes across cohorts
-// share group-commit forces.
-func (r *replica) onPropose(m transport.Message) {
-	p, err := decodePropose(m.Payload)
-	if err != nil {
-		return
-	}
-	r.mu.Lock()
-	if r.role == RoleRecovering {
-		r.mu.Unlock()
-		return // catch-up will deliver this write's effect
-	}
-	if m.From != r.leaderID && r.leaderID != "" {
-		// A propose from a node we do not believe leads the cohort.
-		// Accept only if it carries a strictly higher epoch (we are
-		// behind on leadership news; the election loop will refresh
-		// leaderID). Equal epochs must be rejected too: after a
-		// takeover, a deposed-but-live leader still sends at the old
-		// epoch, and a follower that already follows the new leader
-		// but has not bumped its epoch would otherwise lend the old
-		// leader acks — letting it commit writes the new leader's
-		// history will truncate.
-		if p.LSN.Epoch() <= r.epoch {
-			r.mu.Unlock()
-			return
-		}
-	}
-	if p.LSN.Epoch() > r.epoch {
-		if r.role == RoleLeader {
-			// A higher-epoch proposal stream proves we were deposed;
-			// step down rather than silently adopting the epoch (our
-			// next write would otherwise collide with the real
-			// leader's LSN space).
-			r.demoteLocked(m.From)
-		}
-		r.epoch = p.LSN.Epoch()
-	}
-
-	switch {
-	case p.LSN <= r.lastCommitted:
-		// Already committed here (a re-proposal after leader change,
-		// Fig 6 line 5: "these can be detected and ignored").
-		r.mu.Unlock()
-		r.n.send(m.From, transport.Message{Kind: MsgAck, Cohort: r.rangeID,
-			Payload: encodeAck(p.LSN, r.engine.Checkpoint())})
-	case r.queue.has(p.LSN):
-		// Already logged and pending; ensure durability, then ack.
-		r.mu.Unlock()
-		go func() {
-			if err := r.n.log.Force(); err != nil {
-				return
-			}
-			r.n.send(m.From, transport.Message{Kind: MsgAck, Cohort: r.rangeID,
-				Payload: encodeAck(p.LSN, r.engine.Checkpoint())})
-		}()
-	default:
-		if p.LSN.Seq() > r.lastLSN.Seq()+1 {
-			// A sequence gap: appending past the hole would advance
-			// lastLSN over writes we do not hold, and our election
-			// candidacy (max n.lst, Fig 7 line 6) would then overstate
-			// our log — a gapped follower could win over the follower
-			// actually holding the committed writes in the hole, and
-			// they would be lost. Drop the write instead (exactly as
-			// the batched path does): catch-up recovers the committed
-			// prefix, and the leader's retransmission sweep re-proposes
-			// the pending tail in LSN order, refilling the hole.
-			r.gapped = true
-			r.mu.Unlock()
-			r.n.nudgeCatchup(r)
-			return
-		}
-		// A proposal for a row our shrunk bounds no longer cover is
-		// accepted like any other: it was sequenced before the leader
-		// adopted the split (the leader's submit path refuses the row
-		// afterwards), and the split pull that hands the moved sub-range
-		// to the new cohort is gated on the leader draining exactly these
-		// writes — so they always commit (and are captured by the pull)
-		// or resolve before the new range can serve. Refusing the ack
-		// here instead would wedge the cohort: the commit watermark is
-		// cumulative, so one in-flight write to the moved span that can
-		// no longer gather a quorum stalls every write behind it, and
-		// with it the drain the split pull is waiting on.
-		rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: p.LSN,
-			Payload: EncodeWriteOp(nil, p.Op)}
-		end, err := r.n.log.Append(rec)
-		if err != nil {
-			r.mu.Unlock()
-			return
-		}
-		if p.LSN > r.lastLSN {
-			r.lastLSN = p.LSN
-		}
-		r.queue.add(&pendingWrite{lsn: p.LSN, op: p.Op})
-		r.mu.Unlock()
-
-		go func() {
-			if err := r.n.log.ForceTo(end); err != nil {
-				return
-			}
-			r.queue.markForced(p.LSN)
-			r.n.send(m.From, transport.Message{Kind: MsgAck, Cohort: r.rangeID,
-				Payload: encodeAck(p.LSN, r.engine.Checkpoint())})
-			if p.CommittedThrough > 0 {
-				r.applyCommitted(p.CommittedThrough, false)
-			}
-		}()
-		return
-	}
-	if p.CommittedThrough > 0 {
-		r.applyCommitted(p.CommittedThrough, false)
-	}
-}
-
-// onProposeBatch handles a batched propose (the follower column of Fig 4
-// for a whole run of writes): append every new record to the shared log
-// under one lock acquisition, issue one force, and reply with one
+// onProposeBatch handles a propose message (the follower column of Fig 4,
+// for a run of one or more writes): append every new record to the shared
+// log under one lock acquisition, issue one force, and reply with one
 // cumulative ack covering everything this replica durably holds. The force
-// and ack run off the link goroutine so concurrent batches across cohorts
+// and ack run off the link goroutine so concurrent proposes across cohorts
 // share group-commit forces.
 //
 // A cumulative ack of X asserts that this replica's durable log holds every
@@ -837,13 +635,15 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		return // catch-up will deliver these writes' effects
 	}
 	if m.From != r.leaderID && r.leaderID != "" {
-		// A batch from a node we do not believe leads the cohort.
+		// A propose from a node we do not believe leads the cohort.
 		// Accept only if it carries a strictly higher epoch (we are
 		// behind on leadership news; the election loop will refresh
-		// leaderID). Equal epochs must be rejected too — see onPropose:
-		// a deposed-but-live leader still proposing at the old epoch
-		// must not earn acks from followers that already follow its
-		// successor.
+		// leaderID). Equal epochs must be rejected too: after a
+		// takeover, a deposed-but-live leader still sends at the old
+		// epoch, and a follower that already follows the new leader
+		// but has not bumped its epoch would otherwise lend the old
+		// leader acks — letting it commit writes the new leader's
+		// history will truncate.
 		if b.Recs[0].LSN.Epoch() <= r.epoch {
 			r.mu.Unlock()
 			return
@@ -862,8 +662,10 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		rec := &b.Recs[i]
 		if e := rec.LSN.Epoch(); e > r.epoch {
 			if r.role == RoleLeader {
-				// A higher-epoch stream proves we were deposed; step
-				// down rather than silently adopting the epoch.
+				// A higher-epoch proposal stream proves we were deposed;
+				// step down rather than silently adopting the epoch (our
+				// next write would otherwise collide with the real
+				// leader's LSN space).
 				r.demoteLocked(m.From)
 			}
 			r.epoch = e
@@ -875,20 +677,30 @@ func (r *replica) onProposeBatch(m transport.Message) {
 			// cumulative ack claims it.
 			continue
 		}
-		// Unlike the per-write path, a zero lastLSN gets no exemption: a
-		// cohort's first write is seq 1 (which passes), and an empty-log
-		// follower that accepted a mid-stream batch would cumulatively
-		// ack a prefix it never received.
+		// A sequence gap: appending past the hole would advance lastLSN
+		// over writes we do not hold, and both our cumulative ack and our
+		// election candidacy (max n.lst, Fig 7 line 6) would then
+		// overstate our log — a gapped follower could win over the one
+		// actually holding the committed writes in the hole, and they
+		// would be lost. A zero lastLSN gets no exemption: a cohort's
+		// first write is seq 1 (which passes), and an empty-log follower
+		// that accepted a mid-stream propose would ack a prefix it never
+		// received.
 		if rec.LSN.Seq() > last.Seq()+1 {
 			gap = true
 			break
 		}
 		// Rows outside our (possibly already-shrunk) bounds are appended
 		// like any other: such a write was sequenced before the leader
-		// adopted the split, and the split pull is gated on the origin
-		// leader draining it, so it cannot race the new range's leader —
-		// while refusing the ack would stall the cumulative commit
-		// watermark behind it and wedge the cohort (see onPropose).
+		// adopted the split (its submit path refuses the row afterwards),
+		// and the split pull that hands the moved sub-range to the new
+		// cohort is gated on the origin leader draining exactly these
+		// writes — so they always commit (and are captured by the pull)
+		// or resolve before the new range can serve. Refusing the ack
+		// instead would wedge the cohort: the commit watermark is
+		// cumulative, so one in-flight write to the moved span that can
+		// no longer gather a quorum stalls every write behind it, and
+		// with it the drain the split pull is waiting on.
 		//
 		// Zero-copy hand-off: Raw slices the message payload (see
 		// decodeProposeBatch), so the WAL gets the already-encoded op
@@ -954,20 +766,6 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		// leader for the committed writes in between.
 		r.n.nudgeCatchup(r)
 	}
-}
-
-// onAck counts a follower's per-write ack (leader side) and commits what it
-// can.
-//
-//spinnaker:hotpath
-func (r *replica) onAck(m transport.Message) {
-	lsn, floor, err := decodeAck(m.Payload)
-	if err != nil {
-		return
-	}
-	r.noteFloor(m.From, floor)
-	r.queue.markAck(m.From, lsn)
-	r.tryCommit()
 }
 
 // onAckBatch advances a follower's cumulative acked-through watermark
@@ -1139,34 +937,21 @@ func (r *replica) sendCommitMessages() {
 	if stale := r.queue.stalePending(2 * r.n.cfg.CommitPeriod); len(stale) > 0 {
 		r.reproposeRecs(stale)
 	}
-	// Fail asynchronously handled writes that have waited longer than the
-	// write timeout (the per-write path enforces this bound by blocking).
+	// Fail writes that have waited longer than the write timeout: nothing
+	// blocks on a write, so this sweep is what enforces the bound.
 	for _, p := range r.queue.staleResponders(r.n.cfg.WriteTimeout) {
 		p.finish(writeOutcome{status: StatusAmbiguous, detail: "write timed out awaiting quorum"})
 	}
 	r.tryCommit()
 }
 
-// reproposeRecs retransmits pending writes to every peer: one batch in the
-// batched pipeline, one MsgPropose per record in the ablation. Records are
-// old by construction (sequenced at least one drain of the batcher ago), so
+// reproposeRecs retransmits pending writes to every peer. Records are old by
+// construction (sequenced at least one drain of the batcher ago), so
 // followers either hold them already (deduped by LSN) or hit them as the
 // contiguous continuation of their log.
 func (r *replica) reproposeRecs(recs []proposeRec) {
 	peers, _ := r.membership()
-	if r.batched() {
-		payload := encodeProposeBatch(proposeBatchPayload{Recs: recs})
-		for _, peer := range peers {
-			r.n.send(peer, transport.Message{Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload})
-		}
-		return
-	}
-	for _, rec := range recs {
-		payload := encodePropose(proposePayload{LSN: rec.LSN, Op: rec.Op})
-		for _, peer := range peers {
-			r.n.send(peer, transport.Message{Kind: MsgPropose, Cohort: r.rangeID, Payload: payload})
-		}
-	}
+	r.sendProposals(peers, 0, recs)
 }
 
 // --- Read path (§3, §5) -----------------------------------------------------

@@ -58,8 +58,8 @@ type Options struct {
 	// CommitPeriod is Spinnaker's commit-message interval.
 	CommitPeriod time.Duration
 	// PiggybackCommits / DisableGroupCommit / DisableProposalBatching
-	// toggle protocol options (ablation benches). Proposal batching is on
-	// unless disabled.
+	// toggle protocol options (ablation benches). DisableProposalBatching
+	// caps every propose message at one write.
 	PiggybackCommits        bool
 	DisableGroupCommit      bool
 	DisableProposalBatching bool

@@ -20,16 +20,10 @@ import (
 )
 
 const (
-	magic        = 0x55AB1E01 // "SSTABLE", format 1: adds bloom section
+	magic        = 0x55AB1E01 // "SSTABLE", format 1 (the pre-bloom format 0 is no longer opened)
 	footerSize   = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 	indexEvery   = 16 // sparse index: one entry per indexEvery records
 	formatErrMsg = "sstable: malformed table"
-
-	// Format 0 (pre-bloom): entries | index | 32-byte footer without the
-	// bloom fields. Still opened read-only so a node upgraded in place
-	// can serve (and eventually compact away) its existing tables.
-	legacyMagic      = 0x55AB1E00
-	legacyFooterSize = 8 + 8 + 4 + 4 + 4 + 4
 )
 
 // ErrMalformed is returned when a table blob fails validation.
@@ -130,51 +124,35 @@ func (b *Builder) Finish() []byte {
 	return append(data, footer...)
 }
 
-// Open parses a table blob produced by Builder.Finish (or by a pre-bloom
-// binary; both formats keep the magic in the blob's final four bytes, so
-// the trailing word selects the layout).
+// Open parses a table blob produced by Builder.Finish.
 func Open(id uint64, blob []byte) (*Table, error) {
-	if len(blob) < legacyFooterSize {
+	if len(blob) < footerSize {
 		return nil, fmt.Errorf("%w: too short", ErrMalformed)
 	}
-	t := &Table{id: id, blob: blob}
-	var indexOff, indexLen uint64
-	switch binary.LittleEndian.Uint32(blob[len(blob)-4:]) {
-	case magic:
-		if len(blob) < footerSize {
-			return nil, fmt.Errorf("%w: too short", ErrMalformed)
-		}
-		footer := blob[len(blob)-footerSize:]
-		t.minLSN = wal.LSN(binary.LittleEndian.Uint64(footer[0:8]))
-		t.maxLSN = wal.LSN(binary.LittleEndian.Uint64(footer[8:16]))
-		t.count = int(binary.LittleEndian.Uint32(footer[16:20]))
-		body := uint64(len(blob) - footerSize)
-		indexOff = uint64(binary.LittleEndian.Uint32(footer[20:24]))
-		indexLen = uint64(binary.LittleEndian.Uint32(footer[24:28]))
-		bloomOff := uint64(binary.LittleEndian.Uint32(footer[28:32]))
-		bloomLen := uint64(binary.LittleEndian.Uint32(footer[32:36]))
-		// Section layout must be data | index | bloom, each in bounds;
-		// the uint64 arithmetic keeps a forged length from wrapping on
-		// 32-bit.
-		if indexOff+indexLen*4 != bloomOff || bloomOff+bloomLen != body {
-			return nil, fmt.Errorf("%w: sections out of bounds", ErrMalformed)
-		}
-		t.bloom = blob[bloomOff : bloomOff+bloomLen]
-	case legacyMagic:
-		// Format 0: no bloom section; MayContain falls back to the
-		// key-range tags alone (never a false negative).
-		footer := blob[len(blob)-legacyFooterSize:]
-		t.minLSN = wal.LSN(binary.LittleEndian.Uint64(footer[0:8]))
-		t.maxLSN = wal.LSN(binary.LittleEndian.Uint64(footer[8:16]))
-		t.count = int(binary.LittleEndian.Uint32(footer[16:20]))
-		indexOff = uint64(binary.LittleEndian.Uint32(footer[20:24]))
-		indexLen = uint64(binary.LittleEndian.Uint32(footer[24:28]))
-		if indexOff+indexLen*4 != uint64(len(blob)-legacyFooterSize) {
-			return nil, fmt.Errorf("%w: sections out of bounds", ErrMalformed)
-		}
-	default:
+	footer := blob[len(blob)-footerSize:]
+	if binary.LittleEndian.Uint32(footer[36:40]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
+	t := &Table{id: id, blob: blob}
+	t.minLSN = wal.LSN(binary.LittleEndian.Uint64(footer[0:8]))
+	t.maxLSN = wal.LSN(binary.LittleEndian.Uint64(footer[8:16]))
+	t.count = int(binary.LittleEndian.Uint32(footer[16:20]))
+	body := uint64(len(blob) - footerSize)
+	indexOff := uint64(binary.LittleEndian.Uint32(footer[20:24]))
+	indexLen := uint64(binary.LittleEndian.Uint32(footer[24:28]))
+	bloomOff := uint64(binary.LittleEndian.Uint32(footer[28:32]))
+	bloomLen := uint64(binary.LittleEndian.Uint32(footer[32:36]))
+	// Section layout must be data | index | bloom, each in bounds; the
+	// uint64 arithmetic keeps a forged length from wrapping on 32-bit.
+	if indexOff+indexLen*4 != bloomOff || bloomOff+bloomLen != body {
+		return nil, fmt.Errorf("%w: sections out of bounds", ErrMalformed)
+	}
+	// Builder.Finish gives every non-empty table a filter, and MayContain
+	// trusts it: an empty one would hide the table's entries.
+	if indexLen > 0 && bloomLen == 0 {
+		return nil, fmt.Errorf("%w: entries without a bloom filter", ErrMalformed)
+	}
+	t.bloom = blob[bloomOff : bloomOff+bloomLen]
 	t.data = blob[:indexOff]
 	t.index = make([]indexEnt, indexLen)
 	for i := uint64(0); i < indexLen; i++ {
@@ -233,15 +211,10 @@ func (t *Table) Blob() []byte { return t.blob }
 
 // MayContain reports whether the table can hold key, by key-range tag and
 // bloom filter. False means a Get is guaranteed to miss; true means it may
-// hit (bloom false positives pass). A table without a bloom section (a
-// pre-bloom legacy blob) prunes on the key range alone — admitting is the
-// only safe answer, since a false negative would hide committed data.
+// hit (bloom false positives pass).
 func (t *Table) MayContain(key kv.Key) bool {
 	if len(t.index) == 0 || key.Less(t.minKey) || t.maxKey.Less(key) {
 		return false
-	}
-	if len(t.bloom) == 0 {
-		return true
 	}
 	return bloomMayContain(t.bloom, key)
 }

@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -375,6 +376,10 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 // (entries | index | 32-byte footer, magic 0x55AB1E00) exactly as the
 // seed binary wrote them.
 func buildLegacyBlob(entries ...kv.Entry) []byte {
+	const (
+		legacyMagic      = 0x55AB1E00
+		legacyFooterSize = 8 + 8 + 4 + 4 + 4 + 4
+	)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key.Less(entries[j].Key) })
 	var (
 		data           []byte
@@ -411,50 +416,23 @@ func buildLegacyBlob(entries ...kv.Entry) []byte {
 	return append(data, footer...)
 }
 
+// TestOpenLegacyFormatTable pins that the pre-bloom format is gone: no
+// builder has written it since the bloom section was added, and Open now
+// refuses it like any other unknown trailing magic.
 func TestOpenLegacyFormatTable(t *testing.T) {
 	blob := buildLegacyBlob(
 		entry("a", "1", "va", 1),
 		entry("b", "1", "vb", 2),
 		entry("c", "1", "vc", 3),
 	)
-	tbl, err := Open(7, blob)
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
+	if _, err := Open(7, blob); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Open(format-0 blob) = %v, want ErrMalformed", err)
 	}
-	if tbl.Len() != 3 {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
-	for _, row := range []string{"a", "b", "c"} {
-		c, ok := tbl.Get(kv.Key{Row: row, Col: "1"})
-		if !ok || string(c.Value) != "v"+row {
-			t.Errorf("Get(%s) = %q,%v", row, c.Value, ok)
-		}
-		// Without a bloom section, in-range keys must always be admitted
-		// (a false negative would hide committed data).
-		if !tbl.MayContain(kv.Key{Row: row, Col: "1"}) {
-			t.Errorf("legacy MayContain(%s) = false", row)
-		}
-	}
-	// Key-range pruning still works.
-	if tbl.MayContain(kv.Key{Row: "zzz", Col: "1"}) {
-		t.Error("legacy table admitted out-of-range key")
-	}
-	min, max := tbl.LSNRange()
-	if min != wal.MakeLSN(1, 1) || max != wal.MakeLSN(1, 3) {
-		t.Errorf("legacy LSNRange = %s,%s", min, max)
-	}
-	// And a merge (an upgrade-time compaction) rewrites it in the new
-	// format, bloom included.
-	blob2, err := Compact([]*Table{tbl}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl2, err := Open(8, blob2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != 3 || len(tbl2.bloom) == 0 {
-		t.Errorf("rewritten table: len=%d bloomBytes=%d", tbl2.Len(), len(tbl2.bloom))
+	// Padded past the current footer size, so the magic check — not the
+	// length check — is what refuses it.
+	padded := append(make([]byte, footerSize), blob...)
+	if _, err := Open(7, padded); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Open(padded format-0 blob) = %v, want ErrMalformed", err)
 	}
 }
 

@@ -122,11 +122,6 @@ type Options struct {
 	// PiggybackCommits carries commit information on propose messages
 	// (App. D.1), shrinking staleness without extra messages.
 	PiggybackCommits bool
-	// DisableProposalBatching turns off the batched replication pipeline
-	// (proposal batching is on by default): leaders fall back to one
-	// propose message and one per-LSN ack per write, the paper's Figure 4
-	// read literally. Ablation only.
-	DisableProposalBatching bool
 	// ReadyTimeout bounds the wait for initial leader elections
 	// (default 30s).
 	ReadyTimeout time.Duration
@@ -170,14 +165,13 @@ func NewCluster(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	sc, err := sim.NewSpinnakerCluster(sim.Options{
-		Nodes:                   opts.Nodes,
-		Replication:             opts.Replication,
-		NetworkDelay:            opts.NetworkDelay,
-		Device:                  profile,
-		CommitPeriod:            opts.CommitPeriod,
-		PiggybackCommits:        opts.PiggybackCommits,
-		DisableProposalBatching: opts.DisableProposalBatching,
-		FaultSeed:               opts.FaultSeed,
+		Nodes:            opts.Nodes,
+		Replication:      opts.Replication,
+		NetworkDelay:     opts.NetworkDelay,
+		Device:           profile,
+		CommitPeriod:     opts.CommitPeriod,
+		PiggybackCommits: opts.PiggybackCommits,
+		FaultSeed:        opts.FaultSeed,
 		LinkFaults: transport.LinkFaults{
 			DropProb:    opts.LinkFaults.DropProb,
 			DupProb:     opts.LinkFaults.DupProb,
