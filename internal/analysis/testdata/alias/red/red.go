@@ -39,3 +39,30 @@ func Stash(p []byte) []byte {
 	global = s
 	return p // WANT aliascheck
 }
+
+// Cell is a stored value.
+type Cell struct {
+	Value   []byte
+	Version uint64
+}
+
+// Table is an immutable blob of encoded cells.
+type Table struct{ blob []byte }
+
+// Get returns a cell whose Value aliases the table's blob — the shape of
+// sstable.Table.Get: a method, a (value, ok) result.
+//
+//spinnaker:aliases
+func (t *Table) Get(off int) (Cell, bool) {
+	return Cell{Value: t.blob[off:len(t.blob):len(t.blob)]}, true
+}
+
+// Scribble stores through a point lookup's result: it would rewrite the
+// table under every later reader.
+func Scribble(t *Table) Cell {
+	c, ok := t.Get(0)
+	if ok {
+		c.Value[0] = 0xff // WANT aliascheck
+	}
+	return c
+}

@@ -210,6 +210,18 @@ func (l *Layout) Cohort(r uint32) []string {
 	return append([]string(nil), l.ranges[i].Cohort...)
 }
 
+// CohortMember returns member n modulo the cohort size of range r's cohort,
+// without copying the cohort: how a reader picks one replica. It returns ""
+// for an unknown range id.
+func (l *Layout) CohortMember(r uint32, n uint64) string {
+	i := l.rangeIndex(r)
+	if i < 0 || len(l.ranges[i].Cohort) == 0 {
+		return ""
+	}
+	cohort := l.ranges[i].Cohort
+	return cohort[n%uint64(len(cohort))]
+}
+
 // CohortContains reports whether node participates in range r's cohort.
 func (l *Layout) CohortContains(r uint32, node string) bool {
 	i := l.rangeIndex(r)

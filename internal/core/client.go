@@ -151,11 +151,7 @@ func (c *Client) forgetLeader(rangeID uint32, id string) {
 func (c *Client) anyReplica(rangeID uint32) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cohort := c.layout.Cohort(rangeID)
-	if len(cohort) == 0 {
-		return ""
-	}
-	return cohort[c.rng.Intn(len(cohort))]
+	return c.layout.CohortMember(rangeID, c.rng.Uint64())
 }
 
 // retryBackoff caps the doubling back-off between routing attempts. The
@@ -275,6 +271,14 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 // write routes a WriteOp to the range leader and returns the assigned
 // versions.
 func (c *Client) write(op WriteOp) ([]uint64, error) {
+	if len(op.Row) > maxKeyLen {
+		return nil, ErrKeyTooLong
+	}
+	for i := range op.Cols {
+		if len(op.Cols[i].Col) > maxKeyLen {
+			return nil, ErrKeyTooLong
+		}
+	}
 	res, err := route(c, op.Row, MsgWrite, EncodeWriteOp(nil, op), true, decodeWriteResult)
 	return res.Versions, err
 }
@@ -454,6 +458,9 @@ func (c *Client) ConditionalMultiPut(row string, cols []Column, versions []uint6
 // (timeline consistency) reads any replica and may return a stale value in
 // exchange for better performance.
 func (c *Client) Get(row, col string, consistent bool) ([]byte, uint64, error) {
+	if len(row) > maxKeyLen || len(col) > maxKeyLen {
+		return nil, 0, ErrKeyTooLong
+	}
 	req := encodeGetReq(getReq{Row: row, Col: col, Consistent: consistent})
 	res, err := route(c, row, MsgGet, req, consistent, decodeGetResp)
 	if err != nil {
@@ -464,6 +471,9 @@ func (c *Client) Get(row, col string, consistent bool) ([]byte, uint64, error) {
 
 // GetRow reads every live column of a row with the chosen consistency.
 func (c *Client) GetRow(row string, consistent bool) ([]kv.Entry, error) {
+	if len(row) > maxKeyLen {
+		return nil, ErrKeyTooLong
+	}
 	req := encodeGetReq(getReq{Row: row, Consistent: consistent})
 	res, err := route(c, row, MsgGetRow, req, consistent, decodeRowResp)
 	if err != nil {

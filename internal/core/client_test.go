@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,5 +148,86 @@ func TestStrictWriteSurfacesInFlightPeerClose(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("put still waiting after its leader crashed")
+	}
+}
+
+// TestClientGetAllocs: a get that hits allocates a handful of objects end to
+// end — request buffer, the server's decoded row and column, reply buffer —
+// on both consistency levels, where it used to be about twenty-two. The
+// count covers the client, the transport's wait slot and link, and the
+// server's handler, which runs on another goroutine inside the measured call.
+func TestClientGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	tc := newTestCluster(t, 3, nil) // the smallest cohort that can elect a leader
+	tc.waitAllLeaders()
+	c := tc.client()
+	want := bytes.Repeat([]byte("v"), 256)
+	if _, err := c.Put("row-allocs", "col", want); err != nil {
+		t.Fatal(err)
+	}
+	// Timeline gets pick any replica: wait out the commit period, until the
+	// followers have applied the put too.
+	for streak, deadline := 0, time.Now().Add(10*time.Second); streak < 50; streak++ {
+		if _, _, err := c.Get("row-allocs", "col", false); err != nil {
+			if streak = -1; time.Now().After(deadline) {
+				t.Fatalf("timeline get: %v", err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, consistent := range []bool{true, false} {
+		var (
+			got []byte
+			err error
+		)
+		n := testing.AllocsPerRun(500, func() { got, _, err = c.Get("row-allocs", "col", consistent) })
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("consistent=%v: Get = %d bytes, %v", consistent, len(got), err)
+		}
+		if n > 5 {
+			t.Errorf("consistent=%v: %v allocs per Get, want ≤ 5", consistent, n)
+		}
+	}
+}
+
+// TestKeyTooLongRejected: the formats carry key lengths in 16 bits, so a
+// longer row key or column name is refused at the client before anything is
+// encoded — it used to wrap on the wire and address a different, shorter key
+// — and a key of exactly maxKeyLen bytes still round-trips.
+func TestKeyTooLongRejected(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	tc.waitAllLeaders()
+	c := tc.client()
+	long, max := strings.Repeat("k", maxKeyLen+1), strings.Repeat("k", maxKeyLen)
+	if _, err := c.Put(long, "c", []byte("v")); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("Put with a %d-byte row: %v, want ErrKeyTooLong", len(long), err)
+	}
+	if _, err := c.MultiPut("r", []Column{{Col: "ok"}, {Col: long}}); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("MultiPut with a %d-byte column: %v, want ErrKeyTooLong", len(long), err)
+	}
+	if _, err := c.PutAsync("r", long, nil).Wait(); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("PutAsync with a %d-byte column: %v, want ErrKeyTooLong", len(long), err)
+	}
+	for _, consistent := range []bool{true, false} {
+		if _, _, err := c.Get(long, "c", consistent); !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("Get with a %d-byte row: %v, want ErrKeyTooLong", len(long), err)
+		}
+		if _, _, err := c.Get("r", long, consistent); !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("Get with a %d-byte column: %v, want ErrKeyTooLong", len(long), err)
+		}
+		if _, err := c.GetRow(long, consistent); !errors.Is(err, ErrKeyTooLong) {
+			t.Errorf("GetRow with a %d-byte row: %v, want ErrKeyTooLong", len(long), err)
+		}
+	}
+	if _, err := c.Put(max, max, []byte("edge")); err != nil {
+		t.Fatalf("Put with %d-byte row and column: %v", len(max), err)
+	}
+	if got, _, err := c.Get(max, max, true); err != nil || string(got) != "edge" {
+		t.Errorf("Get with %d-byte row and column = %q, %v", len(max), got, err)
+	}
+	if row, err := c.GetRow(max, true); err != nil || len(row) != 1 || row[0].Key.Col != max {
+		t.Errorf("GetRow with a %d-byte row = %d entries, %v", len(max), len(row), err)
 	}
 }

@@ -587,11 +587,7 @@ func (n *Node) handle(m transport.Message) {
 	}
 	switch m.Kind {
 	case MsgGet:
-		req, err := decodeGetReq(m.Payload)
-		if err != nil {
-			return
-		}
-		n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeGetResp(r.get(req))})
+		n.handleGet(r, m)
 	case MsgGetRow:
 		req, err := decodeGetReq(m.Payload)
 		if err != nil {
@@ -625,6 +621,18 @@ func (n *Node) handle(m transport.Message) {
 	case MsgTableChunkReq:
 		r.onTableChunkReq(m)
 	}
+}
+
+// handleGet is handle's MsgGet arm: decode, serve, reply. The cell a table
+// hit returns aliases that table's blob; encodeGetResp copies it out.
+//
+//spinnaker:hotpath
+func (n *Node) handleGet(r *replica, m transport.Message) {
+	req, err := decodeGetReq(m.Payload)
+	if err != nil {
+		return
+	}
+	n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeGetResp(r.get(req))})
 }
 
 // commitTimer drives the leader's periodic asynchronous commit messages

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"spinnaker/internal/kv"
 	"spinnaker/internal/wal"
@@ -124,7 +125,14 @@ var (
 	// client refreshes the layout and retries, so it only surfaces when
 	// the refreshed layout still cannot route the operation.
 	ErrWrongLayout = fmt.Errorf("core: stale cluster layout")
+	// ErrKeyTooLong rejects a row key or column name longer than 65 535
+	// bytes before anything is sent: the wire and storage formats carry
+	// key lengths as 16-bit integers.
+	ErrKeyTooLong = fmt.Errorf("core: row key or column name exceeds %d bytes", maxKeyLen)
 )
+
+// maxKeyLen is the longest row key or column name the formats can carry.
+const maxKeyLen = math.MaxUint16
 
 // ColWrite is one column mutation within a WriteOp.
 type ColWrite struct {
@@ -172,6 +180,8 @@ var (
 	errProposeBatchCount     = errors.New("core: propose batch count exceeds payload")
 	errAckTruncated          = errors.New("core: ack payload truncated")
 	errCommitTruncated       = errors.New("core: commit payload truncated")
+	errGetReqTruncated       = errors.New("core: get req truncated")
+	errGetRespTruncated      = errors.New("core: get resp truncated")
 )
 
 // growBuf extends dst by n bytes with at most one allocation and returns the
@@ -742,41 +752,38 @@ type getReq struct {
 	Consistent bool
 }
 
+//spinnaker:hotpath
 func encodeGetReq(r getReq) []byte {
-	var s [2]byte
-	buf := []byte{}
+	buf := make([]byte, 1+2+len(r.Row)+2+len(r.Col))
 	if r.Consistent {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		buf[0] = 1
 	}
-	binary.LittleEndian.PutUint16(s[:], uint16(len(r.Row)))
-	buf = append(buf, s[:]...)
-	buf = append(buf, r.Row...)
-	binary.LittleEndian.PutUint16(s[:], uint16(len(r.Col)))
-	buf = append(buf, s[:]...)
-	buf = append(buf, r.Col...)
+	binary.LittleEndian.PutUint16(buf[1:], uint16(len(r.Row)))
+	off := 3 + copy(buf[3:], r.Row)
+	binary.LittleEndian.PutUint16(buf[off:], uint16(len(r.Col)))
+	copy(buf[off+2:], r.Col)
 	return buf
 }
 
+//spinnaker:hotpath
 func decodeGetReq(b []byte) (getReq, error) {
 	var r getReq
 	if len(b) < 3 {
-		return r, fmt.Errorf("core: get req truncated")
+		return r, errGetReqTruncated
 	}
 	r.Consistent = b[0] == 1
 	off := 1
 	rl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+rl+2 {
-		return r, fmt.Errorf("core: get req row truncated")
+		return r, errGetReqTruncated
 	}
 	r.Row = string(b[off : off+rl])
 	off += rl
 	cl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+cl {
-		return r, fmt.Errorf("core: get req col truncated")
+		return r, errGetReqTruncated
 	}
 	r.Col = string(b[off : off+cl])
 	return r, nil
@@ -790,29 +797,41 @@ type getResp struct {
 	Version uint64
 }
 
+// encodeGetResp copies r.Value — which on a table hit aliases the table's
+// blob — into a fresh exact-size buffer. The buffer is never pooled: it
+// becomes the reply payload, and the client's result aliases it.
+//
+//spinnaker:hotpath
 func encodeGetResp(r getResp) []byte {
-	buf := []byte{r.Status}
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], r.Version)
-	buf = append(buf, s[:]...)
-	binary.LittleEndian.PutUint32(s[:4], uint32(len(r.Value)))
-	buf = append(buf, s[:4]...)
-	return append(buf, r.Value...)
+	buf := make([]byte, 13+len(r.Value))
+	buf[0] = r.Status
+	binary.LittleEndian.PutUint64(buf[1:9], r.Version)
+	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(r.Value)))
+	copy(buf[13:], r.Value)
+	return buf
 }
 
+// decodeGetResp parses a get reply without copying: Value aliases b. A reply
+// payload is private to the call that received it on both transports (the
+// in-process one hands over the server's fresh buffer, the TCP one a copy
+// out of the frame, the duplication fault a clone), so the client returns
+// Value to its caller as is.
+//
+//spinnaker:aliases
+//spinnaker:hotpath
 func decodeGetResp(b []byte) (getResp, error) {
 	var r getResp
 	if len(b) < 13 {
-		return r, fmt.Errorf("core: get resp truncated")
+		return r, errGetRespTruncated
 	}
 	r.Status = b[0]
 	r.Version = binary.LittleEndian.Uint64(b[1:9])
 	n := int(binary.LittleEndian.Uint32(b[9:13]))
-	if len(b) < 13+n {
-		return r, fmt.Errorf("core: get resp value truncated")
+	if len(b)-13 < n {
+		return r, errGetRespTruncated
 	}
 	if n > 0 {
-		r.Value = append([]byte(nil), b[13:13+n]...)
+		r.Value = b[13 : 13+n : 13+n]
 	}
 	return r, nil
 }

@@ -962,7 +962,10 @@ func (r *replica) reproposeRecs(recs []proposeRec) {
 // reflect writes the previous leader committed and acknowledged, so
 // serving before Fig 6 line 10 would read committed state stale. Timeline
 // reads are served by any replica and may be stale by up to one commit
-// period.
+// period. The reply's Value is serveGet's: read-only.
+//
+//spinnaker:aliases
+//spinnaker:hotpath
 func (r *replica) get(req getReq) getResp {
 	start := time.Now()
 	resp := r.serveGet(req)
@@ -977,6 +980,10 @@ func (r *replica) get(req getReq) getResp {
 	return resp
 }
 
+// serveGet's Value on a table hit aliases the table's blob (Engine.Get).
+//
+//spinnaker:aliases
+//spinnaker:hotpath
 func (r *replica) serveGet(req getReq) getResp {
 	r.mu.Lock()
 	inBounds := r.inBoundsLocked(req.Row)

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,9 @@ func TestEntryDecodeTruncated(t *testing.T) {
 		if _, _, err := DecodeEntry(buf[:cut]); err == nil {
 			t.Errorf("cut at %d: decode succeeded", cut)
 		}
+		if _, _, ok := ViewEntry(buf[:cut]); ok {
+			t.Errorf("cut at %d: in-place view succeeded", cut)
+		}
 	}
 }
 
@@ -131,8 +135,14 @@ func TestEntryPropertyRoundTrip(t *testing.T) {
 				Deleted: del, LSN: wal.MakeLSN(1, uint64(seq)),
 			},
 		}
-		got, n, err := DecodeEntry(EncodeEntry(nil, e))
+		buf := EncodeEntry(nil, e)
+		got, n, err := DecodeEntry(buf)
 		if err != nil {
+			return false
+		}
+		// The in-place view must locate what DecodeEntry decodes.
+		view, vn, ok := ViewEntry(buf)
+		if !ok || vn != n || view.Compare(e.Key) != 0 || !reflect.DeepEqual(view.Cell(), got.Cell) {
 			return false
 		}
 		return n > 0 && got.Key == e.Key && got.Cell.Version == version &&

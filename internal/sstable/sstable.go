@@ -212,6 +212,8 @@ func (t *Table) Blob() []byte { return t.blob }
 // MayContain reports whether the table can hold key, by key-range tag and
 // bloom filter. False means a Get is guaranteed to miss; true means it may
 // hit (bloom false positives pass).
+//
+//spinnaker:hotpath
 func (t *Table) MayContain(key kv.Key) bool {
 	if len(t.index) == 0 || key.Less(t.minKey) || t.maxKey.Less(key) {
 		return false
@@ -225,27 +227,39 @@ func (t *Table) SpansRow(row string) bool {
 	return len(t.index) > 0 && t.minKey.Row <= row && row <= t.maxKey.Row
 }
 
-// Get returns the cell stored for key.
+// Get returns the cell stored for key. It compares key against the encoded
+// entries in place and decodes only the one that matches, whose Value
+// aliases the table's blob: nothing writes a blob after Builder.Finish, and
+// callers must keep it that way. Every entry scanned past is length-checked
+// as kv.DecodeEntry would check it, so a truncated or forged entry is a
+// miss.
+//
+//spinnaker:aliases
+//spinnaker:hotpath
 func (t *Table) Get(key kv.Key) (kv.Cell, bool) {
-	if len(t.index) == 0 {
+	// Find the last index entry with key ≤ target: lo is the first one
+	// past it.
+	lo, hi := 0, len(t.index)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if key.Less(t.index[mid].key) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == 0 {
 		return kv.Cell{}, false
 	}
-	// Find the last index entry with key ≤ target.
-	i := sort.Search(len(t.index), func(i int) bool {
-		return key.Less(t.index[i].key)
-	}) - 1
-	if i < 0 {
-		return kv.Cell{}, false
-	}
-	off := int(t.index[i].off)
+	off := int(t.index[lo-1].off)
 	for scanned := 0; off < len(t.data) && scanned < indexEvery; scanned++ {
-		e, n, err := kv.DecodeEntry(t.data[off:])
-		if err != nil {
+		v, n, ok := kv.ViewEntry(t.data[off:])
+		if !ok {
 			return kv.Cell{}, false
 		}
-		switch c := e.Key.Compare(key); {
+		switch c := v.Compare(key); {
 		case c == 0:
-			return e.Cell, true
+			return v.Cell(), true
 		case c > 0:
 			return kv.Cell{}, false
 		}

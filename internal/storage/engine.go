@@ -246,7 +246,11 @@ func (e *Engine) layers() (mem *memtable.Memtable, sealed []*memtable.Memtable, 
 // Get returns the newest cell for key, including tombstones (the caller
 // interprets Cell.Deleted). Layers are probed newest first — active
 // memtable, sealed memtables, then tables pruned by bloom filter and
-// key-range tags — and the first hit wins.
+// key-range tags — and the first hit wins. A cell found in a table aliases
+// that table's immutable blob (sstable.Table.Get); the result is read-only.
+//
+//spinnaker:aliases
+//spinnaker:hotpath
 func (e *Engine) Get(key kv.Key) (kv.Cell, bool) {
 	mem, sealed, tables := e.layers()
 	if c, ok := mem.Get(key); ok {
@@ -260,22 +264,24 @@ func (e *Engine) Get(key kv.Key) (kv.Cell, bool) {
 	// Batch the stats into one atomic add each at exit: per-table RMWs on
 	// a shared cacheline would tax exactly the hot path the pruning is
 	// there to speed up.
-	var probed, prunedN int64
-	defer func() {
-		e.probes.Add(probed)
-		e.pruned.Add(prunedN)
-	}()
+	var (
+		cell            kv.Cell
+		found           bool
+		probed, prunedN int64
+	)
 	for _, t := range tables {
 		probed++
 		if !t.MayContain(key) {
 			prunedN++
 			continue
 		}
-		if c, ok := t.Get(key); ok {
-			return c, true
+		if cell, found = t.Get(key); found {
+			break
 		}
 	}
-	return kv.Cell{}, false
+	e.probes.Add(probed)
+	e.pruned.Add(prunedN)
+	return cell, found
 }
 
 // GetRow returns the newest cell of every live (non-deleted) column of row,

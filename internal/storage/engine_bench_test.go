@@ -13,7 +13,7 @@ import (
 // benchEngine builds an engine with `tables` SSTables of `perTable` keys
 // each (disjoint generations of the same key space when overlap is set,
 // disjoint key ranges otherwise).
-func benchEngine(b *testing.B, tables, perTable int, overlap bool) *Engine {
+func benchEngine(b testing.TB, tables, perTable int, overlap bool) *Engine {
 	b.Helper()
 	e, err := Open(Config{
 		Tables:     sstable.NewMemTableStore(),
@@ -60,6 +60,27 @@ func BenchmarkEngineGetHit(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestEngineGetAllocs: a point read that walks the memtable, then the bloom
+// filters of a stack of tables, and lands in the oldest table allocates
+// nothing; the cell it returns aliases that table's blob. Nor does a miss
+// every filter answers.
+func TestEngineGetAllocs(t *testing.T) {
+	const tables, perTable = 4, 512
+	e := benchEngine(t, tables, perTable, false)
+	oldest := kv.Key{Row: fmt.Sprintf("t%02d-row%06d", 0, perTable/2), Col: "c"}
+	absent := kv.Key{Row: fmt.Sprintf("t%02d-row%06dx", 1, perTable/2), Col: "c"}
+	var (
+		cell kv.Cell
+		ok   bool
+	)
+	if n := testing.AllocsPerRun(200, func() { cell, ok = e.Get(oldest) }); n != 0 || !ok || len(cell.Value) != 16 {
+		t.Errorf("hit in the oldest of %d tables: %v allocs/op (want 0), found=%v", tables, n, ok)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, ok = e.Get(absent) }); n != 0 || ok {
+		t.Errorf("miss: %v allocs/op (want 0), found=%v", n, ok)
+	}
 }
 
 // BenchmarkEngineGetMiss measures point reads of absent keys — the case

@@ -55,7 +55,7 @@ func NewNetwork(delay time.Duration) *Network {
 func (n *Network) Join(id string) *LocalEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ep := &LocalEndpoint{id: id, net: n, pending: make(map[uint64]pendingCall), done: make(chan struct{})}
+	ep := &LocalEndpoint{id: id, net: n, calls: newCalls()}
 	n.eps[id] = ep
 	return ep
 }
@@ -257,7 +257,7 @@ func (n *Network) deliver(to string, tm timedMsg, jitter time.Duration, dup bool
 	// the commit queue and memtable), which is safe because a payload is
 	// never written after encode — the sender builds a fresh buffer per
 	// message and every consumer treats it as immutable.
-	ep.dispatch(tm.m)
+	ep.calls.dispatch(tm.m, &ep.handler)
 	if dup {
 		// Duplication fault only (never on the clean path): give the
 		// second dispatch its own payload so the two deliveries cannot
@@ -268,21 +268,17 @@ func (n *Network) deliver(to string, tm timedMsg, jitter time.Duration, dup bool
 		if len(d.Payload) > 0 {
 			d.Payload = append([]byte(nil), d.Payload...)
 		}
-		ep.dispatch(d)
+		ep.calls.dispatch(d, &ep.handler)
 	}
 }
 
 // LocalEndpoint is a node's attachment to a Network.
 type LocalEndpoint struct {
-	id          string
-	net         *Network
-	handler     atomic.Value // Handler
-	closed      atomic.Bool
-	done        chan struct{} // closed by Close; unblocks in-flight Calls
-	callTimeout atomic.Int64  // nanoseconds; 0 = DefaultCallTimeout
-
-	mu      sync.Mutex
-	pending map[uint64]pendingCall
+	id      string
+	net     *Network
+	handler atomic.Value // Handler
+	closed  atomic.Bool
+	calls   calls
 }
 
 // SetCallTimeout overrides the per-Call deadline; zero restores the
@@ -290,7 +286,7 @@ type LocalEndpoint struct {
 // a closed or crashed peer is reported at once (ErrPeerClosed) and does not
 // wait for it.
 func (e *LocalEndpoint) SetCallTimeout(d time.Duration) {
-	e.callTimeout.Store(int64(d))
+	e.calls.timeout.Store(int64(d))
 }
 
 // ID implements Endpoint.
@@ -335,83 +331,20 @@ func (e *LocalEndpoint) Send(m Message) error {
 	}
 }
 
-// DefaultCallTimeout bounds Call when no deadline is configured.
-const DefaultCallTimeout = 5 * time.Second
-
-// Call implements Endpoint.
+// Call implements Endpoint. Ids come from one network-wide sequence, so a
+// reply addressed to an endpoint's previous incarnation matches no call of
+// the one that re-joined under its id.
 func (e *LocalEndpoint) Call(m Message) (Message, error) {
-	id := e.net.callSeq.Add(1)
-	m.ID = id
-	ch := make(chan Message, 1)
-	e.mu.Lock()
-	e.pending[id] = pendingCall{ch: ch, to: m.To}
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, id)
-		e.mu.Unlock()
-	}()
-	if err := e.Send(m); err != nil {
-		return Message{}, err
-	}
-	timeout := time.Duration(e.callTimeout.Load())
-	if timeout <= 0 {
-		timeout = DefaultCallTimeout
-	}
-	select {
-	case reply := <-ch:
-		if !reply.Reply {
-			// Connection reset: the peer closed with the call in flight
-			// (resetCallsTo). It may have processed the request, so this
-			// is not a NeverLeft error.
-			return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrPeerClosed, e.id, m.To, m.Kind)
-		}
-		return reply, nil
-	case <-time.After(timeout):
-		return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrTimeout, e.id, m.To, m.Kind)
-	case <-e.done:
-		// The caller's own endpoint closed (node stopping). Without this
-		// arm, every in-flight call into a partition pins its goroutine
-		// for the full timeout after teardown — the goroutine-leak
-		// sentinel in internal/sim is what catches regressions here.
-		return Message{}, fmt.Errorf("%w: %s", ErrClosed, e.id)
-	}
+	return e.calls.call(e, e.net.callSeq.Add(1), m)
 }
 
 // Reply implements Endpoint.
-func (e *LocalEndpoint) Reply(req Message, m Message) error {
-	m.To = req.From
-	m.ID = req.ID
-	m.Reply = true
-	return e.Send(m)
-}
-
-// dispatch routes an inbound message to a pending call or the handler.
-func (e *LocalEndpoint) dispatch(m Message) {
-	if m.Reply {
-		e.mu.Lock()
-		pc, ok := e.pending[m.ID]
-		e.mu.Unlock()
-		if ok {
-			// Non-blocking: a duplicated reply (fault plane) or one
-			// racing the call's timeout must not wedge the link's
-			// delivery goroutine on the full one-slot buffer.
-			select {
-			case pc.ch <- m:
-			default:
-			}
-		}
-		return
-	}
-	if h, ok := e.handler.Load().(Handler); ok && h != nil {
-		h(m)
-	}
-}
+func (e *LocalEndpoint) Reply(req, m Message) error { return e.Send(asReply(req, m)) }
 
 // Close implements Endpoint.
 func (e *LocalEndpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
-		close(e.done)
+		close(e.calls.done)
 		e.net.resetCallsTo(e)
 	}
 	return nil
@@ -437,9 +370,7 @@ func (n *Network) resetCallsTo(dst *LocalEndpoint) {
 	}
 	n.mu.Unlock()
 	for _, ep := range peers {
-		ep.mu.Lock()
-		resetCalls(ep.pending, dst.id)
-		ep.mu.Unlock()
+		ep.calls.reset(dst.id)
 	}
 }
 

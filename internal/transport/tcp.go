@@ -16,18 +16,17 @@ import (
 // reader goroutine preserves in-order delivery per connection, matching the
 // paper's design choice (Appendix A.1).
 type TCPEndpoint struct {
-	id          string
-	addrs       map[string]string // node id → host:port
-	ln          net.Listener
-	handler     atomic.Value // Handler
-	closed      atomic.Bool
-	callSeq     atomic.Uint64
-	callTimeout atomic.Int64 // nanoseconds; 0 = DefaultCallTimeout
+	id      string
+	addrs   map[string]string // node id → host:port
+	ln      net.Listener
+	handler atomic.Value // Handler
+	closed  atomic.Bool
+	callSeq atomic.Uint64
+	calls   calls
 
 	mu       sync.Mutex
 	conns    map[string]*tcpConn   // outbound, by destination
 	accepted map[net.Conn]struct{} // inbound; Close resets them
-	pending  map[uint64]pendingCall
 }
 
 // tcpConn is an outbound connection. Replies come back on the peer's own
@@ -55,7 +54,7 @@ func ListenTCP(id string, addrs map[string]string) (*TCPEndpoint, error) {
 		ln:       ln,
 		conns:    make(map[string]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
-		pending:  make(map[uint64]pendingCall),
+		calls:    newCalls(),
 	}
 	go e.acceptLoop()
 	return e, nil
@@ -67,7 +66,7 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 // SetCallTimeout overrides the per-Call deadline; zero restores
 // DefaultCallTimeout. See LocalEndpoint.SetCallTimeout.
 func (e *TCPEndpoint) SetCallTimeout(d time.Duration) {
-	e.callTimeout.Store(int64(d))
+	e.calls.timeout.Store(int64(d))
 }
 
 func (e *TCPEndpoint) acceptLoop() {
@@ -95,7 +94,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		delete(e.accepted, c)
 		e.mu.Unlock()
 	}()
-	var lenBuf [4]byte
+	var (
+		lenBuf [4]byte
+		peer   string // the last frame's From: one connection, one sender
+	)
 	for {
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
 			return
@@ -108,32 +110,12 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		if _, err := io.ReadFull(c, body); err != nil {
 			return
 		}
-		m, err := DecodeMessage(body)
+		m, err := decodeMessage(body, peer, e.id)
 		if err != nil {
 			return
 		}
-		e.dispatch(m)
-	}
-}
-
-func (e *TCPEndpoint) dispatch(m Message) {
-	if m.Reply {
-		e.mu.Lock()
-		pc, ok := e.pending[m.ID]
-		e.mu.Unlock()
-		if ok {
-			// Non-blocking: a reply racing the call's timeout (or a
-			// forged duplicate) must not wedge the connection's reader
-			// on the full one-slot buffer.
-			select {
-			case pc.ch <- m:
-			default:
-			}
-		}
-		return
-	}
-	if h, ok := e.handler.Load().(Handler); ok && h != nil {
-		h(m)
+		peer = m.From
+		e.calls.dispatch(m, &e.handler)
 	}
 }
 
@@ -185,9 +167,7 @@ func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 func (e *TCPEndpoint) watchConn(node string, tc *tcpConn) {
 	_, _ = io.Copy(io.Discard, tc.c)
 	e.dropConn(node, tc)
-	e.mu.Lock()
-	resetCalls(e.pending, node)
-	e.mu.Unlock()
+	e.calls.reset(node)
 }
 
 // dropConn forgets and closes a broken outbound connection.
@@ -226,50 +206,19 @@ func (e *TCPEndpoint) Send(m Message) error {
 
 // Call implements Endpoint.
 func (e *TCPEndpoint) Call(m Message) (Message, error) {
-	id := e.callSeq.Add(1)
-	m.ID = id
-	ch := make(chan Message, 1)
-	e.mu.Lock()
-	e.pending[id] = pendingCall{ch: ch, to: m.To}
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, id)
-		e.mu.Unlock()
-	}()
-	if err := e.Send(m); err != nil {
-		return Message{}, err
-	}
-	timeout := time.Duration(e.callTimeout.Load())
-	if timeout <= 0 {
-		timeout = DefaultCallTimeout
-	}
-	select {
-	case reply := <-ch:
-		if !reply.Reply {
-			// Connection reset with the call in flight (watchConn): the
-			// peer may have processed the request, so this is not a
-			// NeverLeft error.
-			return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrPeerClosed, e.id, m.To, m.Kind)
-		}
-		return reply, nil
-	case <-time.After(timeout):
-		return Message{}, fmt.Errorf("%w: %s → %s kind %d", ErrTimeout, e.id, m.To, m.Kind)
-	}
+	return e.calls.call(e, e.callSeq.Add(1), m)
 }
 
 // Reply implements Endpoint.
-func (e *TCPEndpoint) Reply(req Message, m Message) error {
-	m.To = req.From
-	m.ID = req.ID
-	m.Reply = true
-	return e.Send(m)
-}
+func (e *TCPEndpoint) Reply(req, m Message) error { return e.Send(asReply(req, m)) }
 
 // Close implements Endpoint. Closing the accepted connections is what a
 // peer sees as the reset that fails its sends and in-flight calls.
 func (e *TCPEndpoint) Close() error {
-	e.closed.Store(true)
+	if !e.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	close(e.calls.done)
 	err := e.ln.Close()
 	e.mu.Lock()
 	for _, tc := range e.conns {

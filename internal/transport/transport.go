@@ -25,6 +25,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Message is the unit of communication. ID correlates requests with
@@ -80,7 +83,8 @@ var (
 	// (a Call in flight) from a destination that has closed or crashed.
 	ErrPeerClosed = errors.New("transport: peer closed")
 
-	errNotSent = errors.New("transport: not sent")
+	errNotSent   = errors.New("transport: not sent")
+	errTruncated = errors.New("transport: message truncated")
 )
 
 // notSent marks err as definite: the message never left this endpoint.
@@ -98,109 +102,225 @@ var (
 // that is not idempotent. Any other error leaves the outcome unknown.
 func NeverLeft(err error) bool { return errors.Is(err, errNotSent) }
 
-// pendingCall is a Call awaiting its reply, and where it was sent.
-type pendingCall struct {
-	ch chan Message // one slot: the reply, or the zero Message for a reset
-	to string
+// DefaultCallTimeout bounds Call when no deadline is configured.
+const DefaultCallTimeout = 5 * time.Second
+
+// calls is an endpoint's table of Calls awaiting their replies: register,
+// wait, reset and unregister for both endpoint types.
+type calls struct {
+	timeout atomic.Int64  // nanoseconds; 0 = DefaultCallTimeout
+	done    chan struct{} // closed when the endpoint closes; unblocks waits
+
+	mu      sync.Mutex
+	pending map[uint64]*callSlot
 }
 
-// resetCalls fails the calls in pending that are in flight to node `to`,
-// which has closed or reset the connection: each receives the zero Message
-// (a genuine reply has Reply set) unless its reply is already in the slot.
-// Callers hold the lock that guards pending.
-func resetCalls(pending map[uint64]pendingCall, to string) {
+// callSlot is where one Call waits. Slots are recycled through slotPool; a
+// pooled slot has an empty channel and a stopped timer (see calls.release).
+type callSlot struct {
+	ch    chan Message // one slot: the reply, or the zero Message for a reset
+	timer *time.Timer  // the call deadline
+	to    string
+}
+
+var slotPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &callSlot{ch: make(chan Message, 1), timer: t}
+}}
+
+func newCalls() calls {
+	return calls{done: make(chan struct{}), pending: make(map[uint64]*callSlot)}
+}
+
+// call sends m from e under the given id and blocks for the matching reply,
+// the deadline, the peer's reset, or e closing.
+//
+//spinnaker:hotpath
+func (c *calls) call(e Endpoint, id uint64, m Message) (Message, error) {
+	m.ID = id
+	timeout := time.Duration(c.timeout.Load())
+	if timeout <= 0 {
+		timeout = DefaultCallTimeout
+	}
+	s := slotPool.Get().(*callSlot)
+	s.to = m.To
+	s.timer.Reset(timeout)
+	c.mu.Lock()
+	c.pending[id] = s
+	c.mu.Unlock()
+	if err := e.Send(m); err != nil {
+		c.release(id, s)
+		return Message{}, err
+	}
+	var (
+		reply Message
+		err   error
+	)
+	select {
+	case reply = <-s.ch:
+		if !reply.Reply {
+			// Connection reset: the peer closed with the call in flight.
+			// It may have processed the request, so not NeverLeft.
+			err = ErrPeerClosed
+		}
+	case <-s.timer.C:
+		err = ErrTimeout
+	case <-c.done:
+		// The caller's own endpoint closed (node stopping). Without this
+		// arm, every in-flight call into a partition pins its goroutine
+		// for the full timeout after teardown — the goroutine-leak
+		// sentinel in internal/sim is what catches regressions here.
+		err = ErrClosed
+	}
+	c.release(id, s)
+	if err != nil {
+		return Message{}, callError(err, e.ID(), m)
+	}
+	return reply, nil
+}
+
+// callError stays un-annotated so the formatting is off the hot path.
+func callError(err error, from string, m Message) error {
+	return fmt.Errorf("%w: %s → %s kind %d", err, from, m.To, m.Kind)
+}
+
+// release unregisters a finished call and recycles its slot if it is quiet.
+// deliver and reset send only to a slot they find in pending, under mu, so
+// once the entry is gone the channel cannot gain a message: a late reply or
+// reset for this call never reaches the slot's next user. A slot holding a
+// stray message (a duplicate, or one that raced the deadline), or whose timer
+// fired — go.mod selects the buffered timer channel, where a tick may be
+// queued or still on its way after Stop — is left to the collector instead.
+//
+//spinnaker:hotpath
+func (c *calls) release(id uint64, s *callSlot) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if s.timer.Stop() && len(s.ch) == 0 {
+		slotPool.Put(s)
+	}
+}
+
+// deliver hands a reply to the call waiting for it, if there still is one.
+// The send does not block: a duplicated reply (fault plane) or one racing
+// the call's timeout must not wedge the link's delivery goroutine or the
+// connection's reader on the full one-slot buffer.
+//
+//spinnaker:hotpath
+func (c *calls) deliver(m Message) {
+	c.mu.Lock()
+	if s, ok := c.pending[m.ID]; ok {
+		select {
+		case s.ch <- m:
+		default:
+		}
+	}
+	c.mu.Unlock()
+}
+
+// reset fails the calls in flight to node `to`, which has closed or reset
+// the connection: each receives the zero Message (a genuine reply has Reply
+// set) unless its reply is already in the slot.
+func (c *calls) reset(to string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var ids []uint64
-	for id, pc := range pending {
-		if pc.to == to {
+	for id, s := range c.pending {
+		if s.to == to {
 			ids = append(ids, id)
 		}
 	}
 	slices.Sort(ids) // wake callers in call order, not map order (seed replay)
 	for _, id := range ids {
 		select {
-		case pending[id].ch <- Message{}:
+		case c.pending[id].ch <- Message{}:
 		default:
 		}
 	}
 }
 
+// dispatch routes an inbound message to its pending call or to the handler.
+func (c *calls) dispatch(m Message, handler *atomic.Value) {
+	if m.Reply {
+		c.deliver(m)
+	} else if h, ok := handler.Load().(Handler); ok && h != nil {
+		h(m)
+	}
+}
+
+// asReply addresses m as the reply to req.
+func asReply(req, m Message) Message {
+	m.To, m.ID, m.Reply = req.From, req.ID, true
+	return m
+}
+
 // EncodeMessage serializes m with length framing for the TCP transport.
 func EncodeMessage(m Message) []byte {
 	size := 2 + len(m.From) + 2 + len(m.To) + 1 + 4 + 8 + 1 + 4 + len(m.Payload)
-	buf := make([]byte, 4, 4+size)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(size))
-	var scratch [8]byte
-	putStr := func(s string) {
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(len(s)))
-		buf = append(buf, scratch[:2]...)
-		buf = append(buf, s...)
-	}
-	putStr(m.From)
-	putStr(m.To)
-	buf = append(buf, m.Kind)
-	binary.LittleEndian.PutUint32(scratch[:4], m.Cohort)
-	buf = append(buf, scratch[:4]...)
-	binary.LittleEndian.PutUint64(scratch[:8], m.ID)
-	buf = append(buf, scratch[:8]...)
+	buf := make([]byte, 4+size)
+	binary.LittleEndian.PutUint32(buf, uint32(size))
+	binary.LittleEndian.PutUint16(buf[4:], uint16(len(m.From)))
+	off := 6 + copy(buf[6:], m.From)
+	binary.LittleEndian.PutUint16(buf[off:], uint16(len(m.To)))
+	off += 2
+	off += copy(buf[off:], m.To)
+	buf[off] = m.Kind
+	binary.LittleEndian.PutUint32(buf[off+1:], m.Cohort)
+	binary.LittleEndian.PutUint64(buf[off+5:], m.ID)
 	if m.Reply {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		buf[off+13] = 1
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Payload)))
-	buf = append(buf, scratch[:4]...)
-	buf = append(buf, m.Payload...)
+	binary.LittleEndian.PutUint32(buf[off+14:], uint32(len(m.Payload)))
+	copy(buf[off+18:], m.Payload)
 	return buf
 }
 
 // DecodeMessage parses a message body (after the 4-byte length frame).
-func DecodeMessage(b []byte) (Message, error) {
-	var m Message
-	off := 0
-	need := func(n int) error {
-		if len(b)-off < n {
-			return fmt.Errorf("transport: message truncated at %d", off)
-		}
-		return nil
+// Nothing in the result aliases b.
+func DecodeMessage(b []byte) (Message, error) { return decodeMessage(b, "", "") }
+
+// decodeMessage is DecodeMessage for a connection's reader, which knows who
+// it is and, after the first frame, who the peer is: a From or To whose
+// bytes match the given string reuses it instead of allocating a copy.
+func decodeMessage(b []byte, from, to string) (Message, error) {
+	var (
+		m  Message
+		ok bool
+	)
+	if m.From, b, ok = takeString(b, from); ok {
+		m.To, b, ok = takeString(b, to)
 	}
-	str := func() (string, error) {
-		if err := need(2); err != nil {
-			return "", err
-		}
-		n := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if err := need(n); err != nil {
-			return "", err
-		}
-		s := string(b[off : off+n])
-		off += n
-		return s, nil
+	if !ok || len(b) < 1+4+8+1+4 {
+		return m, errTruncated
 	}
-	var err error
-	if m.From, err = str(); err != nil {
-		return m, err
-	}
-	if m.To, err = str(); err != nil {
-		return m, err
-	}
-	if err := need(1 + 4 + 8 + 1 + 4); err != nil {
-		return m, err
-	}
-	m.Kind = b[off]
-	off++
-	m.Cohort = binary.LittleEndian.Uint32(b[off:])
-	off += 4
-	m.ID = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	m.Reply = b[off] == 1
-	off++
-	n := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if err := need(n); err != nil {
-		return m, err
+	m.Kind = b[0]
+	m.Cohort = binary.LittleEndian.Uint32(b[1:])
+	m.ID = binary.LittleEndian.Uint64(b[5:])
+	m.Reply = b[13] == 1
+	n := int(binary.LittleEndian.Uint32(b[14:]))
+	if b = b[18:]; len(b) < n {
+		return m, errTruncated
 	}
 	if n > 0 {
-		m.Payload = append([]byte(nil), b[off:off+n]...)
+		m.Payload = append([]byte(nil), b[:n]...)
 	}
 	return m, nil
+}
+
+// takeString reads a u16-length-prefixed string off the head of b and
+// returns it with the rest of b; known is returned when the bytes equal it.
+func takeString(b []byte, known string) (string, []byte, bool) {
+	if len(b) < 2 {
+		return "", b, false
+	}
+	n, b := int(binary.LittleEndian.Uint16(b)), b[2:]
+	if len(b) < n {
+		return "", b, false
+	}
+	if string(b[:n]) != known {
+		known = string(b[:n])
+	}
+	return known, b[n:], true
 }

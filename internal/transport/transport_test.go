@@ -307,9 +307,9 @@ func TestLocalErrorClasses(t *testing.T) {
 		errc <- err
 	}()
 	for {
-		a.mu.Lock()
-		n := len(a.pending)
-		a.mu.Unlock()
+		a.calls.mu.Lock()
+		n := len(a.calls.pending)
+		a.calls.mu.Unlock()
 		if n == 1 {
 			break
 		}

@@ -69,6 +69,10 @@ var (
 	// (partition or failover mid-write). It may or may not take effect;
 	// readers that must know should re-read and compare versions.
 	ErrAmbiguous = core.ErrAmbiguous
+	// ErrKeyTooLong rejects a row key or column name longer than 65 535
+	// bytes, the most the wire and storage formats can carry. Nothing was
+	// sent.
+	ErrKeyTooLong = core.ErrKeyTooLong
 )
 
 // LogDevice names a simulated logging-device latency profile.

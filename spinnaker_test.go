@@ -2,6 +2,7 @@ package spinnaker
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,9 @@ func TestPublicAPIBasics(t *testing.T) {
 	}
 	if _, _, err := client.Get("user42", "email", Strong); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after Delete: %v", err)
+	}
+	if _, err := client.Put(strings.Repeat("k", 1<<16), "email", nil); !errors.Is(err, ErrKeyTooLong) {
+		t.Errorf("Put with a 64 KiB row key: %v, want ErrKeyTooLong", err)
 	}
 }
 
