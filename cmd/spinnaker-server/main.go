@@ -32,200 +32,102 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"spinnaker/internal/admin"
-	"spinnaker/internal/cluster"
-	"spinnaker/internal/coord"
 	"spinnaker/internal/core"
-	"spinnaker/internal/transport"
+	"spinnaker/internal/host"
 )
 
-// server owns the embedded cluster and serves the line protocol.
+// server fronts one host.Cluster — the assembly the embedded API and the
+// test harness also run — with the line protocol.
 type server struct {
-	layout   *cluster.Layout
-	net      *transport.Network
-	coordSvc *coord.Service
-	stores   map[string]*core.Stores
-	mu       sync.Mutex // guards nodes (CRASH/RESTART mutate it per connection)
-	nodes    map[string]*core.Node
-	cfg      core.Config
-	nextCli  int
+	c *host.Cluster
 }
 
 func main() {
+	if err := run(os.Args[1:], nil); err != nil {
+		log.Fatalf("spinnaker-server: %v", err)
+	}
+}
+
+// run starts the cluster described by args and serves it until the client
+// listener is closed, then stops the cluster. ready, when non-nil, is called
+// with the listener once it is accepting (tests read its address and close
+// it).
+func run(args []string, ready func(net.Listener)) error {
+	fs := flag.NewFlagSet("spinnaker-server", flag.ExitOnError)
 	var (
-		dir        = flag.String("dir", "", "data directory (required; created if missing)")
-		nodes      = flag.Int("nodes", 3, "number of nodes")
-		listen     = flag.String("listen", "127.0.0.1:7070", "client listen address")
-		httpAddr   = flag.String("http", "", "admin HTTP listen address serving /metrics and /status (empty = disabled)")
-		commit     = flag.Duration("commit-period", 100*time.Millisecond, "commit message period")
-		flushBytes = flag.Int64("flush-bytes", 0, "memtable size in bytes that triggers a flush (0 = default 4MiB)")
-		maxTbls    = flag.Int("max-tables", 0, "table count that triggers a compaction round (0 = default 8)")
+		dir        = fs.String("dir", "", "data directory (required; created if missing)")
+		nodes      = fs.Int("nodes", 3, "number of nodes")
+		listen     = fs.String("listen", "127.0.0.1:7070", "client listen address")
+		httpAddr   = fs.String("http", "", "admin HTTP listen address serving /metrics and /status (empty = disabled)")
+		commit     = fs.Duration("commit-period", 100*time.Millisecond, "commit message period")
+		flushBytes = fs.Int64("flush-bytes", 0, "memtable size in bytes that triggers a flush (0 = default 4MiB)")
+		maxTbls    = fs.Int("max-tables", 0, "table count that triggers a compaction round (0 = default 8)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return one
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "spinnaker-server: -dir is required")
-		os.Exit(2)
+		return errors.New("-dir is required")
 	}
 
-	s, err := newServer(*dir, *nodes, *commit, *flushBytes, *maxTbls)
+	c, err := host.New(host.Options{
+		Dir:            *dir,
+		SessionTimeout: 2 * time.Second, // the paper's ZK timeout
+		Nodes:          *nodes,
+		CommitPeriod:   *commit,
+		FlushBytes:     *flushBytes,
+		MaxTables:      *maxTbls,
+	})
 	if err != nil {
-		log.Fatalf("start cluster: %v", err)
+		return fmt.Errorf("start cluster: %w", err)
+	}
+	defer c.Stop()
+	// Wait for initial elections so the first client call succeeds.
+	if err := c.WaitReady(30 * time.Second); err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
+	defer ln.Close()
 	if *httpAddr != "" {
 		hln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			log.Fatalf("http listen: %v", err)
+			return fmt.Errorf("http listen: %w", err)
 		}
+		defer hln.Close()
 		log.Printf("spinnaker-server: admin plane (/metrics, /status) on http://%s", hln.Addr())
 		go func() {
-			log.Fatalf("http serve: %v", http.Serve(hln, admin.NewHandler(s.adminSource())))
+			if err := http.Serve(hln, admin.NewHandler(c.AdminSource())); !errors.Is(err, net.ErrClosed) {
+				log.Fatalf("http serve: %v", err)
+			}
 		}()
 	}
 	log.Printf("spinnaker-server: %d nodes, data in %s, serving on %s", *nodes, *dir, ln.Addr())
+	s := &server{c: c}
+	if ready != nil {
+		ready(ln)
+	}
 	for {
 		conn, err := ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return nil
+		}
 		if err != nil {
-			log.Fatalf("accept: %v", err)
+			return fmt.Errorf("accept: %w", err)
 		}
 		go s.serveConn(conn)
 	}
 }
 
-func newServer(dir string, nodeCount int, commitPeriod time.Duration, flushBytes int64, maxTables int) (*server, error) {
-	names := make([]string, nodeCount)
-	for i := range names {
-		names[i] = fmt.Sprintf("node%03d", i)
-	}
-	repl := 3
-	if nodeCount < 3 {
-		repl = nodeCount
-	}
-	layout, err := cluster.Uniform(names, 8, repl)
-	if err != nil {
-		return nil, err
-	}
-	s := &server{
-		layout:   layout,
-		net:      transport.NewNetwork(0),
-		coordSvc: coord.NewService(2 * time.Second), // the paper's ZK timeout
-		stores:   make(map[string]*core.Stores),
-		nodes:    make(map[string]*core.Node),
-		cfg: core.Config{
-			Layout:       layout,
-			CommitPeriod: commitPeriod,
-			FlushBytes:   flushBytes,
-			MaxTables:    maxTables,
-		},
-	}
-	// Publish the layout: nodes follow the published version (the same
-	// mechanism the embedded cluster uses for live reconfiguration).
-	pubSess := s.coordSvc.Connect()
-	err = core.PublishLayout(pubSess, layout)
-	pubSess.Close()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		stores, err := core.NewFileStores(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		s.stores[name] = stores
-		if err := s.startNode(name); err != nil {
-			return nil, err
-		}
-	}
-	// Wait for initial elections so the first client call succeeds.
-	deadline := time.Now().Add(30 * time.Second)
-	sess := s.coordSvc.Connect()
-	defer sess.Close()
-	for _, r := range layout.RangeIDs() {
-		for {
-			if _, err := sess.Get(fmt.Sprintf("/ranges/%d/leader", r)); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("range %d never elected a leader", r)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	return s, nil
-}
-
-func (s *server) startNode(name string) error {
-	cfg := s.cfg
-	cfg.ID = name
-	n, err := core.NewNode(cfg, s.stores[name], s.net.Join(name), s.coordSvc)
-	if err != nil {
-		return err
-	}
-	if err := n.Start(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.nodes[name] = n
-	s.mu.Unlock()
-	return nil
-}
-
-// adminSource adapts the embedded cluster to the admin HTTP plane: the
-// same Source contract the simulation harness feeds, so /metrics and
-// /status read identically against either host.
-func (s *server) adminSource() admin.Source {
-	return admin.Source{
-		Nodes: func() []string {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			names := make([]string, 0, len(s.nodes))
-			for name := range s.nodes {
-				names = append(names, name)
-			}
-			return names
-		},
-		NodeMetrics: func(id string) (core.NodeMetrics, bool) {
-			s.mu.Lock()
-			n, ok := s.nodes[id]
-			s.mu.Unlock()
-			if !ok {
-				return core.NodeMetrics{}, false
-			}
-			return n.Metrics(), true
-		},
-		Layout: func() *cluster.Layout { return s.layout },
-		LeaderOf: func(r uint32) string {
-			sess := s.coordSvc.Connect()
-			defer sess.Close()
-			data, err := sess.Get(fmt.Sprintf("/ranges/%d/leader", r))
-			if err != nil {
-				return ""
-			}
-			return string(data)
-		},
-	}
-}
-
-func (s *server) newClient() *core.Client {
-	s.nextCli++
-	ep := s.net.Join(fmt.Sprintf("tcp-client-%d", s.nextCli))
-	ep.SetCallTimeout(time.Second)
-	return core.NewClient(s.layout, ep, s.coordSvc, int64(s.nextCli))
-}
-
 func (s *server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	client := s.newClient()
-	defer client.Close()
+	client := s.c.NewClient()
+	defer s.c.CloseClient(client)
 	in := bufio.NewScanner(conn)
 	in.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	out := bufio.NewWriter(conn)
@@ -358,55 +260,27 @@ func (s *server) execute(c *core.Client, line string, out *bufio.Writer) {
 		if !need(2) {
 			return
 		}
-		sess := s.coordSvc.Connect()
-		data, err := sess.Get(fmt.Sprintf("/ranges/%d/leader", s.layout.RangeOf(args[1])))
-		sess.Close()
-		if err != nil {
+		leader := s.c.LeaderOf(s.c.CurrentLayout().RangeOf(args[1]))
+		if leader == "" {
 			fmt.Fprintln(out, "ERR no leader")
 			return
 		}
-		fmt.Fprintf(out, "OK %s\n", data)
+		fmt.Fprintf(out, "OK %s\n", leader)
 	case "NODES":
-		s.mu.Lock()
-		names := make([]string, 0, len(s.nodes))
-		for name := range s.nodes {
-			names = append(names, name)
-		}
-		s.mu.Unlock()
+		names := s.c.Nodes()
 		fmt.Fprintf(out, "OK %d\n", len(names))
 		for _, name := range names {
 			fmt.Fprintln(out, name)
 		}
-	case "CRASH":
+	case "CRASH", "RESTART":
 		if !need(2) {
 			return
 		}
-		s.mu.Lock()
-		n, ok := s.nodes[args[1]]
-		delete(s.nodes, args[1])
-		s.mu.Unlock()
-		if !ok {
-			fmt.Fprintf(out, "ERR node %s not running\n", args[1])
-			return
+		op := s.c.CrashNode
+		if cmd == "RESTART" {
+			op = s.c.RestartNode
 		}
-		n.Crash()
-		fmt.Fprintln(out, "OK")
-	case "RESTART":
-		if !need(2) {
-			return
-		}
-		s.mu.Lock()
-		_, running := s.nodes[args[1]]
-		s.mu.Unlock()
-		if running {
-			fmt.Fprintf(out, "ERR node %s already running\n", args[1])
-			return
-		}
-		if _, ok := s.stores[args[1]]; !ok {
-			fmt.Fprintf(out, "ERR unknown node %s\n", args[1])
-			return
-		}
-		if err := s.startNode(args[1]); err != nil {
+		if err := op(args[1]); err != nil {
 			fmt.Fprintf(out, "ERR %v\n", err)
 			return
 		}

@@ -76,6 +76,7 @@ func DefaultConfig() Config {
 	return Config{
 		DetScope: []string{
 			"spinnaker/internal/sim",
+			"spinnaker/internal/host",
 			"spinnaker/internal/transport",
 			"spinnaker/internal/lin",
 		},

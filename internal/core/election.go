@@ -117,7 +117,9 @@ func (r *replica) becomeFollower(leader string) {
 	if prev != leader {
 		// New leader after a takeover: our pending writes may need
 		// resolution; catch-up is idempotent and cheap when current.
-		go r.runCatchupLoop()
+		// Through goLoop: Stop closes the log only after this loop has
+		// made its last append.
+		r.n.goLoop(r.runCatchupLoop)
 	}
 }
 

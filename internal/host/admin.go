@@ -1,4 +1,4 @@
-package sim
+package host
 
 import (
 	"spinnaker/internal/admin"
@@ -9,17 +9,17 @@ import (
 // AdminSource adapts the in-process cluster to the admin HTTP plane
 // (package admin): serve its handler over httptest or a real listener to
 // observe the simulation exactly as an operator would a deployment.
-func (sc *SpinnakerCluster) AdminSource() admin.Source {
+func (c *Cluster) AdminSource() admin.Source {
 	return admin.Source{
-		Nodes: sc.Nodes,
+		Nodes: c.Nodes,
 		NodeMetrics: func(id string) (core.NodeMetrics, bool) {
-			n, ok := sc.Node(id)
+			n, ok := c.Node(id)
 			if !ok {
 				return core.NodeMetrics{}, false
 			}
 			return n.Metrics(), true
 		},
-		Layout:   func() *cluster.Layout { return sc.CurrentLayout() },
-		LeaderOf: sc.LeaderOf,
+		Layout:   func() *cluster.Layout { return c.CurrentLayout() },
+		LeaderOf: c.LeaderOf,
 	}
 }

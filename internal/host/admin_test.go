@@ -1,4 +1,4 @@
-package sim
+package host
 
 import (
 	"encoding/json"
@@ -16,7 +16,7 @@ import (
 // asserts the /status and /metrics endpoints expose the resulting
 // per-range throughput, commit lag, and storage stats over real HTTP.
 func TestAdminEndpoints(t *testing.T) {
-	sc, err := NewSpinnakerCluster(Options{Nodes: 3, Replication: 3})
+	sc, err := New(Options{Nodes: 3, Replication: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
-package sim
+package host
 
 import (
 	"errors"
 	"fmt"
-	"spinnaker/internal/simtime"
+	"slices"
 	"sync"
 	"time"
 
 	"spinnaker/internal/cluster"
+	"spinnaker/internal/simtime"
 )
 
 // This file closes the loop between the metrics plane and the
@@ -89,7 +90,7 @@ type BalancerAction struct {
 
 // Balancer is the background load-adaptive placement loop.
 type Balancer struct {
-	sc   *SpinnakerCluster
+	c    *Cluster
 	opts BalancerOptions
 
 	stopCh   chan struct{}
@@ -108,10 +109,10 @@ type Balancer struct {
 }
 
 // StartBalancer runs a balancer loop against the cluster until Stop.
-func (sc *SpinnakerCluster) StartBalancer(opts BalancerOptions) *Balancer {
+func (c *Cluster) StartBalancer(opts BalancerOptions) *Balancer {
 	opts.fillDefaults()
 	b := &Balancer{
-		sc:         sc,
+		c:          c,
 		opts:       opts,
 		stopCh:     make(chan struct{}),
 		doneCh:     make(chan struct{}),
@@ -173,8 +174,8 @@ type rangeLoad struct {
 func (b *Balancer) sampleLoad() (map[uint32]rangeLoad, int64) {
 	loads := make(map[uint32]rangeLoad)
 	cur := make(map[uint32]int64)
-	for _, id := range b.sc.Nodes() {
-		n, ok := b.sc.Node(id)
+	for _, id := range b.c.Nodes() {
+		n, ok := b.c.Node(id)
 		if !ok {
 			continue
 		}
@@ -251,7 +252,7 @@ func (b *Balancer) tick() {
 	// One change at a time: prefer splitting a hot range (it creates the
 	// parallelism), else offloading a hot node (it uses parallelism that
 	// already exists).
-	if hotFound && b.sc.CurrentLayout().NumRanges() < b.opts.MaxRanges {
+	if hotFound && b.c.CurrentLayout().NumRanges() < b.opts.MaxRanges {
 		if b.splitHot(hotRange, hotLeader, perNode) {
 			b.afterAction()
 			return
@@ -279,7 +280,7 @@ func (b *Balancer) afterAction() {
 // and hands leadership of the spun-off half to the least-loaded node in
 // its cohort. Returns false when no useful split exists.
 func (b *Balancer) splitHot(id uint32, leader string, perNode map[string]int64) bool {
-	n, ok := b.sc.Node(leader)
+	n, ok := b.c.Node(leader)
 	if !ok {
 		return false
 	}
@@ -287,7 +288,7 @@ func (b *Balancer) splitHot(id uint32, leader string, perNode map[string]int64) 
 	if !ok {
 		return false
 	}
-	newID, err := b.sc.SplitRange(id, key, b.opts.ActionTimeout)
+	newID, err := b.c.SplitRange(id, key, b.opts.ActionTimeout)
 	b.record(BalancerAction{Round: b.round, Kind: "split", Range: id, New: newID, Key: key, Err: err})
 	if err != nil {
 		return true // the action ran (and consumed the round) even if it failed
@@ -295,10 +296,10 @@ func (b *Balancer) splitHot(id uint32, leader string, perNode map[string]int64) 
 	// Both halves start under the same cohort and usually the same
 	// leader; parallelism arrives when the new half's leadership lands
 	// on the least-loaded member.
-	cohort := b.sc.CurrentLayout().Cohort(newID)
+	cohort := b.c.CurrentLayout().Cohort(newID)
 	to := leastLoaded(cohort, perNode, leader)
-	if to != "" && to != b.sc.LeaderOf(newID) {
-		err = b.sc.transferLeadership(newID, to, b.opts.ActionTimeout)
+	if to != "" && to != b.c.LeaderOf(newID) {
+		err = b.c.TransferLeadership(newID, to, b.opts.ActionTimeout)
 		b.record(BalancerAction{Round: b.round, Kind: "transfer", Range: newID, From: leader, To: to, Err: err})
 	}
 	return true
@@ -321,20 +322,20 @@ func (b *Balancer) offloadNode(node string, led []uint32, loads map[uint32]range
 	if pickLoad < 0 {
 		return false
 	}
-	l := b.sc.CurrentLayout()
+	l := b.c.CurrentLayout()
 	cohort := l.Cohort(pick)
 	// Prefer a true membership move to a node outside the cohort.
 	var outside []string
 	for _, nd := range l.Nodes() {
-		if !containsStr(cohort, nd) {
+		if !slices.Contains(cohort, nd) {
 			outside = append(outside, nd)
 		}
 	}
 	if to := leastLoaded(outside, perNode, node); to != "" {
-		err := b.sc.MoveRange(pick, node, to, b.opts.ActionTimeout)
+		err := b.c.MoveRange(pick, node, to, b.opts.ActionTimeout)
 		b.record(BalancerAction{Round: b.round, Kind: "move", Range: pick, From: node, To: to, Err: err})
 		if err == nil {
-			err = b.sc.transferLeadership(pick, to, b.opts.ActionTimeout)
+			err = b.c.TransferLeadership(pick, to, b.opts.ActionTimeout)
 			if err != nil {
 				b.record(BalancerAction{Round: b.round, Kind: "transfer", Range: pick, From: node, To: to, Err: err})
 			}
@@ -342,7 +343,7 @@ func (b *Balancer) offloadNode(node string, led []uint32, loads map[uint32]range
 		return true
 	}
 	if to := leastLoaded(cohort, perNode, node); to != "" {
-		err := b.sc.transferLeadership(pick, to, b.opts.ActionTimeout)
+		err := b.c.TransferLeadership(pick, to, b.opts.ActionTimeout)
 		b.record(BalancerAction{Round: b.round, Kind: "transfer", Range: pick, From: node, To: to, Err: err})
 		return true
 	}
@@ -365,27 +366,27 @@ func leastLoaded(candidates []string, perNode map[string]int64, not string) stri
 	return best
 }
 
-// transferLeadership steers range id's leadership to cohort member `to`:
+// TransferLeadership steers range id's leadership to cohort member `to`:
 // the published cohort is reordered home-first (a zero-member-delta
 // mutation, so no adoption risk beyond the barrier) and the current
 // leader steps down; the home-node election tie-break does the rest.
-func (sc *SpinnakerCluster) transferLeadership(id uint32, to string, timeout time.Duration) error {
+func (c *Cluster) TransferLeadership(id uint32, to string, timeout time.Duration) error {
 	deadline := simtime.Now().Add(timeout)
-	published, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+	published, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 		cur := l.Cohort(id)
 		if cur == nil {
-			return nil, fmt.Errorf("sim: no range %d", id)
+			return nil, fmt.Errorf("host: no range %d", id)
 		}
-		if !containsStr(cur, to) {
-			return nil, fmt.Errorf("sim: node %s not in range %d's cohort", to, id)
+		if !slices.Contains(cur, to) {
+			return nil, fmt.Errorf("host: node %s not in range %d's cohort", to, id)
 		}
 		if cur[0] == to {
 			return nil, errNoChange
 		}
 		next := []string{to}
-		for _, c := range cur {
-			if c != to {
-				next = append(next, c)
+		for _, m := range cur {
+			if m != to {
+				next = append(next, m)
 			}
 		}
 		return l.WithCohort(id, next)
@@ -394,7 +395,7 @@ func (sc *SpinnakerCluster) transferLeadership(id uint32, to string, timeout tim
 		return err
 	}
 	if published != nil {
-		if err := sc.waitAdopted(published.Version(), published.Cohort(id), deadline); err != nil {
+		if err := c.waitAdopted(published.Version(), published.Cohort(id), deadline); err != nil {
 			return err
 		}
 	}
@@ -402,14 +403,14 @@ func (sc *SpinnakerCluster) transferLeadership(id uint32, to string, timeout tim
 	// the old leader can re-win a round; retry, then accept whoever
 	// leads (the transfer is an optimization, not a correctness need).
 	for attempt := 0; attempt < 3; attempt++ {
-		leader := sc.LeaderOf(id)
+		leader := c.LeaderOf(id)
 		if leader == "" || leader == to {
 			break
 		}
-		if ln, ok := sc.Node(leader); ok {
+		if ln, ok := c.Node(leader); ok {
 			ln.StepDown(id)
 		}
-		if err := sc.waitOpenLeader(id, deadline); err != nil {
+		if err := c.waitOpenLeader(id, deadline); err != nil {
 			return err
 		}
 	}

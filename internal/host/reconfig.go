@@ -1,14 +1,15 @@
-package sim
+package host
 
 import (
 	"errors"
 	"fmt"
-	"spinnaker/internal/simtime"
+	"slices"
 	"strconv"
 	"time"
 
 	"spinnaker/internal/cluster"
 	"spinnaker/internal/core"
+	"spinnaker/internal/simtime"
 	"spinnaker/internal/transport"
 )
 
@@ -26,13 +27,13 @@ const reconfigPoll = 5 * time.Millisecond
 
 // mutateLayout applies f to the current published layout and publishes the
 // result, retrying on publication races.
-func (sc *SpinnakerCluster) mutateLayout(f func(*cluster.Layout) (*cluster.Layout, error)) (*cluster.Layout, error) {
+func (c *Cluster) mutateLayout(f func(*cluster.Layout) (*cluster.Layout, error)) (*cluster.Layout, error) {
 	for i := 0; ; i++ {
-		next, err := f(sc.CurrentLayout())
+		next, err := f(c.CurrentLayout())
 		if err != nil {
 			return nil, err
 		}
-		sess := sc.Coord.Connect()
+		sess := c.Coord.Connect()
 		err = core.PublishLayout(sess, next)
 		sess.Close()
 		if err == nil {
@@ -47,43 +48,46 @@ func (sc *SpinnakerCluster) mutateLayout(f func(*cluster.Layout) (*cluster.Layou
 // AddNode starts a new, empty node and adds it to the cluster ring. With
 // id == "" the next free node name is generated. The node serves no ranges
 // until Rebalance (or explicit MoveRange/SplitRange calls) assigns it some.
-func (sc *SpinnakerCluster) AddNode(id string) (string, error) {
-	sc.nodeMu.Lock()
+func (c *Cluster) AddNode(id string) (string, error) {
+	c.nodeMu.Lock()
 	if id == "" {
 		for i := 0; ; i++ {
-			candidate := fmt.Sprintf("node%03d", i)
-			if _, ok := sc.stores[candidate]; !ok {
-				id = candidate
+			if _, ok := c.stores[nodeName(i)]; !ok {
+				id = nodeName(i)
 				break
 			}
 		}
-	} else if _, ok := sc.stores[id]; ok {
-		sc.nodeMu.Unlock()
-		return "", fmt.Errorf("sim: node %s already exists", id)
+	} else if _, ok := c.stores[id]; ok {
+		c.nodeMu.Unlock()
+		return "", fmt.Errorf("host: node %s already exists", id)
 	}
-	sc.stores[id] = core.NewMemStores(sc.opts.Device)
-	existing := make([]string, 0, len(sc.stores))
-	for name := range sc.stores {
-		if name != id {
-			existing = append(existing, name)
-		}
+	existing := make([]string, 0, len(c.stores))
+	for name := range c.stores {
+		existing = append(existing, name)
 	}
-	sc.nodeMu.Unlock()
+	stores, err := c.newStores(id)
+	if err == nil {
+		c.stores[id] = stores
+	}
+	c.nodeMu.Unlock()
+	if err != nil {
+		return "", err
+	}
 
 	// The background fault plane covers the new node's links too.
-	if sc.opts.LinkFaults != (transport.LinkFaults{}) {
+	if c.opts.LinkFaults != (transport.LinkFaults{}) {
 		for _, other := range existing {
-			sc.Net.SetLinkFaults(id, other, sc.opts.LinkFaults)
-			sc.Net.SetLinkFaults(other, id, sc.opts.LinkFaults)
+			c.Net.SetLinkFaults(id, other, c.opts.LinkFaults)
+			c.Net.SetLinkFaults(other, id, c.opts.LinkFaults)
 		}
 	}
 
-	if _, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+	if _, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 		return l.WithNode(id)
 	}); err != nil {
 		return "", err
 	}
-	if err := sc.startNode(id); err != nil {
+	if err := c.startNode(id); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -97,10 +101,10 @@ func (sc *SpinnakerCluster) AddNode(id string) (string, error) {
 // could commit under a quorum that no longer intersects the new one). A
 // member that is down is safe to skip: on restart it bootstraps from the
 // currently published layout, which is at least this version.
-func (sc *SpinnakerCluster) waitAdopted(version uint64, members []string, deadline time.Time) error {
+func (c *Cluster) waitAdopted(version uint64, members []string, deadline time.Time) error {
 	for _, m := range members {
 		for {
-			n, ok := sc.Node(m)
+			n, ok := c.Node(m)
 			if !ok {
 				break // down; restart bootstraps from >= version
 			}
@@ -108,7 +112,7 @@ func (sc *SpinnakerCluster) waitAdopted(version uint64, members []string, deadli
 				break
 			}
 			if simtime.Now().After(deadline) {
-				return fmt.Errorf("sim: node %s did not adopt layout v%d in time", m, version)
+				return fmt.Errorf("host: node %s did not adopt layout v%d in time", m, version)
 			}
 			simtime.Sleep(reconfigPoll)
 		}
@@ -119,20 +123,15 @@ func (sc *SpinnakerCluster) waitAdopted(version uint64, members []string, deadli
 // waitCurrent blocks until node holds the catch-up marker for range r: it
 // has completed catch-up (or a split pull) within its current session, so
 // its log and engine hold the range's committed prefix.
-func (sc *SpinnakerCluster) waitCurrent(r uint32, node string, deadline time.Time) error {
-	sess := sc.Coord.Connect()
+func (c *Cluster) waitCurrent(r uint32, node string, deadline time.Time) error {
+	sess := c.Coord.Connect()
 	defer sess.Close()
 	for {
-		members, err := core.CurrentMembers(sess, r)
-		if err == nil {
-			for _, m := range members {
-				if m == node {
-					return nil
-				}
-			}
+		if members, err := core.CurrentMembers(sess, r); err == nil && slices.Contains(members, node) {
+			return nil
 		}
 		if simtime.Now().After(deadline) {
-			return fmt.Errorf("sim: node %s did not catch up on range %d in time", node, r)
+			return fmt.Errorf("host: node %s did not catch up on range %d in time", node, r)
 		}
 		simtime.Sleep(reconfigPoll)
 	}
@@ -140,17 +139,17 @@ func (sc *SpinnakerCluster) waitCurrent(r uint32, node string, deadline time.Tim
 
 // waitOpenLeader blocks until range r has an elected leader that is open
 // for writes.
-func (sc *SpinnakerCluster) waitOpenLeader(r uint32, deadline time.Time) error {
+func (c *Cluster) waitOpenLeader(r uint32, deadline time.Time) error {
 	for {
-		if leader := sc.LeaderOf(r); leader != "" {
-			if n, ok := sc.Node(leader); ok {
+		if leader := c.LeaderOf(r); leader != "" {
+			if n, ok := c.Node(leader); ok {
 				if st, ok := n.ReplicaStats(r); ok && st.Role == core.RoleLeader && st.Open {
 					return nil
 				}
 			}
 		}
 		if simtime.Now().After(deadline) {
-			return fmt.Errorf("sim: range %d has no open leader in time", r)
+			return fmt.Errorf("host: range %d has no open leader in time", r)
 		}
 		simtime.Sleep(reconfigPoll)
 	}
@@ -160,20 +159,16 @@ func (sc *SpinnakerCluster) waitOpenLeader(r uint32, deadline time.Time) error {
 // [key, high) with the same cohort, whose replicas seed themselves from the
 // origin leader (split pull) and elect a leader. Blocks until the new range
 // is open for writes; returns its id.
-func (sc *SpinnakerCluster) SplitRange(id uint32, key string, timeout time.Duration) (uint32, error) {
+func (c *Cluster) SplitRange(id uint32, key string, timeout time.Duration) (uint32, error) {
 	var newID uint32
-	if _, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+	if _, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 		next, nid, err := l.WithSplit(id, key)
 		newID = nid
 		return next, err
 	}); err != nil {
 		return 0, err
 	}
-	deadline := simtime.Now().Add(timeout)
-	if err := sc.waitOpenLeader(newID, deadline); err != nil {
-		return newID, err
-	}
-	return newID, nil
+	return newID, c.waitOpenLeader(newID, simtime.Now().Add(timeout))
 }
 
 // MoveRange moves range id's membership from node `from` to node `to` in
@@ -182,25 +177,25 @@ func (sc *SpinnakerCluster) SplitRange(id uint32, key string, timeout time.Durat
 // shipping, then shrink `from` out (it retires the replica and, if it led,
 // triggers an election among the new membership). Blocks until the range
 // has an open leader under the final membership.
-func (sc *SpinnakerCluster) MoveRange(id uint32, from, to string, timeout time.Duration) error {
+func (c *Cluster) MoveRange(id uint32, from, to string, timeout time.Duration) error {
 	deadline := simtime.Now().Add(timeout)
-	cur := sc.CurrentLayout().Cohort(id)
+	cur := c.CurrentLayout().Cohort(id)
 	if cur == nil {
-		return fmt.Errorf("sim: no range %d", id)
+		return fmt.Errorf("host: no range %d", id)
 	}
-	if !containsStr(cur, from) {
-		return fmt.Errorf("sim: node %s is not in range %d's cohort", from, id)
+	if !slices.Contains(cur, from) {
+		return fmt.Errorf("host: node %s is not in range %d's cohort", from, id)
 	}
-	if containsStr(cur, to) {
-		return fmt.Errorf("sim: node %s is already in range %d's cohort", to, id)
+	if slices.Contains(cur, to) {
+		return fmt.Errorf("host: node %s is already in range %d's cohort", to, id)
 	}
 	// Phase 1: expand.
-	expanded, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+	expanded, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 		cohort := l.Cohort(id)
 		if cohort == nil {
-			return nil, fmt.Errorf("sim: range %d vanished", id)
+			return nil, fmt.Errorf("host: range %d vanished", id)
 		}
-		if containsStr(cohort, to) {
+		if slices.Contains(cohort, to) {
 			return nil, errNoChange
 		}
 		return l.WithCohort(id, append(cohort, to))
@@ -212,20 +207,20 @@ func (sc *SpinnakerCluster) MoveRange(id uint32, from, to string, timeout time.D
 	// view before the next mutation, or quorum intersection across the
 	// two steps is lost (see waitAdopted).
 	if expanded != nil {
-		if err := sc.waitAdopted(expanded.Version(), expanded.Cohort(id), deadline); err != nil {
+		if err := c.waitAdopted(expanded.Version(), expanded.Cohort(id), deadline); err != nil {
 			return err
 		}
 	}
 	// Admission gate: `to` joins the quorum math as a full member only
 	// once it holds the committed prefix.
-	if err := sc.waitCurrent(id, to, deadline); err != nil {
+	if err := c.waitCurrent(id, to, deadline); err != nil {
 		return err
 	}
 	// Phase 2: shrink the old member out.
-	shrunk, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+	shrunk, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 		cohort := l.Cohort(id)
 		if cohort == nil {
-			return nil, fmt.Errorf("sim: range %d vanished", id)
+			return nil, fmt.Errorf("host: range %d vanished", id)
 		}
 		out := cohort[:0:0]
 		for _, n := range cohort {
@@ -245,55 +240,40 @@ func (sc *SpinnakerCluster) MoveRange(id uint32, from, to string, timeout time.D
 		// The barrier includes `from`: until it adopts the shrink (and
 		// retires) it can still commit under the expanded quorum, so a
 		// further mutation must wait for it too.
-		if err := sc.waitAdopted(shrunk.Version(), append(shrunk.Cohort(id), from), deadline); err != nil {
+		if err := c.waitAdopted(shrunk.Version(), append(shrunk.Cohort(id), from), deadline); err != nil {
 			return err
 		}
 	}
-	return sc.waitOpenLeader(id, deadline)
+	return c.waitOpenLeader(id, deadline)
 }
 
 // errNoChange short-circuits an idempotent mutation retry.
-var errNoChange = errors.New("sim: layout already reflects the change")
+var errNoChange = errors.New("host: layout already reflects the change")
 
-func containsStr(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
+// keySpan parses the bounds of [low, high) in the cluster's fixed-width
+// decimal key space ("" is the open end on either side); ok is false when a
+// bound is not numeric.
+func (c *Cluster) keySpan(low, high string) (lo, hi int, ok bool) {
+	var errLo, errHi error
+	hi = c.KeyDomain()
+	if low != "" {
+		lo, errLo = strconv.Atoi(low)
 	}
-	return false
+	if high != "" {
+		hi, errHi = strconv.Atoi(high)
+	}
+	return lo, hi, errLo == nil && errHi == nil
 }
 
-// midKey returns the numeric midpoint of [low, high) in the cluster's
-// fixed-width decimal key space, or "" when the range is too narrow to
-// split.
-func (sc *SpinnakerCluster) midKey(low, high string) string {
-	width := sc.opts.KeyWidth
-	top := 1
-	for i := 0; i < width; i++ {
-		top *= 10
-	}
-	lo := 0
-	if low != "" {
-		v, err := strconv.Atoi(low)
-		if err != nil {
-			return ""
-		}
-		lo = v
-	}
-	hi := top
-	if high != "" {
-		v, err := strconv.Atoi(high)
-		if err != nil {
-			return ""
-		}
-		hi = v
-	}
+// midKey returns the numeric midpoint of [low, high), or "" when the range
+// is too narrow to split.
+func (c *Cluster) midKey(low, high string) string {
+	lo, hi, ok := c.keySpan(low, high)
 	mid := lo + (hi-lo)/2
-	if mid <= lo || mid >= hi {
+	if !ok || mid <= lo || mid >= hi {
 		return ""
 	}
-	return fmt.Sprintf("%0*d", width, mid)
+	return c.Key(mid)
 }
 
 // Rebalance spreads the key space over the current ring (paper §4's
@@ -303,12 +283,12 @@ func (sc *SpinnakerCluster) midKey(low, high string) string {
 // leadership is transferred toward each range's home node. Runs safely
 // while a workload is executing; writes to affected ranges see bounded
 // unavailability (re-routes and elections), never inconsistency.
-func (sc *SpinnakerCluster) Rebalance(timeout time.Duration) error {
+func (c *Cluster) Rebalance(timeout time.Duration) error {
 	deadline := simtime.Now().Add(timeout)
 
 	// Phase 1: split until there is a range per node.
 	for {
-		l := sc.CurrentLayout()
+		l := c.CurrentLayout()
 		nodes := l.Nodes()
 		if l.NumRanges() >= len(nodes) {
 			break
@@ -319,37 +299,24 @@ func (sc *SpinnakerCluster) Rebalance(timeout time.Duration) error {
 		var widestKey string
 		for _, id := range l.RangeIDs() {
 			low, high := l.Bounds(id)
-			key := sc.midKey(low, high)
+			key := c.midKey(low, high)
 			if key == "" {
 				continue
 			}
-			loV, hiV := 0, 0
-			if low != "" {
-				loV, _ = strconv.Atoi(low)
-			}
-			if high != "" {
-				hiV, _ = strconv.Atoi(high)
-			} else {
-				top := 1
-				for i := 0; i < sc.opts.KeyWidth; i++ {
-					top *= 10
-				}
-				hiV = top
-			}
-			if hiV-loV > widestSpan {
-				widest, widestSpan, widestKey = id, hiV-loV, key
+			if lo, hi, _ := c.keySpan(low, high); hi-lo > widestSpan {
+				widest, widestSpan, widestKey = id, hi-lo, key
 			}
 		}
 		if widestKey == "" {
 			break // nothing splittable
 		}
-		if _, err := sc.SplitRange(widest, widestKey, time.Until(deadline)); err != nil {
-			return fmt.Errorf("sim: rebalance split: %w", err)
+		if _, err := c.SplitRange(widest, widestKey, time.Until(deadline)); err != nil {
+			return fmt.Errorf("host: rebalance split: %w", err)
 		}
 	}
 
 	// Phase 2: morph each cohort onto the ring placement over all nodes.
-	l := sc.CurrentLayout()
+	l := c.CurrentLayout()
 	nodes := l.Nodes()
 	n := l.Replication()
 	if n > len(nodes) {
@@ -362,20 +329,20 @@ func (sc *SpinnakerCluster) Rebalance(timeout time.Duration) error {
 			target = append(target, nodes[(i+j)%len(nodes)])
 		}
 		for {
-			cur := sc.CurrentLayout().Cohort(id)
+			cur := c.CurrentLayout().Cohort(id)
 			if cur == nil {
-				return fmt.Errorf("sim: range %d vanished during rebalance", id)
+				return fmt.Errorf("host: range %d vanished during rebalance", id)
 			}
 			var add, rm string
 			for _, t := range target {
-				if !containsStr(cur, t) {
+				if !slices.Contains(cur, t) {
 					add = t
 					break
 				}
 			}
-			for _, c := range cur {
-				if !containsStr(target, c) {
-					rm = c
+			for _, m := range cur {
+				if !slices.Contains(target, m) {
+					rm = m
 					break
 				}
 			}
@@ -383,8 +350,8 @@ func (sc *SpinnakerCluster) Rebalance(timeout time.Duration) error {
 				break
 			}
 			if add != "" && rm != "" {
-				if err := sc.MoveRange(id, rm, add, time.Until(deadline)); err != nil {
-					return fmt.Errorf("sim: rebalance move r%d %s->%s: %w", id, rm, add, err)
+				if err := c.MoveRange(id, rm, add, time.Until(deadline)); err != nil {
+					return fmt.Errorf("host: rebalance move r%d %s->%s: %w", id, rm, add, err)
 				}
 				continue
 			}
@@ -394,77 +361,42 @@ func (sc *SpinnakerCluster) Rebalance(timeout time.Duration) error {
 				next = append(next, add)
 			} else {
 				out := next[:0]
-				for _, c := range next {
-					if c != rm {
-						out = append(out, c)
+				for _, m := range next {
+					if m != rm {
+						out = append(out, m)
 					}
 				}
 				next = out
 			}
-			published, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
+			published, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
 				return l.WithCohort(id, next)
 			})
 			if err != nil {
-				return fmt.Errorf("sim: rebalance recohort r%d: %w", id, err)
+				return fmt.Errorf("host: rebalance recohort r%d: %w", id, err)
 			}
 			// Adoption barrier over old and new members alike; see
 			// waitAdopted.
-			if err := sc.waitAdopted(published.Version(), append(published.Cohort(id), cur...), deadline); err != nil {
+			if err := c.waitAdopted(published.Version(), append(published.Cohort(id), cur...), deadline); err != nil {
 				return err
 			}
 			if add != "" {
-				if err := sc.waitCurrent(id, add, deadline); err != nil {
+				if err := c.waitCurrent(id, add, deadline); err != nil {
 					return err
 				}
 			}
-			if err := sc.waitOpenLeader(id, deadline); err != nil {
+			if err := c.waitOpenLeader(id, deadline); err != nil {
 				return err
 			}
 		}
-		// Order the target cohort home-first in the published layout so
-		// elections prefer the intended placement.
-		if _, err := sc.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
-			cur := l.Cohort(id)
-			if cur == nil || !sameMembers(cur, target) || cur[0] == target[0] {
-				return nil, errNoChange
-			}
-			return l.WithCohort(id, target)
-		}); err != nil && !errors.Is(err, errNoChange) {
+	}
+
+	// Phase 3: order each cohort home-first in the published layout, so
+	// elections prefer the intended placement, and transfer leadership
+	// toward the home node so load actually spreads onto the new members.
+	for i, id := range ids {
+		if err := c.TransferLeadership(id, nodes[i%len(nodes)], time.Until(deadline)); err != nil {
 			return err
 		}
 	}
-
-	// Phase 3: transfer leadership toward each range's home node so load
-	// actually spreads onto the new members. The home preference is an
-	// equal-lst election tie-break, so under live load the old leader can
-	// re-win a round; retry a few times, then accept whoever leads — the
-	// transfer is an optimization, not a correctness requirement.
-	for i, id := range ids {
-		home := nodes[i%len(nodes)]
-		for attempt := 0; attempt < 3; attempt++ {
-			leader := sc.LeaderOf(id)
-			if leader == "" || leader == home {
-				break
-			}
-			if ln, ok := sc.Node(leader); ok {
-				ln.StepDown(id)
-			}
-			if err := sc.waitOpenLeader(id, deadline); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !containsStr(b, x) {
-			return false
-		}
-	}
-	return true
 }

@@ -108,10 +108,7 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 		return nil, err
 	}
 
-	domain := 1
-	for i := 0; i < sc.opts.KeyWidth; i++ {
-		domain *= 10
-	}
+	domain := sc.KeyDomain()
 	stride := domain / opts.PreloadRows
 	if stride < 1 {
 		stride = 1

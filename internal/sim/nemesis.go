@@ -171,10 +171,7 @@ func RunScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	// Stride the contended keys across the whole key domain so every
 	// range (and so every cohort and leader) sees traffic.
 	keys := make([]string, opts.Keys)
-	domain := 1
-	for i := 0; i < sc.opts.KeyWidth; i++ {
-		domain *= 10
-	}
+	domain := sc.KeyDomain()
 	for i := range keys {
 		keys[i] = sc.Key(i * (domain / opts.Keys))
 	}
@@ -440,7 +437,7 @@ func (n *nemesis) apply(fault NemesisFault) error {
 		n.sc.HealAll()
 		n.note("heal")
 	case FaultFlapLinks:
-		nodes := nodeNames(n.sc.opts.Nodes)
+		nodes := n.sc.Layout.Nodes()
 		flaps := 3 + n.rng.Intn(4)
 		n.decide("flap n=%d", flaps)
 		n.note("flap %d links", flaps)
@@ -463,7 +460,7 @@ func (n *nemesis) apply(fault NemesisFault) error {
 		}
 		n.note("heal")
 	case FaultCrashRestart, FaultCrashDisk:
-		nodes := nodeNames(n.sc.opts.Nodes)
+		nodes := n.sc.Layout.Nodes()
 		victim := nodes[n.rng.Intn(len(nodes))]
 		hold := n.draw(150, 450)
 		disk := fault == FaultCrashDisk

@@ -33,65 +33,11 @@ func reconfigCluster(t *testing.T) *SpinnakerCluster {
 // strideKeys returns n keys evenly spread over the cluster's key domain, so
 // every range sees traffic.
 func strideKeys(sc *SpinnakerCluster, n int) []string {
-	domain := 1
-	for i := 0; i < sc.opts.KeyWidth; i++ {
-		domain *= 10
-	}
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = sc.Key(i * (domain / n))
+		keys[i] = sc.Key(i * (sc.KeyDomain() / n))
 	}
 	return keys
-}
-
-// TestSplitRangeLive splits a range while data is in it and verifies the
-// moved rows stay readable and writable through the new range.
-func TestSplitRangeLive(t *testing.T) {
-	sc := reconfigCluster(t)
-	c := sc.NewClient()
-
-	keys := strideKeys(sc, 30)
-	for i, k := range keys {
-		if _, err := c.Put(k, "v", []byte(fmt.Sprintf("val-%d", i))); err != nil {
-			t.Fatalf("preload %s: %v", k, err)
-		}
-	}
-
-	l := sc.CurrentLayout()
-	target := l.RangeIDs()[0]
-	low, high := l.Bounds(target)
-	key := sc.midKey(low, high)
-	newID, err := sc.SplitRange(target, key, 30*time.Second)
-	if err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	nl := sc.CurrentLayout()
-	if nl.Version() <= l.Version() {
-		t.Fatalf("layout version did not advance: %d -> %d", l.Version(), nl.Version())
-	}
-	if got := nl.RangeOf(key); got != newID {
-		t.Fatalf("split key routes to range %d, want new range %d", got, newID)
-	}
-
-	// Every preloaded key must still be readable with its value, through
-	// whichever range now owns it (the stale client refreshes on
-	// StatusWrongLayout replies).
-	for i, k := range keys {
-		v, _, err := c.Get(k, "v", true)
-		if err != nil {
-			t.Fatalf("read %s after split: %v", k, err)
-		}
-		if want := fmt.Sprintf("val-%d", i); string(v) != want {
-			t.Fatalf("read %s after split: got %q want %q", k, v, want)
-		}
-	}
-	// And writable: a write to a moved row must land in the new range.
-	if _, err := c.Put(key, "v", []byte("post-split")); err != nil {
-		t.Fatalf("write to split key: %v", err)
-	}
-	if v, _, err := c.Get(key, "v", true); err != nil || string(v) != "post-split" {
-		t.Fatalf("read back split key: %q %v", v, err)
-	}
 }
 
 // TestMoveRangeRouting moves a range's membership one node over and checks

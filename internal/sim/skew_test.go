@@ -102,7 +102,7 @@ func measureUniformBaseline(t *testing.T, domain int) float64 {
 	// single-leader cap the skewed run is supposed to be compared against.
 	layout := sc.CurrentLayout()
 	for id := 0; id < layout.NumRanges(); id++ {
-		if err := sc.transferLeadership(uint32(id), layout.HomeNode(uint32(id)), 10*time.Second); err != nil {
+		if err := sc.TransferLeadership(uint32(id), layout.HomeNode(uint32(id)), 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

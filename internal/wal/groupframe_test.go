@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -58,18 +60,32 @@ func TestGroupFrameCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestDecodeRecordRejectsGroupFrame(t *testing.T) {
-	// Callers that only understand single-record frames must treat a group
-	// frame as undecodable, not mis-parse the batch as one bogus record.
-	buf := EncodeGroup(nil, batchRecsFor(1, 1, 1, "x"))
-	if _, _, err := DecodeRecord(buf); !errors.Is(err, ErrCorruptRecord) {
-		t.Fatalf("DecodeRecord on group frame: err = %v, want ErrCorruptRecord", err)
+// TestDecodeFrameRejectsNonGroupFirstByte pins the one-format rule: a frame
+// that is well-formed and CRC-clean but whose first body byte is not the
+// group marker — the retired single-record framing put a RecType there — is
+// corrupt, not a record.
+func TestDecodeFrameRejectsNonGroupFirstByte(t *testing.T) {
+	body := make([]byte, 1+4+8, 1+4+8+1)
+	body[0] = byte(RecWrite)
+	binary.LittleEndian.PutUint32(body[1:5], 3)
+	binary.LittleEndian.PutUint64(body[5:13], uint64(MakeLSN(1, 1)))
+	body = append(body, 'x')
+	frame := make([]byte, recHeaderSize, recHeaderSize+len(body))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, crcTable))
+	frame = append(frame, body...)
+	called := false
+	if _, err := DecodeFrame(frame, func(Record) error { called = true; return nil }); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("DecodeFrame on a single-record frame: err = %v, want ErrCorruptRecord", err)
+	}
+	if called {
+		t.Fatal("DecodeFrame yielded a record from a non-group frame")
 	}
 }
 
-// TestLogMixedFramingReplay writes single-record frames and group frames
-// interleaved — a log written partly before and partly after the group-frame
-// change — and checks one reopen+scan replays every record in append order.
+// TestLogMixedFramingReplay interleaves Append (groups of one) with
+// AppendBatch (groups of several) and checks one reopen+scan replays every
+// record in append order.
 func TestLogMixedFramingReplay(t *testing.T) {
 	store := NewMemSegmentStore(DeviceInstant)
 	l := newTestLog(t, store, 0)
@@ -197,8 +213,8 @@ func TestGroupFrameCohortWritesInMatchesPerRecord(t *testing.T) {
 }
 
 // TestAppendBatchSingleAndEmpty pins AppendBatch's degenerate cases: a
-// one-record batch writes a legacy single-record frame and an empty batch
-// appends nothing.
+// one-record batch writes a group frame of one and an empty batch appends
+// nothing.
 func TestAppendBatchSingleAndEmpty(t *testing.T) {
 	store := NewMemSegmentStore(DeviceInstant)
 	l := newTestLog(t, store, 0)
@@ -216,16 +232,16 @@ func TestAppendBatchSingleAndEmpty(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	// The frame on disk must decode as a legacy single-record frame.
+	// The frame on disk must decode as one group frame carrying the record.
 	ids, _ := store.List()
 	dev, _ := store.Open(ids[len(ids)-1])
 	buf := make([]byte, dev.Size())
 	if _, err := dev.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := DecodeRecord(buf)
+	got, n, err := decodeOne(buf)
 	if err != nil {
-		t.Fatalf("DecodeRecord on single-record AppendBatch frame: %v", err)
+		t.Fatalf("DecodeFrame on single-record AppendBatch frame: %v", err)
 	}
 	if n != len(buf) || got.LSN != rec.LSN || string(got.Payload) != "solo" {
 		t.Fatalf("decoded %+v (%d bytes), want %+v (%d bytes)", got, n, rec, len(buf))

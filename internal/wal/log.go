@@ -23,6 +23,10 @@ type Config struct {
 
 const defaultSegmentBytes = 64 << 20
 
+// ErrClosed is returned by Append, AppendBatch, Force and ForceTo after
+// Close.
+var ErrClosed = errors.New("wal: log is closed")
+
 // Log is a node's shared write-ahead log: a sequence of segments holding
 // the interleaved records of every cohort the node belongs to (paper §4.1).
 // It tracks per-cohort min/max LSNs per segment so that old segments can be
@@ -43,6 +47,9 @@ type Log struct {
 	// readable) in retired until the last scan out closes it.
 	scanning int
 	retired  []Device
+	// closed is set by Close: a late Append must not roll and open a
+	// segment nobody will close.
+	closed bool
 
 	// Group commit state. appendOff/durableOff are logical offsets over
 	// the whole log (monotonic across segments).
@@ -172,33 +179,23 @@ var encodeScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); ret
 //
 //spinnaker:hotpath
 func (l *Log) Append(rec Record) (int64, error) {
-	scratch := encodeScratch.Get().(*[]byte)
-	buf := rec.Encode((*scratch)[:0])
-	recs := [1]Record{rec}
-	end, err := l.appendEncoded(buf, recs[:])
-	*scratch = buf[:0]
-	encodeScratch.Put(scratch)
-	return end, err
+	recs := [1]Record{rec} // a group of one, on the stack
+	return l.AppendBatch(recs[:])
 }
 
 // AppendBatch appends recs as one group frame: one lock acquisition, one
 // frame header, one checksum, one device append for the whole batch (the
 // per-MsgProposeBatch follower path). It returns the logical end offset of
-// the batch, which can be passed to ForceTo for a single force.
+// the batch, which can be passed to ForceTo for a single force. An empty
+// batch appends nothing.
 //
 //spinnaker:hotpath
 func (l *Log) AppendBatch(recs []Record) (int64, error) {
-	switch len(recs) {
-	case 0:
+	if len(recs) == 0 {
 		l.gc.Lock()
 		end := l.appendOff
 		l.gc.Unlock()
 		return end, nil
-	case 1:
-		// A lone record gains nothing from group framing; the
-		// single-record frame keeps sparse traffic byte-identical to
-		// the legacy log format.
-		return l.Append(recs[0])
 	}
 	scratch := encodeScratch.Get().(*[]byte)
 	buf := EncodeGroup((*scratch)[:0], recs)
@@ -215,6 +212,10 @@ func (l *Log) AppendBatch(recs []Record) (int64, error) {
 //spinnaker:hotpath
 func (l *Log) appendEncoded(buf []byte, recs []Record) (int64, error) {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return 0, ErrClosed
+	}
 	cur := l.segs[len(l.segs)-1]
 	if cur.size >= l.cfg.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
@@ -264,16 +265,12 @@ func (l *Log) Force() error {
 // ForceTo makes all bytes up to the logical offset target durable.
 func (l *Log) ForceTo(target int64) error {
 	if !l.cfg.GroupCommit {
-		l.mu.Lock()
-		dev := l.segs[len(l.segs)-1].dev
-		l.mu.Unlock()
-		err := dev.Force()
+		err := l.forceTail()
 		l.gc.Lock()
 		if err == nil && l.appendOff > l.durableOff {
 			l.durableOff = l.appendOff
 		}
 		l.gc.Unlock()
-		l.bumpForces()
 		return err
 	}
 
@@ -294,11 +291,7 @@ func (l *Log) ForceTo(target int64) error {
 		snapshot := l.appendOff
 		l.gc.Unlock()
 
-		l.mu.Lock()
-		dev := l.segs[len(l.segs)-1].dev
-		l.mu.Unlock()
-		err := dev.Force()
-		l.bumpForces()
+		err := l.forceTail()
 
 		l.gc.Lock()
 		l.forcing = false
@@ -315,10 +308,21 @@ func (l *Log) ForceTo(target int64) error {
 	return l.forceErr
 }
 
-func (l *Log) bumpForces() {
+// forceTail forces the current segment's device (rolls force the segment
+// they retire), or returns ErrClosed after Close.
+func (l *Log) forceTail() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
+	dev := l.segs[len(l.segs)-1].dev
+	l.mu.Unlock()
+	err := dev.Force()
 	l.mu.Lock()
 	l.forces++
 	l.mu.Unlock()
+	return err
 }
 
 // Stats reports append and force counts (ablation benchmarks).
@@ -481,14 +485,18 @@ func (l *Log) Segments() int {
 }
 
 // Close forces and releases all segments, whether or not the force succeeds
-// (a failed device still holds a descriptor).
+// (a failed device still holds a descriptor). Closing twice is harmless.
 func (l *Log) Close() error {
 	err := l.Force()
 	if errors.Is(err, ErrDeviceFailed) {
 		err = nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
 	for _, dev := range l.retired {
 		_ = dev.Close()
 	}
@@ -498,5 +506,13 @@ func (l *Log) Close() error {
 			err = cerr
 		}
 	}
+	l.mu.Unlock()
+	// A ForceTo with nothing left to force never reaches forceTail; the
+	// sticky force error makes it report the closed log all the same.
+	l.gc.Lock()
+	if l.forceErr == nil {
+		l.forceErr = ErrClosed
+	}
+	l.gc.Unlock()
 	return err
 }

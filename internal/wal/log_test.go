@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -431,5 +432,54 @@ func TestLogClosesDroppedSegments(t *testing.T) {
 	}
 	if store.open != 0 {
 		t.Errorf("%d devices open after Close, want 0", store.open)
+	}
+}
+
+// TestLogUseAfterClose pins the closed flag: a log filled to its roll
+// threshold and closed must refuse a late append rather than roll and open a
+// segment nobody will close (the descriptor a node shutdown used to leak).
+func TestLogUseAfterClose(t *testing.T) {
+	store, err := NewFileSegmentStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newTestLog(t, store, 64)
+	for seq := uint64(1); l.Segments() < 2; seq++ {
+		if err := l.AppendForce(writeRec(0, 1, seq, "0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The tail segment is now at its threshold: the next append would roll.
+	if err := l.AppendForce(writeRec(0, 1, 100, "0123456789abcdef0123456789abcdef0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, err := l.Append(writeRec(0, 1, 101, "late")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Append after Close: err = %v, want ErrClosed", err)
+	}
+	if _, err := l.AppendBatch(batchRecsFor(0, 1, 102, "late-a", "late-b")); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendBatch after Close: err = %v, want ErrClosed", err)
+	}
+	if err := l.Force(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Force after Close: err = %v, want ErrClosed", err)
+	}
+	if err := l.ForceTo(1 << 40); !errors.Is(err, ErrClosed) {
+		t.Errorf("ForceTo after Close: err = %v, want ErrClosed", err)
+	}
+	after, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("segments after a late append: %v, before Close: %v", after, before)
 	}
 }

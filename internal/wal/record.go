@@ -62,22 +62,12 @@ type Record struct {
 // recHeaderSize is the fixed framing: u32 body length + u32 CRC32.
 const recHeaderSize = 8
 
-// recBodyFixed is the fixed portion of the body: type + cohort + LSN.
-const recBodyFixed = 1 + 4 + 8
-
 // ErrCorruptRecord is returned when decoding hits a CRC or framing
 // mismatch. During recovery this marks the torn tail of the log: bytes
 // appended but not forced before a crash.
 var ErrCorruptRecord = errors.New("wal: corrupt record")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodedSize returns the number of bytes Encode will produce.
-//
-//spinnaker:hotpath
-func (r *Record) EncodedSize() int {
-	return recHeaderSize + recBodyFixed + len(r.Payload)
-}
 
 // grow extends dst by n bytes with at most one allocation and returns the
 // extended slice together with the n-byte window just added.
@@ -94,60 +84,13 @@ func grow(dst []byte, n int) ([]byte, []byte) {
 	return dst, dst[l : l+n]
 }
 
-// Encode serializes the record with length+CRC framing, appending to dst.
-//
-//spinnaker:hotpath
-func (r *Record) Encode(dst []byte) []byte {
-	bodyLen := recBodyFixed + len(r.Payload)
-	dst, b := grow(dst, recHeaderSize+bodyLen)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(bodyLen))
-	body := b[recHeaderSize:]
-	body[0] = byte(r.Type)
-	binary.LittleEndian.PutUint32(body[1:5], r.Cohort)
-	binary.LittleEndian.PutUint64(body[5:13], uint64(r.LSN))
-	copy(body[13:], r.Payload)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(body, crcTable))
-	return dst
-}
-
-// DecodeRecord parses one record from b. It returns the record and the
-// total number of bytes consumed. ErrCorruptRecord is returned on framing
-// or checksum errors, which recovery treats as the end of the valid log.
-// Group frames (AppendBatch) are rejected; scans must use DecodeFrame.
-func DecodeRecord(b []byte) (Record, int, error) {
-	if len(b) < recHeaderSize {
-		return Record{}, 0, ErrCorruptRecord
-	}
-	bodyLen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if bodyLen < recBodyFixed || bodyLen > len(b)-recHeaderSize {
-		return Record{}, 0, ErrCorruptRecord
-	}
-	wantCRC := binary.LittleEndian.Uint32(b[4:8])
-	body := b[recHeaderSize : recHeaderSize+bodyLen]
-	if crc32.Checksum(body, crcTable) != wantCRC {
-		return Record{}, 0, ErrCorruptRecord
-	}
-	if body[0] == recGroupFrame {
-		return Record{}, 0, ErrCorruptRecord
-	}
-	rec := Record{
-		Type:   RecType(body[0]),
-		Cohort: binary.LittleEndian.Uint32(body[1:5]),
-		LSN:    LSN(binary.LittleEndian.Uint64(body[5:13])),
-	}
-	if bodyLen > recBodyFixed {
-		rec.Payload = append([]byte(nil), body[recBodyFixed:]...)
-	}
-	return rec, recHeaderSize + bodyLen, nil
-}
-
-// Group frames batch the records of one MsgProposeBatch under a single
-// length+CRC header (one frame header + N records + one checksum), so the
-// follower append path pays framing and checksum cost once per batch instead
-// of once per record. The first body byte distinguishes frame kinds: legacy
-// single-record frames carry a RecType there, group frames carry
-// recGroupFrame, a value outside every RecType, so logs mixing both framings
-// (written before and after this change) replay with one scan.
+// Every frame in the log is a group frame: one length+CRC header, a marker
+// byte, a record count, then the records (a lone Append is a group of one),
+// so the follower append path pays framing and checksum cost once per
+// MsgProposeBatch instead of once per record, and a scan has one decoder.
+// recGroupFrame lies outside every RecType: the first body byte of the retired
+// single-record framing was a RecType, so a log written in that format is
+// rejected as corrupt rather than mis-parsed.
 const recGroupFrame = 0xF0
 
 const (
@@ -192,12 +135,9 @@ func EncodeGroup(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// decodeGroupBody parses the records of a CRC-verified group frame body,
-// invoking fn for each in append order.
+// decodeGroupBody parses the records of a CRC-verified group frame body (at
+// least groupBodyFixed bytes), invoking fn for each in append order.
 func decodeGroupBody(body []byte, fn func(Record) error) error {
-	if len(body) < groupBodyFixed {
-		return ErrCorruptRecord
-	}
 	count := int(binary.LittleEndian.Uint32(body[1:5]))
 	off := groupBodyFixed
 	for i := 0; i < count; i++ {
@@ -228,37 +168,23 @@ func decodeGroupBody(body []byte, fn func(Record) error) error {
 	return nil
 }
 
-// DecodeFrame parses one frame — a legacy single-record frame or a group
-// frame — from b, invoking fn once per record it carries, and returns the
-// bytes consumed. ErrCorruptRecord marks the torn tail of the log exactly as
-// DecodeRecord does; any other error is fn's.
+// DecodeFrame parses one frame from b, invoking fn once per record it
+// carries, and returns the bytes consumed. ErrCorruptRecord — a framing or
+// checksum mismatch, or a first body byte other than recGroupFrame — marks
+// the torn tail of the log, which recovery treats as the end of the valid
+// log; any other error is fn's.
 func DecodeFrame(b []byte, fn func(Record) error) (int, error) {
 	if len(b) < recHeaderSize {
 		return 0, ErrCorruptRecord
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if bodyLen < 1 || bodyLen > len(b)-recHeaderSize {
+	if bodyLen < groupBodyFixed || bodyLen > len(b)-recHeaderSize {
 		return 0, ErrCorruptRecord
 	}
 	wantCRC := binary.LittleEndian.Uint32(b[4:8])
 	body := b[recHeaderSize : recHeaderSize+bodyLen]
-	if crc32.Checksum(body, crcTable) != wantCRC {
+	if crc32.Checksum(body, crcTable) != wantCRC || body[0] != recGroupFrame {
 		return 0, ErrCorruptRecord
 	}
-	consumed := recHeaderSize + bodyLen
-	if body[0] == recGroupFrame {
-		return consumed, decodeGroupBody(body, fn)
-	}
-	if bodyLen < recBodyFixed {
-		return 0, ErrCorruptRecord
-	}
-	rec := Record{
-		Type:   RecType(body[0]),
-		Cohort: binary.LittleEndian.Uint32(body[1:5]),
-		LSN:    LSN(binary.LittleEndian.Uint64(body[5:13])),
-	}
-	if bodyLen > recBodyFixed {
-		rec.Payload = append([]byte(nil), body[recBodyFixed:]...)
-	}
-	return consumed, fn(rec)
+	return recHeaderSize + bodyLen, decodeGroupBody(body, fn)
 }

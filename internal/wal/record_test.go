@@ -3,46 +3,69 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
+// decodeOne decodes a frame that must carry exactly one record.
+func decodeOne(b []byte) (Record, int, error) {
+	var got []Record
+	n, err := DecodeFrame(b, func(rec Record) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		return Record{}, n, err
+	}
+	if len(got) != 1 {
+		return Record{}, n, fmt.Errorf("frame carries %d records, want 1", len(got))
+	}
+	return got[0], n, nil
+}
+
+func sameRecord(a, b Record) bool {
+	return a.Cohort == b.Cohort && a.Type == b.Type && a.LSN == b.LSN && bytes.Equal(a.Payload, b.Payload)
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	rec := Record{Cohort: 7, Type: RecWrite, LSN: MakeLSN(1, 21), Payload: []byte("k=v")}
-	buf := rec.Encode(nil)
-	if len(buf) != rec.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, Encode produced %d", rec.EncodedSize(), len(buf))
+	buf := EncodeGroup(nil, []Record{rec})
+	if want := GroupEncodedSize([]Record{rec}); len(buf) != want {
+		t.Fatalf("GroupEncodedSize = %d, EncodeGroup produced %d", want, len(buf))
 	}
-	got, n, err := DecodeRecord(buf)
+	got, n, err := decodeOne(buf)
 	if err != nil {
-		t.Fatalf("DecodeRecord: %v", err)
+		t.Fatalf("DecodeFrame: %v", err)
 	}
 	if n != len(buf) {
 		t.Errorf("consumed %d, want %d", n, len(buf))
 	}
-	if got.Cohort != rec.Cohort || got.Type != rec.Type || got.LSN != rec.LSN || !bytes.Equal(got.Payload, rec.Payload) {
+	if !sameRecord(got, rec) {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, rec)
 	}
 }
 
 func TestRecordEmptyPayload(t *testing.T) {
 	rec := Record{Cohort: 0, Type: RecLastCommitted, LSN: MakeLSN(2, 5)}
-	got, _, err := DecodeRecord(rec.Encode(nil))
+	got, _, err := decodeOne(EncodeGroup(nil, []Record{rec}))
 	if err != nil {
-		t.Fatalf("DecodeRecord: %v", err)
+		t.Fatalf("DecodeFrame: %v", err)
 	}
 	if len(got.Payload) != 0 {
 		t.Errorf("payload = %v, want empty", got.Payload)
 	}
 }
 
+// TestRecordDetectsCorruption flips every byte of a one-record frame in turn:
+// no single-byte corruption may decode.
 func TestRecordDetectsCorruption(t *testing.T) {
 	rec := Record{Cohort: 3, Type: RecWrite, LSN: MakeLSN(1, 1), Payload: []byte("payload")}
-	buf := rec.Encode(nil)
-	for _, i := range []int{0, 4, recHeaderSize, len(buf) - 1} {
+	buf := EncodeGroup(nil, []Record{rec})
+	for i := range buf {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0xFF
-		if _, _, err := DecodeRecord(mut); !errors.Is(err, ErrCorruptRecord) {
+		if _, _, err := decodeOne(mut); !errors.Is(err, ErrCorruptRecord) {
 			t.Errorf("flipping byte %d: err = %v, want ErrCorruptRecord", i, err)
 		}
 	}
@@ -50,9 +73,9 @@ func TestRecordDetectsCorruption(t *testing.T) {
 
 func TestRecordTruncatedBuffer(t *testing.T) {
 	rec := Record{Cohort: 1, Type: RecWrite, LSN: MakeLSN(1, 2), Payload: []byte("abcdef")}
-	buf := rec.Encode(nil)
+	buf := EncodeGroup(nil, []Record{rec})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeRecord(buf[:cut]); !errors.Is(err, ErrCorruptRecord) {
+		if _, _, err := decodeOne(buf[:cut]); !errors.Is(err, ErrCorruptRecord) {
 			t.Errorf("cut at %d: err = %v, want ErrCorruptRecord", cut, err)
 		}
 	}
@@ -61,20 +84,20 @@ func TestRecordTruncatedBuffer(t *testing.T) {
 func TestRecordBackToBack(t *testing.T) {
 	r1 := Record{Cohort: 1, Type: RecWrite, LSN: MakeLSN(1, 1), Payload: []byte("one")}
 	r2 := Record{Cohort: 2, Type: RecCheckpoint, LSN: MakeLSN(1, 2), Payload: []byte("two")}
-	buf := r2.Encode(r1.Encode(nil))
-	got1, n1, err := DecodeRecord(buf)
+	buf := EncodeGroup(EncodeGroup(nil, []Record{r1}), []Record{r2})
+	got1, n1, err := decodeOne(buf)
 	if err != nil {
 		t.Fatalf("first: %v", err)
 	}
-	got2, _, err := DecodeRecord(buf[n1:])
+	got2, n2, err := decodeOne(buf[n1:])
 	if err != nil {
 		t.Fatalf("second: %v", err)
 	}
-	if got1.Cohort != 1 || got2.Cohort != 2 {
-		t.Errorf("cohorts = %d,%d want 1,2", got1.Cohort, got2.Cohort)
+	if n1+n2 != len(buf) {
+		t.Errorf("consumed %d+%d of %d bytes", n1, n2, len(buf))
 	}
-	if !bytes.Equal(got2.Payload, []byte("two")) {
-		t.Errorf("second payload = %q", got2.Payload)
+	if !sameRecord(got1, r1) || !sameRecord(got2, r2) {
+		t.Errorf("decoded %+v, %+v; want %+v, %+v", got1, got2, r1, r2)
 	}
 }
 
@@ -86,12 +109,8 @@ func TestRecordPropertyRoundTrip(t *testing.T) {
 			LSN:     MakeLSN(uint32(epoch), seq&MaxSeq),
 			Payload: payload,
 		}
-		got, n, err := DecodeRecord(rec.Encode(nil))
-		if err != nil || n != rec.EncodedSize() {
-			return false
-		}
-		return got.Cohort == rec.Cohort && got.Type == rec.Type &&
-			got.LSN == rec.LSN && bytes.Equal(got.Payload, rec.Payload)
+		got, n, err := decodeOne(EncodeGroup(nil, []Record{rec}))
+		return err == nil && n == GroupEncodedSize([]Record{rec}) && sameRecord(got, rec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -16,8 +16,10 @@
 // The package runs a full multi-node cluster in process, over a simulated
 // network and simulated logging devices, which is how the paper's entire
 // evaluation is reproduced on one machine (see bench_test.go and
-// EXPERIMENTS.md). The underlying node implementation also runs over real
-// TCP and real disks via cmd/spinnaker-server.
+// EXPERIMENTS.md). A Cluster is a thin wrapper over internal/host, the one
+// cluster assembly: cmd/spinnaker-server runs the same object over real
+// disks behind a TCP line protocol, and the test harness (internal/sim)
+// drives it under faults — the package links no test scaffolding.
 //
 // Quickstart:
 //
@@ -36,7 +38,7 @@ import (
 	"time"
 
 	"spinnaker/internal/core"
-	"spinnaker/internal/sim"
+	"spinnaker/internal/host"
 	"spinnaker/internal/transport"
 	"spinnaker/internal/wal"
 )
@@ -158,7 +160,7 @@ type LinkFaults struct {
 
 // Cluster is an embedded multi-node Spinnaker deployment.
 type Cluster struct {
-	sc *sim.SpinnakerCluster
+	sc *host.Cluster
 }
 
 // NewCluster starts a cluster and waits until every key range has elected
@@ -168,7 +170,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := sim.NewSpinnakerCluster(sim.Options{
+	sc, err := host.New(host.Options{
 		Nodes:            opts.Nodes,
 		Replication:      opts.Replication,
 		NetworkDelay:     opts.NetworkDelay,
