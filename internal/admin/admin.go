@@ -164,6 +164,7 @@ func writeMetrics(w http.ResponseWriter, s Source) {
 		fmt.Fprintf(w, "spinnaker_node_layout_adoptions_total{node=%q} %d\n", nm.ID, nm.LayoutAdoptions)
 		fmt.Fprintf(w, "spinnaker_node_wal_appends_total{node=%q} %d\n", nm.ID, nm.WALAppends)
 		fmt.Fprintf(w, "spinnaker_node_wal_forces_total{node=%q} %d\n", nm.ID, nm.WALForces)
+		fmt.Fprintf(w, "spinnaker_log_bytes{node=%q} %d\n", nm.ID, nm.LogBytes)
 		for _, rm := range nm.Ranges {
 			lbl := fmt.Sprintf("{node=%q,range=\"%d\",role=%q}", nm.ID, rm.Range, rm.Role)
 			qlbl := func(q string) string {
@@ -186,6 +187,7 @@ func writeMetrics(w http.ResponseWriter, s Source) {
 			fmt.Fprintf(w, "spinnaker_range_storage_flushes_total%s %d\n", lbl, rm.Flushes)
 			fmt.Fprintf(w, "spinnaker_range_storage_compactions_total%s %d\n", lbl, rm.Compacts)
 			fmt.Fprintf(w, "spinnaker_range_storage_tables%s %d\n", lbl, rm.Tables)
+			fmt.Fprintf(w, "spinnaker_table_bytes%s %d\n", lbl, rm.TableBytes)
 			fmt.Fprintf(w, "spinnaker_range_storage_read_probes_total%s %d\n", lbl, rm.ReadProbes)
 			fmt.Fprintf(w, "spinnaker_range_storage_read_pruned_total%s %d\n", lbl, rm.ReadPruned)
 		}

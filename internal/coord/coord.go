@@ -256,6 +256,16 @@ func (c *Session) Heartbeat() error {
 	return nil
 }
 
+// Renew heartbeats the session and returns it or, once it has expired or
+// been closed, a fresh session on the same service. Only a holder of no
+// ephemeral znodes may use it: what the old session owned is gone.
+func (c *Session) Renew() *Session {
+	if c.Heartbeat() == nil {
+		return c
+	}
+	return c.svc.Connect()
+}
+
 // Create creates a znode at path with the given data. With FlagSequential
 // the final component gets a unique increasing suffix and the actual path
 // is returned. Parents must exist (use EnsurePath). Creating an existing

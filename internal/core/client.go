@@ -21,7 +21,6 @@ import (
 // a random cohort member in exchange for better performance.
 type Client struct {
 	ep       transport.Endpoint
-	sess     *coord.Session
 	rng      *rand.Rand
 	asyncSem chan struct{}
 
@@ -35,6 +34,7 @@ type Client struct {
 	strictWrites bool
 
 	mu      sync.Mutex
+	sess    *coord.Session  // replaced by renewSession once expired
 	layout  *cluster.Layout // refreshed from coord on StatusWrongLayout
 	leaders map[uint32]cachedLeader
 }
@@ -68,8 +68,27 @@ func NewClient(layout *cluster.Layout, ep transport.Endpoint, coordSvc *coord.Se
 
 // Close releases the client's coordination session.
 func (c *Client) Close() {
-	c.sess.Close()
+	c.session().Close()
 	c.ep.Close()
+}
+
+// session returns the client's coordination session.
+func (c *Client) session() *coord.Session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sess
+}
+
+// renewSession heartbeats the client's coordination session, replacing it
+// once it has expired: a client owns no ephemeral znodes, so nothing is
+// lost. Cache hits never touch the session. An expiry fires every leader
+// watch the session armed, so the next operation on each range misses and
+// arrives here through leader.
+func (c *Client) renewSession() *coord.Session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sess = c.sess.Renew()
+	return c.sess
 }
 
 // rangeOf routes a row under the client's current view of the layout.
@@ -84,7 +103,7 @@ func (c *Client) rangeOf(row string) uint32 {
 // StatusWrongLayout (the range moved or split) or when leader resolution
 // fails for a range that may no longer exist.
 func (c *Client) refreshLayout() {
-	l, err := FetchLayout(c.sess)
+	l, err := FetchLayout(c.renewSession())
 	if err != nil {
 		return // nothing published (static deployments); keep what we have
 	}
@@ -117,11 +136,12 @@ func (c *Client) leader(rangeID uint32) (string, <-chan coord.Event, error) {
 		}
 	}
 	c.mu.Unlock()
-	watch, err := c.sess.Watch(leaderPath(rangeID))
+	sess := c.renewSession()
+	watch, err := sess.Watch(leaderPath(rangeID))
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	data, err := c.sess.Get(leaderPath(rangeID))
+	data, err := sess.Get(leaderPath(rangeID))
 	if err != nil {
 		return "", watch, fmt.Errorf("%w: range %d has no leader", ErrUnavailable, rangeID)
 	}
@@ -253,7 +273,7 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 		if deadline.IsZero() {
 			deadline = now.Add(routeDeadline)
 		} else if !now.Before(deadline) {
-			c.sess.Unwatch(watch)
+			c.session().Unwatch(watch)
 			return zero, err
 		}
 		t := time.NewTimer(backoff)
@@ -261,7 +281,7 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 		case <-watch: // nil, so never ready, when a target was found
 			backoff = minRetryBackoff
 		case <-t.C:
-			c.sess.Unwatch(watch)
+			c.session().Unwatch(watch)
 			backoff = min(2*backoff, retryBackoff)
 		}
 		t.Stop()

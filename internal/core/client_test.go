@@ -71,6 +71,28 @@ func TestLeaderCacheStaleOnZnodeChange(t *testing.T) {
 	expect("n2")
 }
 
+// TestClientOutlivesSessionTimeout: a client left idle past its coord
+// session timeout keeps working. The expiry fires its leader watches, so
+// the next operation on each range misses the cache; the miss heartbeats
+// the dead session, fails, and connects a fresh one. It used to answer
+// every miss ErrUnavailable ("session expired or closed") from then on.
+func TestClientOutlivesSessionTimeout(t *testing.T) {
+	tc := newHookedTestCluster(t, 3, func(cfg *Config) { cfg.HeartbeatInterval = 20 * time.Millisecond },
+		testHooks{sessionTimeout: 100 * time.Millisecond})
+	tc.waitAllLeaders()
+	c := tc.client()
+	if _, err := c.Put(row0(1), "c", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	if got, _, err := c.Get(row0(1), "c", true); err != nil || string(got) != "before" {
+		t.Fatalf("strong get after the session expired = %q, %v", got, err)
+	}
+	if _, err := c.Put(row0(2), "c", []byte("after")); err != nil {
+		t.Fatalf("put after the session expired: %v", err)
+	}
+}
+
 // detourEndpoint sends its next few calls to a closed endpoint instead of
 // their destination, so they fail exactly as a call to a crashed node does.
 type detourEndpoint struct {

@@ -25,12 +25,13 @@ type testCluster struct {
 	hooks   testHooks
 }
 
-// testHooks lets a test decorate what each node is built over; nil members
+// testHooks lets a test decorate what each node is built over; zero members
 // keep the defaults (in-memory stores on the instant device, the bare
-// in-process endpoint).
+// in-process endpoint, coord sessions that never time out).
 type testHooks struct {
-	stores   func(name string) *Stores
-	endpoint func(name string, ep transport.Endpoint) transport.Endpoint
+	stores         func(name string) *Stores
+	endpoint       func(name string, ep transport.Endpoint) transport.Endpoint
+	sessionTimeout time.Duration
 }
 
 // init (not newTestCluster) sets the global paranoia flag: per-test writes
@@ -63,7 +64,7 @@ func newHookedTestCluster(t *testing.T, nodeCount int, tweak func(*Config), hook
 	tc := &testCluster{
 		t:      t,
 		net:    transport.NewNetwork(0),
-		coord:  coord.NewService(0),
+		coord:  coord.NewService(hooks.sessionTimeout),
 		layout: layout,
 		stores: make(map[string]*Stores),
 		nodes:  make(map[string]*Node),

@@ -70,6 +70,7 @@ type RangeMetrics struct {
 	Flushes    int64 `json:"flushes"`
 	Compacts   int64 `json:"compacts"`
 	Tables     int   `json:"tables"`
+	TableBytes int64 `json:"table_bytes"` // summed blob size of the live tables
 	ReadProbes int64 `json:"read_probes"`
 	ReadPruned int64 `json:"read_pruned"`
 }
@@ -81,6 +82,7 @@ type NodeMetrics struct {
 	LayoutAdoptions int64          `json:"layout_adoptions"`
 	WALAppends      int64          `json:"wal_appends"`
 	WALForces       int64          `json:"wal_forces"`
+	LogBytes        int64          `json:"log_bytes"` // live log segments, awaiting truncation
 	Ranges          []RangeMetrics `json:"ranges"`
 }
 
@@ -94,6 +96,7 @@ func (n *Node) Metrics() NodeMetrics {
 		LayoutAdoptions: n.adoptions.Load(),
 	}
 	nm.WALAppends, nm.WALForces = n.log.Stats()
+	nm.LogBytes = n.log.Bytes()
 	for _, r := range n.replicaList() {
 		nm.Ranges = append(nm.Ranges, r.metricsSnapshot())
 	}
@@ -134,6 +137,7 @@ func (r *replica) metricsSnapshot() RangeMetrics {
 	m.WriteP99 = time.Duration(w.Quantile(0.99))
 	m.ReadP95 = time.Duration(r.m.readLat.Snapshot().Quantile(0.95))
 	m.Flushes, m.Compacts, m.Tables = r.engine.Stats()
+	m.TableBytes = r.engine.TableBytes()
 	m.ReadProbes, m.ReadPruned = r.engine.ReadStats()
 	return m
 }

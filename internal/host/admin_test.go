@@ -96,6 +96,8 @@ func TestAdminEndpoints(t *testing.T) {
 		"spinnaker_range_commit_lag_seqs",
 		"spinnaker_range_storage_flushes_total",
 		"spinnaker_node_wal_forces_total",
+		"spinnaker_log_bytes",
+		"spinnaker_table_bytes",
 		`role="leader"`,
 	} {
 		if !strings.Contains(string(text), want) {

@@ -5,6 +5,7 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -74,36 +75,29 @@ func (c Cell) Newer(o Cell) bool {
 //	u64 version | u64 lsn | i64 timestamp | u8 deleted |
 //	u32 valueLen | value
 func EncodeEntry(dst []byte, e Entry) []byte {
-	var scratch [8]byte
-	put16 := func(v int) {
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(v))
-		dst = append(dst, scratch[:2]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		dst = append(dst, scratch[:8]...)
-	}
-	put16(len(e.Key.Row))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Key.Row)))
 	dst = append(dst, e.Key.Row...)
-	put16(len(e.Key.Col))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Key.Col)))
 	dst = append(dst, e.Key.Col...)
-	put64(e.Cell.Version)
-	put64(uint64(e.Cell.LSN))
-	put64(uint64(e.Cell.Timestamp))
+	dst = binary.LittleEndian.AppendUint64(dst, e.Cell.Version)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Cell.LSN))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Cell.Timestamp))
+	var deleted byte
 	if e.Cell.Deleted {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+		deleted = 1
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(e.Cell.Value)))
-	dst = append(dst, scratch[:4]...)
-	dst = append(dst, e.Cell.Value...)
-	return dst
+	dst = binary.LittleEndian.AppendUint32(append(dst, deleted), uint32(len(e.Cell.Value)))
+	return append(dst, e.Cell.Value...)
 }
 
 // entryFixedSize is the encoded cell's fixed-width part: version, lsn,
 // timestamp, deleted byte and value length.
 const entryFixedSize = 8 + 8 + 8 + 1 + 4
+
+// EncodedSize returns the number of bytes EncodeEntry appends for e.
+func EncodedSize(e Entry) int {
+	return 2 + len(e.Key.Row) + 2 + len(e.Key.Col) + entryFixedSize + len(e.Cell.Value)
+}
 
 // EntryView is one encoded entry located in place: every field aliases the
 // buffer it was found in, which must not be written while the view (or a
@@ -156,6 +150,19 @@ func (v EntryView) Compare(k Key) int {
 	}
 	return compareBytesString(v.col, k.Col)
 }
+
+// CompareView orders two views' keys as Key.Compare orders keys.
+func (v EntryView) CompareView(o EntryView) int {
+	if c := bytes.Compare(v.row, o.row); c != 0 {
+		return c
+	}
+	return bytes.Compare(v.col, o.col)
+}
+
+// Key returns the view's row and column, aliasing the buffer.
+//
+//spinnaker:aliases
+func (v EntryView) Key() (row, col []byte) { return v.row, v.col }
 
 // compareBytesString is bytes.Compare(b, []byte(s)) written with the
 // comparison operators, the form of []byte→string conversion the compiler

@@ -186,15 +186,3 @@ func (m *Memtable) AscendRow(row string, fn func(e kv.Entry) bool) {
 		}
 	}
 }
-
-// Snapshot returns all entries in key order; flushes use it to build an
-// SSTable.
-func (m *Memtable) Snapshot() []kv.Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]kv.Entry, 0, m.len)
-	for x := m.head.next[0]; x != nil; x = x.next[0] {
-		out = append(out, x.entry)
-	}
-	return out
-}

@@ -20,8 +20,8 @@ func TestSealedMemtableRejectsApplies(t *testing.T) {
 	if c, ok := m.Get(kv.Key{Row: "r", Col: "c"}); !ok || string(c.Value) != "v" {
 		t.Fatalf("Get after seal = %q,%v", c.Value, ok)
 	}
-	if got := len(m.Snapshot()); got != 1 {
-		t.Fatalf("Snapshot after seal = %d entries", got)
+	if got := len(snapshot(m)); got != 1 {
+		t.Fatalf("Ascend after seal = %d entries", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -196,13 +196,20 @@ func TestMemtableSnapshotSorted(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		m.Apply(kv.Key{Row: fmt.Sprintf("r%d", i), Col: "c"}, cellAt(uint64(10-i), "v"))
 	}
-	snap := m.Snapshot()
+	snap := snapshot(m)
 	if len(snap) != 10 {
-		t.Fatalf("Snapshot len = %d", len(snap))
+		t.Fatalf("Ascend yielded %d entries", len(snap))
 	}
 	if !sort.SliceIsSorted(snap, func(i, j int) bool { return snap[i].Key.Less(snap[j].Key) }) {
-		t.Error("snapshot not sorted")
+		t.Error("Ascend not in key order")
 	}
+}
+
+// snapshot collects every entry Ascend yields, the view a flush writes.
+func snapshot(m *Memtable) []kv.Entry {
+	var out []kv.Entry
+	m.Ascend(func(e kv.Entry) bool { out = append(out, e); return true })
+	return out
 }
 
 func TestMemtableConcurrentReadersWriters(t *testing.T) {

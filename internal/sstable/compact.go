@@ -1,7 +1,7 @@
 package sstable
 
 import (
-	"container/heap"
+	"fmt"
 
 	"spinnaker/internal/kv"
 	"spinnaker/internal/wal"
@@ -14,8 +14,10 @@ import (
 // needs the deletion marker.
 const DropAllTombstones = ^wal.LSN(0)
 
-// Merge performs a k-way merge of tables into a single sorted run. For keys
-// present in several inputs the newest cell (per kv.Cell.Newer) wins.
+// Compact performs a k-way merge of tables, newest first, and serializes
+// the result as a new table blob. For keys present in several inputs the
+// newest cell (per kv.Cell.Newer) wins; at equal cell age the newer table
+// does.
 //
 // Tombstones at or below dropBelow are omitted from the output — the
 // garbage collection of deleted rows the paper attributes to background
@@ -27,88 +29,98 @@ const DropAllTombstones = ^wal.LSN(0)
 // follower's SSTable-based catch-up (§6.1, EntriesSince) would miss the
 // delete and resurrect the row remotely. The storage engine enforces both;
 // dropBelow = 0 keeps every tombstone.
-func Merge(tables []*Table, dropBelow wal.LSN) ([]kv.Entry, error) {
-	h := make(mergeHeap, 0, len(tables))
-	for pri, t := range tables {
-		entries, err := t.Entries()
-		if err != nil {
+//
+// The merge reads the inputs' encoded entries in place and never decodes
+// one: a first pass picks the winners and sums their size, a second copies
+// their bytes into a blob allocated once at its final size.
+func Compact(tables []*Table, dropBelow wal.LSN) ([]byte, error) {
+	// Winners number no more than the inputs' entries: the footers' counts,
+	// capped by what the data can hold so a forged count sizes nothing.
+	curs, bound := make([]cursor, len(tables)), 0
+	for i, t := range tables {
+		curs[i] = cursor{t: t}
+		if err := curs[i].advance(); err != nil {
 			return nil, err
 		}
-		if len(entries) == 0 {
-			continue
-		}
-		h = append(h, &mergeCursor{entries: entries, pri: pri})
+		bound += min(t.count, len(t.data)/kv.EncodedSize(kv.Entry{}))
 	}
-	heap.Init(&h)
-
-	var out []kv.Entry
-	for h.Len() > 0 {
-		cur := h[0]
-		e := cur.entries[cur.pos]
-		cur.pos++
-		if cur.pos == len(cur.entries) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
+	var (
+		spans   = make([]span, 0, bound)
+		size    int
+		win     span // the current key's winner so far; end is 0 before the first
+		winView kv.EntryView
+		winCell kv.Cell
+	)
+	keep := func() {
+		if win.end > 0 && !(dropBelow > 0 && winCell.Deleted && winCell.LSN <= dropBelow) {
+			spans = append(spans, win)
+			size += win.end - win.off
 		}
-
-		if n := len(out); n > 0 && out[n-1].Key.Compare(e.Key) == 0 {
-			if e.Cell.Newer(out[n-1].Cell) {
-				out[n-1] = e
+	}
+	for {
+		// The input whose next entry has the smallest key, the newest
+		// table on a tie.
+		best := -1
+		for i := range curs {
+			if curs[i].n > 0 && (best < 0 || curs[i].v.CompareView(curs[best].v) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c := &curs[best]
+		v, cell, s := c.v, c.v.Cell(), span{t: best, off: c.off, end: c.off + c.n}
+		if err := c.advance(); err != nil {
+			return nil, err
+		}
+		if win.end > 0 && v.CompareView(winView) == 0 {
+			if cell.Newer(winCell) {
+				win, winView, winCell = s, v, cell
 			}
 			continue
 		}
-		out = append(out, e)
+		keep()
+		win, winView, winCell = s, v, cell
 	}
-	if dropBelow > 0 {
-		live := out[:0]
-		for _, e := range out {
-			if !e.Cell.Deleted || e.Cell.LSN > dropBelow {
-				live = append(live, e)
-			}
-		}
-		out = live
+	keep()
+
+	w := newWriter(len(spans), size)
+	for _, s := range spans {
+		raw := curs[s.t].t.data[s.off:s.end]
+		v, _, _ := kv.ViewEntry(raw) // viewed once already in the first pass
+		off := len(w.data)
+		w.data = append(w.data, raw...)
+		w.add(off, v.Cell().LSN)
+		row, col := v.Key()
+		bloomAdd(w.bloom, row, col)
 	}
-	return out, nil
+	return w.finish(), nil
 }
 
-// Compact merges tables and serializes the result as a new table blob,
-// dropping tombstones at or below dropBelow (see Merge).
-func Compact(tables []*Table, dropBelow wal.LSN) ([]byte, error) {
-	entries, err := Merge(tables, dropBelow)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder()
-	for _, e := range entries {
-		b.Add(e)
-	}
-	return b.Finish(), nil
+// cursor walks one input table's encoded entries.
+type cursor struct {
+	t   *Table
+	off int // offset of the current entry in t.data
+	n   int // its encoded length; 0 once the table is exhausted
+	v   kv.EntryView
 }
 
-type mergeCursor struct {
-	entries []kv.Entry
-	pos     int
-	pri     int // lower pri = newer table, wins key ties at equal cell age
-}
-
-type mergeHeap []*mergeCursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	ci, cj := h[i], h[j]
-	c := ci.entries[ci.pos].Key.Compare(cj.entries[cj.pos].Key)
-	if c != 0 {
-		return c < 0
+// advance moves to the next entry. A truncated or forged entry is an error,
+// as a full decode of the table would report it.
+func (c *cursor) advance() error {
+	c.off += c.n
+	if c.off >= len(c.t.data) {
+		c.n = 0
+		return nil
 	}
-	return ci.pri < cj.pri
+	v, n, ok := kv.ViewEntry(c.t.data[c.off:])
+	if !ok {
+		return fmt.Errorf("%w: table %d: entry at offset %d truncated", ErrMalformed, c.t.id, c.off)
+	}
+	c.v, c.n = v, n
+	return nil
 }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeCursor)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+
+// span locates one winning entry: bytes [off, end) of input t's data.
+type span struct{ t, off, end int }

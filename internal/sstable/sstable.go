@@ -48,7 +48,7 @@ type indexEnt struct {
 	off uint32
 }
 
-// Builder accumulates sorted entries and serializes a Table.
+// Builder accumulates entries in any order and serializes them as a table.
 type Builder struct {
 	entries []kv.Entry
 }
@@ -81,47 +81,98 @@ func (b *Builder) Finish() []byte {
 		dedup = append(dedup, e)
 	}
 	b.entries = dedup
+	return WriteSorted(func(fn func(kv.Entry) bool) {
+		for _, e := range b.entries {
+			if !fn(e) {
+				return
+			}
+		}
+	})
+}
 
-	var (
-		data   []byte
-		idx    []uint32
-		minLSN wal.LSN
-		maxLSN wal.LSN
-	)
-	bloom := newBloomBits(len(b.entries))
-	for i, e := range b.entries {
-		if i%indexEvery == 0 {
-			idx = append(idx, uint32(len(data)))
-		}
-		data = kv.EncodeEntry(data, e)
-		bloomAdd(bloom, e.Key)
-		if l := e.Cell.LSN; !l.IsZero() {
-			if minLSN.IsZero() || l < minLSN {
-				minLSN = l
-			}
-			if l > maxLSN {
-				maxLSN = l
-			}
-		}
+// WriteSorted serializes the entries ascend yields — in strictly increasing
+// key order, as a memtable's Ascend yields them — into a table blob. It
+// calls ascend twice, once to size the table and once to fill it, so the
+// blob is one allocation of exactly its final size; both calls must yield
+// the same entries.
+func WriteSorted(ascend func(fn func(kv.Entry) bool)) []byte {
+	n, size := 0, 0
+	ascend(func(e kv.Entry) bool {
+		n, size = n+1, size+kv.EncodedSize(e)
+		return true
+	})
+	w := newWriter(n, size)
+	ascend(func(e kv.Entry) bool {
+		off := len(w.data)
+		w.data = kv.EncodeEntry(w.data, e)
+		w.add(off, e.Cell.LSN)
+		bloomAdd(w.bloom, e.Key.Row, e.Key.Col)
+		return true
+	})
+	return w.finish()
+}
+
+// writer lays a table out in place — data | sparse index | bloom filter |
+// footer — in one allocation sized from the entry count and the encoded
+// size of the data, both known before the first entry is written.
+type writer struct {
+	blob  []byte // the whole table
+	data  []byte // blob's data section, appended to in key order
+	index []byte
+	bloom []byte
+	count int // entries the table was sized for
+	n     int // entries added
+
+	minLSN, maxLSN wal.LSN
+}
+
+func newWriter(count, dataBytes int) writer {
+	indexBytes := (count + indexEvery - 1) / indexEvery * 4
+	bloomBytes := (count*bloomBitsPerKey + 7) / 8 // none for an empty table
+	blob := make([]byte, dataBytes+indexBytes+bloomBytes+footerSize)
+	bloomOff := dataBytes + indexBytes
+	return writer{
+		blob:  blob,
+		data:  blob[:0:dataBytes], // an entry past the stated size reallocates, and finish refuses it
+		index: blob[dataBytes:bloomOff],
+		bloom: blob[bloomOff : len(blob)-footerSize],
+		count: count,
 	}
-	indexOff := uint32(len(data))
-	var scratch [4]byte
-	for _, off := range idx {
-		binary.LittleEndian.PutUint32(scratch[:], off)
-		data = append(data, scratch[:]...)
+}
+
+// add records the entry just appended to data at off: its sparse-index
+// slot and its LSN. The caller sets its bloom bits.
+func (w *writer) add(off int, lsn wal.LSN) {
+	if w.n%indexEvery == 0 {
+		binary.LittleEndian.PutUint32(w.index[w.n/indexEvery*4:], uint32(off))
 	}
-	bloomOff := uint32(len(data))
-	data = append(data, bloom...)
-	footer := make([]byte, footerSize)
-	binary.LittleEndian.PutUint64(footer[0:8], uint64(minLSN))
-	binary.LittleEndian.PutUint64(footer[8:16], uint64(maxLSN))
-	binary.LittleEndian.PutUint32(footer[16:20], uint32(len(b.entries)))
-	binary.LittleEndian.PutUint32(footer[20:24], indexOff)
-	binary.LittleEndian.PutUint32(footer[24:28], uint32(len(idx)))
-	binary.LittleEndian.PutUint32(footer[28:32], bloomOff)
-	binary.LittleEndian.PutUint32(footer[32:36], uint32(len(bloom)))
+	w.n++
+	if !lsn.IsZero() {
+		if w.minLSN.IsZero() || lsn < w.minLSN {
+			w.minLSN = lsn
+		}
+		w.maxLSN = max(w.maxLSN, lsn)
+	}
+}
+
+// finish writes the footer and returns the table. The sizes were computed
+// by this package from the entries it was then handed, so a mismatch is a
+// bug, not bad input.
+func (w *writer) finish() []byte {
+	indexOff := len(w.blob) - footerSize - len(w.bloom) - len(w.index)
+	if w.n != w.count || len(w.data) != indexOff {
+		panic(fmt.Sprintf("sstable: table sized for %d entries in %d bytes got %d in %d", w.count, indexOff, w.n, len(w.data)))
+	}
+	footer := w.blob[len(w.blob)-footerSize:]
+	binary.LittleEndian.PutUint64(footer[0:8], uint64(w.minLSN))
+	binary.LittleEndian.PutUint64(footer[8:16], uint64(w.maxLSN))
+	binary.LittleEndian.PutUint32(footer[16:20], uint32(w.n))
+	binary.LittleEndian.PutUint32(footer[20:24], uint32(indexOff))
+	binary.LittleEndian.PutUint32(footer[24:28], uint32(len(w.index)/4))
+	binary.LittleEndian.PutUint32(footer[28:32], uint32(indexOff+len(w.index)))
+	binary.LittleEndian.PutUint32(footer[32:36], uint32(len(w.bloom)))
 	binary.LittleEndian.PutUint32(footer[36:40], magic)
-	return append(data, footer...)
+	return w.blob
 }
 
 // Open parses a table blob produced by Builder.Finish.
@@ -218,7 +269,7 @@ func (t *Table) MayContain(key kv.Key) bool {
 	if len(t.index) == 0 || key.Less(t.minKey) || t.maxKey.Less(key) {
 		return false
 	}
-	return bloomMayContain(t.bloom, key)
+	return bloomMayContain(t.bloom, key.Row, key.Col)
 }
 
 // SpansRow reports whether the table's key range intersects row (the bloom
@@ -229,7 +280,7 @@ func (t *Table) SpansRow(row string) bool {
 
 // Get returns the cell stored for key. It compares key against the encoded
 // entries in place and decodes only the one that matches, whose Value
-// aliases the table's blob: nothing writes a blob after Builder.Finish, and
+// aliases the table's blob: nothing writes a blob after it is built, and
 // callers must keep it that way. Every entry scanned past is length-checked
 // as kv.DecodeEntry would check it, so a truncated or forged entry is a
 // miss.
@@ -312,14 +363,4 @@ func (t *Table) AscendRow(row string, fn func(e kv.Entry) bool) error {
 		off += n
 	}
 	return nil
-}
-
-// Entries returns all entries; catch-up uses it to ship whole tables.
-func (t *Table) Entries() ([]kv.Entry, error) {
-	out := make([]kv.Entry, 0, t.count)
-	err := t.Ascend(func(e kv.Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out, err
 }

@@ -160,6 +160,24 @@ func TestTableAscendRow(t *testing.T) {
 	}
 }
 
+// merged runs tables through Compact and reads the resulting table back.
+func merged(t *testing.T, tables []*Table, dropBelow wal.LSN) []kv.Entry {
+	t.Helper()
+	blob, err := Compact(tables, dropBelow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Open(0, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []kv.Entry
+	if err := out.Ascend(func(e kv.Entry) bool { entries = append(entries, e); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
 func TestMergeNewestWins(t *testing.T) {
 	older := buildTable(t, 1,
 		entry("a", "1", "old-a", 1),
@@ -169,15 +187,12 @@ func TestMergeNewestWins(t *testing.T) {
 		entry("b", "1", "new-b", 5),
 		entry("c", "1", "new-c", 6),
 	)
-	merged, err := Merge([]*Table{newer, older}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 3 {
-		t.Fatalf("merged %d entries, want 3", len(merged))
+	out := merged(t, []*Table{newer, older}, 0)
+	if len(out) != 3 {
+		t.Fatalf("merged %d entries, want 3", len(out))
 	}
 	byKey := map[string]string{}
-	for _, e := range merged {
+	for _, e := range out {
 		byKey[e.Key.String()] = string(e.Cell.Value)
 	}
 	if byKey["b:1"] != "new-b" {
@@ -194,18 +209,12 @@ func TestMergeDropsTombstonesOnFullMerge(t *testing.T) {
 		Cell: kv.Cell{Deleted: true, LSN: wal.MakeLSN(1, 9), Version: 9}}
 	tombs := buildTable(t, 2, del)
 
-	full, err := Merge([]*Table{tombs, data}, DropAllTombstones)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := merged(t, []*Table{tombs, data}, DropAllTombstones)
 	if len(full) != 1 || full[0].Key.Row != "b" {
 		t.Errorf("full merge = %v, want only b:1", full)
 	}
 
-	partial, err := Merge([]*Table{tombs, data}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	partial := merged(t, []*Table{tombs, data}, 0)
 	if len(partial) != 2 {
 		t.Fatalf("partial merge = %d entries, want 2 (tombstone kept)", len(partial))
 	}
@@ -231,20 +240,17 @@ func TestMergeWatermarkGatesTombstones(t *testing.T) {
 	// Watermark at 1.5: the delete at 1.5 (and the value it shadows) is
 	// garbage-collected; the delete at 1.9 must survive the merge so
 	// catch-up can still ship it to a follower whose cmt < 1.9.
-	merged, err := Merge([]*Table{tombs, data}, wal.MakeLSN(1, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := merged(t, []*Table{tombs, data}, wal.MakeLSN(1, 5))
 	got := map[string]bool{} // row → deleted
-	for _, e := range merged {
+	for _, e := range out {
 		got[e.Key.Row] = e.Cell.Deleted
 	}
 	if _, ok := got["a"]; ok {
-		t.Errorf("tombstone at watermark survived: %v", merged)
+		t.Errorf("tombstone at watermark survived: %v", out)
 	}
 	deleted, ok := got["b"]
 	if !ok || !deleted {
-		t.Errorf("tombstone above watermark dropped: %v", merged)
+		t.Errorf("tombstone above watermark dropped: %v", out)
 	}
 }
 

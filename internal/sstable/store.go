@@ -14,6 +14,11 @@ import (
 // memtable, SSTables survive crashes; the in-memory implementation models a
 // disk that only loses data under the explicit disk-failure injection of
 // §6.1.
+//
+// Put takes ownership of blob: the caller never writes it again, so a store
+// may keep the slice itself, and Get may return that same array to every
+// reader, who must not write it either. Builder.Finish, WriteSorted and
+// Compact output is never written after it is built.
 type TableStore interface {
 	Put(id uint64, blob []byte) error
 	Get(id uint64) ([]byte, error)
@@ -32,11 +37,11 @@ func NewMemTableStore() *MemTableStore {
 	return &MemTableStore{m: make(map[uint64][]byte)}
 }
 
-// Put implements TableStore.
+// Put implements TableStore, keeping blob itself.
 func (s *MemTableStore) Put(id uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[id] = append([]byte(nil), blob...)
+	s.m[id] = blob
 	return nil
 }
 

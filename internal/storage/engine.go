@@ -453,13 +453,11 @@ func (e *Engine) flushOldestSealed() (bool, error) {
 	e.mu.Unlock()
 
 	// Build and store the SSTable off-lock: reads and applies proceed
-	// against the sealed memtable (still in the read path) meanwhile.
-	b := sstable.NewBuilder()
-	for _, ent := range seal.Snapshot() {
-		b.Add(ent)
-	}
+	// against the sealed memtable (still in the read path) meanwhile. A
+	// sealed memtable is sorted, unique and immutable, so it is written
+	// straight from its skiplist.
 	_, maxLSN := seal.LSNRange()
-	blob := b.Finish()
+	blob := sstable.WriteSorted(seal.Ascend)
 	if err := e.cfg.Tables.Put(id, blob); err != nil {
 		// The sealed memtable stays queued; the id, if the Put partially
 		// landed, is an orphan for the Open-time sweep.
@@ -880,6 +878,17 @@ func (e *Engine) Stats() (flushes, compacts int64, tables int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.flushes, e.compacts, len(e.tables)
+}
+
+// TableBytes returns the summed blob size of the live tables.
+func (e *Engine) TableBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var n int64
+	for _, t := range e.tables {
+		n += int64(len(t.Blob()))
+	}
+	return n
 }
 
 // ReadStats reports how many table probes point reads considered and how

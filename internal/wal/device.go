@@ -111,12 +111,15 @@ type MemDevice struct {
 	forceSerial sync.Mutex
 
 	mu      sync.Mutex
-	buf     []byte
-	durable int   // bytes guaranteed to survive Crash
-	forces  int64 // statistics: number of Force calls that hit the medium
+	chunks  [][]byte // memChunk bytes each: a growing segment never copies what it holds
+	size    int      // bytes appended
+	durable int      // bytes guaranteed to survive Crash
+	forces  int64    // statistics: number of Force calls that hit the medium
 	failed  bool
 	closed  bool
 }
+
+const memChunk = 64 << 10
 
 // NewMemDevice returns an empty in-memory device with the given profile.
 func NewMemDevice(profile DeviceProfile) *MemDevice {
@@ -137,8 +140,15 @@ func (d *MemDevice) Append(p []byte) (int64, error) {
 	if d.closed {
 		return 0, errors.New("wal: append to closed device")
 	}
-	off := int64(len(d.buf))
-	d.buf = append(d.buf, p...)
+	off := int64(d.size)
+	for len(p) > 0 {
+		if d.size == len(d.chunks)*memChunk {
+			d.chunks = append(d.chunks, make([]byte, memChunk))
+		}
+		n := copy(d.chunks[d.size/memChunk][d.size%memChunk:], p)
+		p = p[n:]
+		d.size += n
+	}
 	return off, nil
 }
 
@@ -154,7 +164,7 @@ func (d *MemDevice) Force() error {
 		d.mu.Unlock()
 		return ErrDeviceFailed
 	}
-	pending := len(d.buf) - d.durable
+	pending := d.size - d.durable
 	d.mu.Unlock()
 
 	if pending < 0 {
@@ -163,7 +173,7 @@ func (d *MemDevice) Force() error {
 	d.sleepForce(pending)
 
 	d.mu.Lock()
-	d.durable = len(d.buf)
+	d.durable = d.size
 	d.forces++
 	d.mu.Unlock()
 	return nil
@@ -193,10 +203,15 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	if d.failed {
 		return 0, ErrDeviceFailed
 	}
-	if off >= int64(len(d.buf)) {
+	if off >= int64(d.size) {
 		return 0, io.EOF
 	}
-	n := copy(p, d.buf[off:])
+	n := 0
+	for n < len(p) && int(off)+n < d.size {
+		pos := int(off) + n
+		chunk := d.chunks[pos/memChunk][pos%memChunk:]
+		n += copy(p[n:], chunk[:min(len(chunk), d.size-pos)])
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -207,7 +222,7 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 func (d *MemDevice) Size() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.buf))
+	return int64(d.size)
 }
 
 // Close implements Device.
@@ -224,7 +239,10 @@ func (d *MemDevice) Close() error {
 func (d *MemDevice) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = d.buf[:d.durable]
+	d.size = d.durable
+	keep := (d.size + memChunk - 1) / memChunk
+	clear(d.chunks[keep:])
+	d.chunks = d.chunks[:keep]
 	d.closed = false
 }
 
@@ -233,8 +251,7 @@ func (d *MemDevice) Crash() {
 func (d *MemDevice) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = nil
-	d.durable = 0
+	d.chunks, d.size, d.durable = nil, 0, 0
 	d.failed = true
 }
 
@@ -242,8 +259,7 @@ func (d *MemDevice) Fail() {
 func (d *MemDevice) Repair() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = nil
-	d.durable = 0
+	d.chunks, d.size, d.durable = nil, 0, 0
 	d.failed = false
 	d.closed = false
 }

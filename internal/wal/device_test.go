@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -105,6 +107,87 @@ func TestMemDeviceForceCounting(t *testing.T) {
 	}
 	if d.Durable() != 3 {
 		t.Errorf("Durable = %d, want 3", d.Durable())
+	}
+}
+
+// TestMemDeviceChunkBoundaries drives a device across its memChunk seams
+// beside a flat copy of what it should hold: an append larger than a
+// chunk, reads spanning chunks, a crash with the durable point mid-chunk
+// followed by more appends, and a failed and repaired device.
+func TestMemDeviceChunkBoundaries(t *testing.T) {
+	d := NewMemDevice(DeviceInstant)
+	var want []byte
+	appendBytes := func(n int) {
+		t.Helper()
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(len(want) + i*7)
+		}
+		if off, err := d.Append(p); err != nil || off != int64(len(want)) {
+			t.Fatalf("Append(%d bytes) at %d = %d, %v", n, len(want), off, err)
+		}
+		want = append(want, p...)
+	}
+	check := func(what string) {
+		t.Helper()
+		if d.Size() != int64(len(want)) {
+			t.Fatalf("%s: Size = %d, want %d", what, d.Size(), len(want))
+		}
+		for _, off := range []int{0, memChunk - 3, memChunk, 2*memChunk - 1, len(want) - 5} {
+			if off < 0 || off >= len(want) {
+				continue
+			}
+			got := make([]byte, len(want)-off+10) // ends past the device: a short read
+			n, err := d.ReadAt(got, int64(off))
+			if n != len(want)-off || err != io.EOF || !bytes.Equal(got[:n], want[off:]) {
+				t.Fatalf("%s: ReadAt(%d) = %d, %v; want %d bytes matching", what, off, n, err, len(want)-off)
+			}
+		}
+	}
+
+	appendBytes(memChunk - 10)
+	appendBytes(2*memChunk + 100) // the rest of chunk 0, all of 1 and 2, into 3
+	check("append larger than a chunk")
+
+	if err := d.Force(); err != nil {
+		t.Fatal(err)
+	}
+	durable := len(want) // mid-chunk 3
+	appendBytes(memChunk)
+	d.Crash()
+	want = want[:durable]
+	check("crash mid-chunk")
+	appendBytes(memChunk + 1) // overwrites the lost tail, into a fresh chunk
+	check("append after crash")
+
+	d.Fail()
+	if _, err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrDeviceFailed) {
+		t.Fatalf("read of failed device: %v", err)
+	}
+	d.Repair()
+	want = nil
+	check("repaired")
+	appendBytes(memChunk + 1)
+	check("append after repair")
+}
+
+// TestMemDeviceAppendAllocs: a growing device allocates its bytes once, a
+// chunk at a time; a buffer grown by append copied everything it held at
+// every regrowth.
+func TestMemDeviceAppendAllocs(t *testing.T) {
+	const total = 4 << 20
+	rec := make([]byte, 1<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := NewMemDevice(DeviceInstant)
+	for n := 0; n < total; n += len(rec) {
+		if _, err := d.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > total+total/16 {
+		t.Errorf("appending %d bytes allocated %d", total, got)
 	}
 }
 

@@ -472,9 +472,22 @@ func (l *Log) DropCapturedSegments(captured map[uint32]LSN) ([]uint64, error) {
 			}
 		}
 		dropped = append(dropped, seg.id)
+		l.segs[0] = nil // or the backing array keeps the dropped segment's bytes
 		l.segs = l.segs[1:]
 	}
 	return dropped, nil
+}
+
+// Bytes returns the size of the live segments: the log bytes truncation
+// has not yet reclaimed.
+func (l *Log) Bytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for _, seg := range l.segs {
+		n += seg.size
+	}
+	return n
 }
 
 // Segments returns the number of live segments.
