@@ -1,20 +1,31 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// TCPEndpoint is an Endpoint over real TCP sockets, used when running
-// Spinnaker nodes as separate processes (cmd/spinnaker-server). One
-// outbound connection per destination is maintained; the remote peer's
-// reader goroutine preserves in-order delivery per connection, matching the
-// paper's design choice (Appendix A.1).
+// maxFrame bounds a frame's body; the reader drops a connection announcing
+// more, so Send refuses such a frame (NeverLeft). readBufSize is an accepted
+// connection's read buffer; maxSpare, the largest write buffer kept for reuse
+// and the queued bytes past which a sender waits for the write in progress.
+const (
+	maxFrame    = 64 << 20
+	readBufSize = 64 << 10
+	maxSpare    = 256 << 10
+)
+
+// TCPEndpoint is an Endpoint over real TCP sockets, which the benchmark's
+// mixed-*-tcp workloads run over loopback. It keeps one outbound connection
+// per destination, whose reader on the peer delivers in order, as the paper
+// chose (Appendix A.1).
 type TCPEndpoint struct {
 	id      string
 	addrs   map[string]string // node id → host:port
@@ -33,8 +44,13 @@ type TCPEndpoint struct {
 // outbound connection, so nothing is ever read from this one: its reader
 // (watchConn) returns only when the peer closes or resets it.
 type tcpConn struct {
-	mu sync.Mutex // serializes writes
-	c  net.Conn
+	c      net.Conn
+	mu     sync.Mutex
+	idle   sync.Cond // broadcast when the writer stops; L is &mu
+	buf    []byte    // frames not yet taken by the writer
+	spare  []byte    // a written buffer, kept for the next swap
+	writes int       // writes the current writer has begun; 0: none
+	broken bool      // a write failed: the connection is being dropped
 }
 
 // ListenTCP starts an endpoint for node id listening on addrs[id].
@@ -95,22 +111,25 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	var (
+		r      = bufio.NewReaderSize(c, readBufSize) // one read, many frames
 		lenBuf [4]byte
 		peer   string // the last frame's From: one connection, one sender
 	)
 	for {
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return
 		}
 		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > 64<<20 {
+		if size > maxFrame {
 			return // refuse absurd frames
 		}
+		// The handler keeps the payload, so it aliases a body of its own,
+		// never r's reused buffer.
 		body := make([]byte, size)
-		if _, err := io.ReadFull(c, body); err != nil {
+		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
-		m, err := decodeMessage(body, peer, e.id)
+		m, err := decodeMessage(body, peer, e.id, true)
 		if err != nil {
 			return
 		}
@@ -143,6 +162,7 @@ func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 		return nil, notSent(fmt.Errorf("transport: dial %s: %w", node, err))
 	}
 	tc = &tcpConn{c: c}
+	tc.idle.L = &tc.mu
 	e.mu.Lock()
 	if cur, ok := e.conns[node]; ok {
 		e.mu.Unlock()
@@ -167,7 +187,9 @@ func (e *TCPEndpoint) conn(node string) (*tcpConn, error) {
 func (e *TCPEndpoint) watchConn(node string, tc *tcpConn) {
 	_, _ = io.Copy(io.Discard, tc.c)
 	e.dropConn(node, tc)
-	e.calls.reset(node)
+	if !e.closed.Load() { // after Close, calls.done fails them with ErrClosed
+		e.calls.reset(node)
+	}
 }
 
 // dropConn forgets and closes a broken outbound connection.
@@ -186,22 +208,65 @@ func (e *TCPEndpoint) Send(m Message) error {
 		return errSendClosed
 	}
 	m.From = e.id
+	if n := bodySize(m); n > maxFrame {
+		return notSent(fmt.Errorf("%w: %d bytes to %s", errFrameTooLarge, n, m.To))
+	}
 	tc, err := e.conn(m.To)
 	if err != nil {
 		return err
 	}
-	buf := EncodeMessage(m)
-	tc.mu.Lock()
-	_, err = tc.c.Write(buf)
-	tc.mu.Unlock()
-	if err != nil {
+	if err = tc.send(m); err != nil && !NeverLeft(err) {
 		// Connection broke mid-write. Part of the frame may be on the
 		// wire, so this is not a NeverLeft error. Forget the connection
 		// so the next send re-dials.
 		e.dropConn(m.To, tc)
 		return fmt.Errorf("transport: send to %s: %w", m.To, err)
 	}
-	return nil
+	return err
+}
+
+// send appends m's frame to buf under mu: the wire order is the append order.
+// The sender that finds no write in progress becomes the writer: with mu
+// released it writes buf, then what was appended during that write, so
+// concurrent frames share a syscall. A sender that arrives during the second
+// write, or finds maxSpare bytes queued, waits for the writer to stop; so a
+// writer writes at most twice, the queue stays under maxSpare plus a frame,
+// and a peer that stops reading holds senders back. That bound matters
+// because a writer may be a connection's reader replying from its handler.
+// A failed write loses the frames queued behind it; watchConn resets their
+// calls.
+func (tc *tcpConn) send(m Message) error {
+	tc.mu.Lock()
+	for tc.writes > 1 || tc.writes > 0 && len(tc.buf) >= maxSpare {
+		tc.idle.Wait()
+	}
+	if tc.broken {
+		tc.mu.Unlock()
+		return errSendRefused
+	}
+	n, size := len(tc.buf), 4+bodySize(m)
+	tc.buf = slices.Grow(tc.buf, size)[:n+size]
+	putFrame(tc.buf[n:], &m)
+	if tc.writes > 0 {
+		tc.mu.Unlock()
+		return nil
+	}
+	var err error
+	for err == nil && len(tc.buf) > 0 {
+		out := tc.buf
+		tc.buf, tc.spare = tc.spare[:0], nil
+		tc.writes++
+		tc.mu.Unlock()
+		_, err = tc.c.Write(out)
+		tc.mu.Lock()
+		if cap(out) <= maxSpare {
+			tc.spare = out
+		}
+	}
+	tc.writes, tc.broken = 0, err != nil
+	tc.idle.Broadcast()
+	tc.mu.Unlock()
+	return err
 }
 
 // Call implements Endpoint.

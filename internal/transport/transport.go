@@ -5,10 +5,10 @@
 // Multi-Paxos, which assumes an unreliable message layer.
 //
 // Two implementations are provided: a simulated in-process network (used
-// by the test suite and by the benchmark harness to reproduce the paper's
-// cluster on one box) and a real TCP transport used by cmd/spinnaker-server.
-// Both guarantee in-order delivery per sender → receiver link, like a TCP
-// connection.
+// by the test suite, cmd/spinnaker-server and most benchmark workloads to
+// run the paper's cluster in one process) and a real TCP transport, which
+// the benchmark's mixed-*-tcp workloads run over loopback. Both guarantee
+// in-order delivery per sender → receiver link, like a TCP connection.
 //
 // Beneath that TCP-like base, the simulated network carries a seeded
 // per-link fault plane for the nemesis harness: per-message drops,
@@ -71,10 +71,10 @@ type Endpoint interface {
 
 // Errors returned by transports. They fall into two classes, told apart by
 // NeverLeft. Definite: the message was never handed to the network (unknown
-// node, own or peer endpoint closed at Send, dial refused, link overloaded),
-// so the receiver cannot have acted on it. Indefinite — everything else
-// (ErrTimeout, ErrPeerClosed or ErrClosed while a Call was in flight, a
-// broken TCP write): the message may have been delivered and processed.
+// node, own or peer endpoint closed at Send, dial refused, link overloaded,
+// frame too large), so the receiver cannot have acted on it. Indefinite —
+// everything else (ErrTimeout, ErrPeerClosed or ErrClosed while a Call was in
+// flight, a broken TCP write): the message may have been delivered and acted on.
 var (
 	ErrClosed      = errors.New("transport: endpoint closed")
 	ErrUnknownNode = errors.New("transport: unknown node")
@@ -83,8 +83,9 @@ var (
 	// (a Call in flight) from a destination that has closed or crashed.
 	ErrPeerClosed = errors.New("transport: peer closed")
 
-	errNotSent   = errors.New("transport: not sent")
-	errTruncated = errors.New("transport: message truncated")
+	errNotSent       = errors.New("transport: not sent")
+	errTruncated     = errors.New("transport: message truncated")
+	errFrameTooLarge = errors.New("transport: frame too large")
 )
 
 // notSent marks err as definite: the message never left this endpoint.
@@ -256,35 +257,45 @@ func asReply(req, m Message) Message {
 	return m
 }
 
-// EncodeMessage serializes m with length framing for the TCP transport.
+// EncodeMessage serializes m with length framing, in one exact-size buffer.
 func EncodeMessage(m Message) []byte {
-	size := 2 + len(m.From) + 2 + len(m.To) + 1 + 4 + 8 + 1 + 4 + len(m.Payload)
-	buf := make([]byte, 4+size)
-	binary.LittleEndian.PutUint32(buf, uint32(size))
+	buf := make([]byte, 4+bodySize(m))
+	putFrame(buf, &m)
+	return buf
+}
+
+// bodySize is the length of m's frame after its 4-byte length prefix.
+func bodySize(m Message) int { return 2 + len(m.From) + 2 + len(m.To) + 18 + len(m.Payload) }
+
+// putFrame writes m's frame into buf, 4+bodySize(m) long, setting every byte.
+// It is the one frame writer, for EncodeMessage and TCPEndpoint.Send.
+//
+//spinnaker:hotpath
+func putFrame(buf []byte, m *Message) {
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	binary.LittleEndian.PutUint16(buf[4:], uint16(len(m.From)))
 	off := 6 + copy(buf[6:], m.From)
 	binary.LittleEndian.PutUint16(buf[off:], uint16(len(m.To)))
-	off += 2
-	off += copy(buf[off:], m.To)
+	off += 2 + copy(buf[off+2:], m.To)
 	buf[off] = m.Kind
 	binary.LittleEndian.PutUint32(buf[off+1:], m.Cohort)
 	binary.LittleEndian.PutUint64(buf[off+5:], m.ID)
+	buf[off+13] = 0
 	if m.Reply {
 		buf[off+13] = 1
 	}
 	binary.LittleEndian.PutUint32(buf[off+14:], uint32(len(m.Payload)))
 	copy(buf[off+18:], m.Payload)
-	return buf
 }
 
 // DecodeMessage parses a message body (after the 4-byte length frame).
 // Nothing in the result aliases b.
-func DecodeMessage(b []byte) (Message, error) { return decodeMessage(b, "", "") }
+func DecodeMessage(b []byte) (Message, error) { return decodeMessage(b, "", "", false) }
 
 // decodeMessage is DecodeMessage for a connection's reader, which knows who
-// it is and, after the first frame, who the peer is: a From or To whose
-// bytes match the given string reuses it instead of allocating a copy.
-func decodeMessage(b []byte, from, to string) (Message, error) {
+// it is and, after the first frame, who the peer is: a From or To matching
+// the given string reuses it, and with own set the payload aliases b.
+func decodeMessage(b []byte, from, to string, own bool) (Message, error) {
 	var (
 		m  Message
 		ok bool
@@ -304,7 +315,9 @@ func decodeMessage(b []byte, from, to string) (Message, error) {
 		return m, errTruncated
 	}
 	if n > 0 {
-		m.Payload = append([]byte(nil), b[:n]...)
+		if m.Payload = b[:n:n]; !own {
+			m.Payload = append([]byte(nil), m.Payload...)
+		}
 	}
 	return m, nil
 }
