@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -211,6 +213,59 @@ func TestClientGetAllocs(t *testing.T) {
 		if n > 5 {
 			t.Errorf("consistent=%v: %v allocs per Get, want ≤ 5", consistent, n)
 		}
+	}
+}
+
+// TestPutAllocs counts the heap objects a replicated put allocates end to end:
+// the client's encode and call, the leader's sequencing, log append,
+// propose and commit, each follower's append and ack, and every replica's
+// memtable apply. Sequential puts are the worst case for the per-batch
+// objects (a batch of one). The count runs until every replica has applied
+// every put, and includes whatever the nodes' timers allocate meanwhile.
+func TestPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	if ParanoidAckChecks {
+		t.Skip("the paranoid ack check scans the log before every ack")
+	}
+	tc := newTestCluster(t, 3, nil)
+	tc.waitAllLeaders()
+	c := tc.client()
+	const puts = 2000
+	rows := make([]string, puts+1)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("put-allocs-%06d", i)
+	}
+	value := bytes.Repeat([]byte("v"), 1024)
+	if _, err := c.Put(rows[puts], "col", value); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, row := range rows[:puts] {
+		if _, err := c.Put(row, "col", value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < tc.layout.NumRanges(); r++ {
+		st, _ := tc.leaderOf(uint32(r)).ReplicaStats(uint32(r))
+		for _, n := range tc.nodes {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if fst, _ := n.ReplicaStats(uint32(r)); fst.LastCommitted >= st.LastLSN {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never applied range %d through %v", n.ID(), r, st.LastLSN)
+				}
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPut := float64(after.Mallocs-before.Mallocs) / puts
+	t.Logf("%.1f allocs per put", perPut)
+	if perPut > 27 {
+		t.Errorf("%.1f allocs per replicated put, want ≤ 27", perPut)
 	}
 }
 

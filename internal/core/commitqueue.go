@@ -1,20 +1,28 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"spinnaker/internal/kv"
+	"spinnaker/internal/transport"
 	"spinnaker/internal/wal"
 )
 
-// writeOutcome is delivered to a leader-side write's responder when the
-// write commits (or fails permanently).
+// writeOutcome is delivered to a leader-side write's client when the write
+// commits (or fails permanently).
 type writeOutcome struct {
-	status   uint8
-	detail   string
-	versions []uint64
+	status uint8
+	detail string
+}
+
+// writeReplier answers a client's write request. The leader's Node is the
+// one outside tests.
+type writeReplier interface {
+	// replyWrite answers req with out; a sequenced write passes its LSN,
+	// which is the version of each of its cols columns.
+	replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, cols int)
 }
 
 // pendingWrite is one entry in the commit queue: a write that has been
@@ -27,10 +35,12 @@ type pendingWrite struct {
 	op         WriteOp
 	selfForced bool // the local log force for this write completed
 	doneOnce   sync.Once
-	// respond delivers the outcome of a client write (the leader replies
-	// on commit instead of holding a goroutine per write); enqueuedAt
-	// bounds its wait via the leader's WriteTimeout sweep.
-	respond    func(writeOutcome)
+	// client answers the write's request, req (the inbound MsgWrite's
+	// header), on commit: the leader replies then instead of holding a
+	// goroutine per write. Nil on followers, whose pendings have no waiting
+	// client. enqueuedAt bounds the wait via the leader's WriteTimeout sweep.
+	client     writeReplier
+	req        transport.Message
 	enqueuedAt time.Time
 	// lastPropose is when the leader last sent (or re-sent) the propose
 	// message, for retransmission of writes whose proposes were lost.
@@ -67,8 +77,8 @@ func (p *pendingWrite) observe(f func(committed bool)) {
 // (which have no waiting client).
 func (p *pendingWrite) finish(out writeOutcome) {
 	p.doneOnce.Do(func() {
-		if p.respond != nil {
-			p.respond(out)
+		if p.client != nil {
+			p.client.replyWrite(p.req, out, p.lsn, len(p.op.Cols))
 		}
 		p.obsMu.Lock()
 		p.obsDone = true
@@ -87,11 +97,12 @@ func (p *pendingWrite) finish(out writeOutcome) {
 // order within a cohort (§5.1), so a later write that gathers its quorum
 // early still waits for its predecessors.
 type commitQueue struct {
-	mu      sync.Mutex
-	byLSN   map[wal.LSN]*pendingWrite
-	order   []wal.LSN // ascending
-	byKey   map[kv.Key]wal.LSN
-	keyLSNs map[kv.Key][]wal.LSN
+	mu    sync.Mutex
+	byLSN map[wal.LSN]*pendingWrite
+	order []wal.LSN // ascending; pops shift it down, so it keeps its array
+	// byKey maps every key a pending write touches to the newest pending
+	// LSN that touches it.
+	byKey map[kv.Key]wal.LSN
 	// peerAcked is the per-peer cumulative ack watermark: peer p durably
 	// holds every write of the cohort at or below peerAcked[p]. Reset on
 	// leadership transitions — a watermark earned under an old epoch may
@@ -103,7 +114,6 @@ func newCommitQueue() *commitQueue {
 	return &commitQueue{
 		byLSN:     make(map[wal.LSN]*pendingWrite),
 		byKey:     make(map[kv.Key]wal.LSN),
-		keyLSNs:   make(map[kv.Key][]wal.LSN),
 		peerAcked: make(map[string]wal.LSN),
 	}
 }
@@ -112,6 +122,8 @@ func newCommitQueue() *commitQueue {
 // pending (a re-proposal the node has already logged, Fig 6 line 5:
 // "a follower may already have some of the writes ... these can be
 // detected and ignored").
+//
+//spinnaker:hotpath
 func (q *commitQueue) add(p *pendingWrite) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -124,19 +136,23 @@ func (q *commitQueue) add(p *pendingWrite) bool {
 	if n := len(q.order); n == 0 || q.order[n-1] < p.lsn {
 		q.order = append(q.order, p.lsn)
 	} else {
-		i := sort.Search(n, func(i int) bool { return q.order[i] > p.lsn })
-		q.order = append(q.order, 0)
-		copy(q.order[i+1:], q.order[i:])
-		q.order[i] = p.lsn
+		i, _ := slices.BinarySearch(q.order, p.lsn)
+		q.order = slices.Insert(q.order, i, p.lsn)
 	}
-	for _, c := range p.op.Cols {
-		k := kv.Key{Row: p.op.Row, Col: c.Col}
+	q.indexLocked(p)
+	return true
+}
+
+// indexLocked records p in byKey; callers hold q.mu.
+//
+//spinnaker:locked(mu)
+func (q *commitQueue) indexLocked(p *pendingWrite) {
+	for i := range p.op.Cols {
+		k := kv.Key{Row: p.op.Row, Col: p.op.Cols[i].Col}
 		if p.lsn > q.byKey[k] {
 			q.byKey[k] = p.lsn
 		}
-		q.keyLSNs[k] = append(q.keyLSNs[k], p.lsn)
 	}
-	return true
 }
 
 // markForced records that the local log force for lsn completed.
@@ -160,48 +176,46 @@ func (q *commitQueue) markAckedThrough(from string, lsn wal.LSN) {
 	}
 }
 
-// ackCountLocked returns the number of peers among the allowed set whose
-// cumulative watermark covers p; a nil allowed set admits every peer. Callers hold q.mu. The filter exists for
-// live cohort reconfiguration: a member that has been moved out of the
-// cohort may logically truncate what it acked, so its acks stop counting
-// toward quorum the moment the leader adopts the new membership.
+// ackCountLocked returns the number of peers among peers whose cumulative
+// watermark covers p; a nil peers slice admits every peer. Callers hold
+// q.mu. The filter exists for live cohort reconfiguration: a member that has
+// been moved out of the cohort may logically truncate what it acked, so its
+// acks stop counting toward quorum the moment the leader adopts the new
+// membership.
 //
 //spinnaker:locked(mu)
-func (q *commitQueue) ackCountLocked(p *pendingWrite, allowed map[string]bool) int {
+func (q *commitQueue) ackCountLocked(p *pendingWrite, peers []string) int {
 	n := 0
 	for peer, through := range q.peerAcked {
-		if through >= p.lsn && (allowed == nil || allowed[peer]) {
+		if through >= p.lsn && (peers == nil || slices.Contains(peers, peer)) {
 			n++
 		}
 	}
 	return n
 }
 
-// popCommittable removes and returns, in LSN order, the maximal prefix of
-// the queue where every write has been locally forced and acknowledged by
-// at least quorum-1 distinct followers drawn from peers (the leader's own
-// log force is its vote, §8.1: a write commits once it is on 2 of 3 logs).
-// With cumulative acks this commits the whole quorum-acked prefix in one
-// pass. A nil peers slice counts acks from any sender (tests).
-func (q *commitQueue) popCommittable(quorum int, peers []string) []*pendingWrite {
+// popCommittable removes, in LSN order, the maximal prefix of the queue
+// where every write has been locally forced and acknowledged by at least
+// quorum-1 distinct followers drawn from peers (the leader's own log force
+// is its vote, §8.1: a write commits once it is on 2 of 3 logs), and returns
+// out with them appended. With cumulative acks this commits the whole
+// quorum-acked prefix in one pass. A nil peers slice counts acks from any
+// sender (tests).
+//
+//spinnaker:hotpath
+func (q *commitQueue) popCommittable(quorum int, peers []string, out []*pendingWrite) []*pendingWrite {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var allowed map[string]bool
-	if peers != nil {
-		allowed = make(map[string]bool, len(peers))
-		for _, p := range peers {
-			allowed[p] = true
-		}
-	}
-	var out []*pendingWrite
-	for len(q.order) > 0 {
-		p := q.byLSN[q.order[0]]
-		if !p.selfForced || 1+q.ackCountLocked(p, allowed) < quorum {
+	n := 0
+	for _, lsn := range q.order {
+		p := q.byLSN[lsn]
+		if !p.selfForced || 1+q.ackCountLocked(p, peers) < quorum {
 			break
 		}
 		out = append(out, p)
-		q.removeHeadLocked()
+		n++
 	}
+	q.dropHeadLocked(n)
 	return out
 }
 
@@ -216,70 +230,58 @@ func (q *commitQueue) resetAcks() {
 	q.peerAcked = make(map[string]wal.LSN)
 }
 
-// popThrough removes and returns, in LSN order, all pending writes with
-// LSN ≤ through. Followers use it when a commit message (or piggybacked
-// commit LSN) arrives: "apply all pending writes up to a certain LSN" (§5).
-func (q *commitQueue) popThrough(through wal.LSN) []*pendingWrite {
+// popThrough removes, in LSN order, all pending writes with LSN ≤ through
+// and returns out with them appended. Followers use it when a commit message
+// (or piggybacked commit LSN) arrives: "apply all pending writes up to a
+// certain LSN" (§5).
+//
+//spinnaker:hotpath
+func (q *commitQueue) popThrough(through wal.LSN, out []*pendingWrite) []*pendingWrite {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []*pendingWrite
-	for len(q.order) > 0 && q.order[0] <= through {
-		out = append(out, q.byLSN[q.order[0]])
-		q.removeHeadLocked()
+	n := 0
+	for ; n < len(q.order) && q.order[n] <= through; n++ {
+		out = append(out, q.byLSN[q.order[n]])
 	}
+	q.dropHeadLocked(n)
 	return out
 }
 
-// removeHeadLocked unlinks q.order[0]; callers hold q.mu.
+// dropHeadLocked unlinks the n oldest pending writes; callers hold q.mu.
+// Each is older than every write left, so a key whose newest pending LSN is
+// one of theirs has no pending write left at all.
 //
 //spinnaker:locked(mu)
-func (q *commitQueue) removeHeadLocked() {
-	lsn := q.order[0]
-	p := q.byLSN[lsn]
-	delete(q.byLSN, lsn)
-	q.order = q.order[1:]
-	for _, c := range p.op.Cols {
-		k := kv.Key{Row: p.op.Row, Col: c.Col}
-		ls := q.keyLSNs[k]
-		for i, l := range ls {
-			if l == lsn {
-				ls = append(ls[:i], ls[i+1:]...)
-				break
+func (q *commitQueue) dropHeadLocked(n int) {
+	for _, lsn := range q.order[:n] {
+		p := q.byLSN[lsn]
+		delete(q.byLSN, lsn)
+		for i := range p.op.Cols {
+			k := kv.Key{Row: p.op.Row, Col: p.op.Cols[i].Col}
+			if q.byKey[k] == lsn {
+				delete(q.byKey, k)
 			}
-		}
-		if len(ls) == 0 {
-			delete(q.keyLSNs, k)
-			delete(q.byKey, k)
-		} else {
-			q.keyLSNs[k] = ls
-			max := ls[0]
-			for _, l := range ls[1:] {
-				if l > max {
-					max = l
-				}
-			}
-			q.byKey[k] = max
 		}
 	}
+	q.order = q.order[:copy(q.order, q.order[n:])]
 }
 
 // remove unlinks a single pending write (logical truncation of a dead
-// branch, or a failed append). It reports whether the LSN was pending.
+// branch, or a failed append). It reports whether the LSN was pending. This
+// is the rare path, so it rebuilds byKey by scanning the queue.
 func (q *commitQueue) remove(lsn wal.LSN) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.byLSN[lsn]; !ok {
 		return false
 	}
-	// Rotate the target to the head, then reuse the head-removal logic.
-	for i, l := range q.order {
-		if l == lsn {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			q.order = append([]wal.LSN{lsn}, q.order...)
-			break
-		}
+	delete(q.byLSN, lsn)
+	i, _ := slices.BinarySearch(q.order, lsn)
+	q.order = slices.Delete(q.order, i, i+1)
+	clear(q.byKey)
+	for _, l := range q.order {
+		q.indexLocked(q.byLSN[l])
 	}
-	q.removeHeadLocked()
 	return true
 }
 
@@ -294,7 +296,6 @@ func (q *commitQueue) drain() []*pendingWrite {
 	q.byLSN = make(map[wal.LSN]*pendingWrite)
 	q.order = nil
 	q.byKey = make(map[kv.Key]wal.LSN)
-	q.keyLSNs = make(map[kv.Key][]wal.LSN)
 	q.peerAcked = make(map[string]wal.LSN)
 	return out
 }
@@ -306,7 +307,7 @@ func (q *commitQueue) drain() []*pendingWrite {
 func (q *commitQueue) hasPendingRowIn(low, high string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for k := range q.keyLSNs {
+	for k := range q.byKey {
 		if keyInRange(k.Row, low, high) {
 			return true
 		}
@@ -401,7 +402,7 @@ func (q *commitQueue) staleResponders(timeout time.Duration) []*pendingWrite {
 	var out []*pendingWrite
 	for _, lsn := range q.order {
 		p := q.byLSN[lsn]
-		if p.respond != nil && !p.enqueuedAt.IsZero() && now.Sub(p.enqueuedAt) > timeout {
+		if p.client != nil && !p.enqueuedAt.IsZero() && now.Sub(p.enqueuedAt) > timeout {
 			out = append(out, p)
 		}
 	}

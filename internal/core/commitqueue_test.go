@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spinnaker/internal/kv"
+	"spinnaker/internal/transport"
 	"spinnaker/internal/wal"
 )
 
@@ -34,7 +35,7 @@ func TestCommitQueuePopCommittableInOrder(t *testing.T) {
 		q.add(pw(seq, "r", "c"))
 	}
 	// Nothing is committable before forces/acks.
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatalf("popped %d writes with no acks", len(got))
 	}
 	// LSN 2 satisfied first (its force completed, and the follower's
@@ -43,11 +44,11 @@ func TestCommitQueuePopCommittableInOrder(t *testing.T) {
 	// §5.1).
 	q.markForced(wal.MakeLSN(1, 2))
 	q.markAckedThrough("f1", wal.MakeLSN(1, 2))
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatalf("LSN 2 committed ahead of LSN 1")
 	}
 	q.markForced(wal.MakeLSN(1, 1))
-	got := q.popCommittable(2, nil)
+	got := q.popCommittable(2, nil, nil)
 	if len(got) != 2 || got[0].lsn != wal.MakeLSN(1, 1) || got[1].lsn != wal.MakeLSN(1, 2) {
 		t.Fatalf("popped %d writes, want [1.1 1.2]", len(got))
 	}
@@ -63,11 +64,11 @@ func TestCommitQueueQuorumRule(t *testing.T) {
 	// An ack without the local force is not enough (the commit rule is
 	// 2-of-3 logs *including* the leader's, §8.1).
 	q.markAckedThrough("f1", wal.MakeLSN(1, 1))
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("committed without local force")
 	}
 	q.markForced(wal.MakeLSN(1, 1))
-	if got := q.popCommittable(2, nil); len(got) != 1 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 {
 		t.Fatal("not committed with force + 1 ack")
 	}
 }
@@ -77,7 +78,7 @@ func TestCommitQueuePopThrough(t *testing.T) {
 	for seq := uint64(1); seq <= 5; seq++ {
 		q.add(pw(seq, "r", "c"))
 	}
-	got := q.popThrough(wal.MakeLSN(1, 3))
+	got := q.popThrough(wal.MakeLSN(1, 3), nil)
 	if len(got) != 3 {
 		t.Fatalf("popThrough(1.3) = %d writes", len(got))
 	}
@@ -100,7 +101,7 @@ func TestCommitQueueLatestPendingPerKey(t *testing.T) {
 	}
 	// Popping the newer write reveals... nothing for "a" if both popped;
 	// popThrough(1.2) removes 1 and 2.
-	q.popThrough(wal.MakeLSN(1, 2))
+	q.popThrough(wal.MakeLSN(1, 2), nil)
 	if _, ok := q.latestPending(kv.Key{Row: "r", Col: "a"}); ok {
 		t.Error("latestPending(a) found after pop")
 	}
@@ -201,9 +202,16 @@ func TestCommitQueueStalePending(t *testing.T) {
 	}
 }
 
+// replies is a writeReplier that records the outcomes it is asked to send.
+type replies []writeOutcome
+
+func (r *replies) replyWrite(_ transport.Message, out writeOutcome, _ wal.LSN, _ int) {
+	*r = append(*r, out)
+}
+
 func TestPendingWriteFinishOnce(t *testing.T) {
-	var got []writeOutcome
-	p := &pendingWrite{respond: func(out writeOutcome) { got = append(got, out) }}
+	var got replies
+	p := &pendingWrite{client: &got}
 	p.finish(writeOutcome{status: StatusOK})
 	p.finish(writeOutcome{status: StatusUnavailable}) // must not respond twice
 	if len(got) != 1 || got[0].status != StatusOK {
@@ -229,7 +237,7 @@ func TestCommitQueueCumulativeAckCommitsPrefix(t *testing.T) {
 		q.markForced(wal.MakeLSN(1, seq))
 	}
 	q.markAckedThrough("f1", wal.MakeLSN(1, 4))
-	got := q.popCommittable(2, nil)
+	got := q.popCommittable(2, nil, nil)
 	if len(got) != 4 || got[0].lsn != wal.MakeLSN(1, 1) || got[3].lsn != wal.MakeLSN(1, 4) {
 		t.Fatalf("popped %d writes, want the 4-write prefix", len(got))
 	}
@@ -248,7 +256,7 @@ func TestCommitQueueCumulativeAckOutOfOrder(t *testing.T) {
 	}
 	q.markAckedThrough("f1", wal.MakeLSN(1, 5))
 	q.markAckedThrough("f1", wal.MakeLSN(1, 2)) // stale, reordered: ignored
-	got := q.popCommittable(2, nil)
+	got := q.popCommittable(2, nil, nil)
 	if len(got) != 5 {
 		t.Fatalf("popped %d writes after reordered acks, want 5", len(got))
 	}
@@ -261,11 +269,11 @@ func TestCommitQueueCumulativeAckStaleEpoch(t *testing.T) {
 	q.add(pwAt(2, 7, "r", "c"))
 	q.markForced(wal.MakeLSN(2, 7))
 	q.markAckedThrough("f1", wal.MakeLSN(1, 99)) // epoch 1 watermark
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatalf("committed %d writes on a prior-epoch ack", len(got))
 	}
 	q.markAckedThrough("f1", wal.MakeLSN(2, 7))
-	if got := q.popCommittable(2, nil); len(got) != 1 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 {
 		t.Fatal("not committed after current-epoch ack")
 	}
 }
@@ -300,25 +308,25 @@ func TestCommitQueueQuorumAckFromStaleLeaderEpoch(t *testing.T) {
 	// claiming old-epoch watermarks (f2's even covers 1.6 again).
 	q.markAckedThrough("f1", wal.MakeLSN(1, 6))
 	q.markAckedThrough("f2", wal.MakeLSN(1, 6))
-	got := q.popCommittable(2, nil)
+	got := q.popCommittable(2, nil, nil)
 	// The re-proposed old-epoch writes commit — these acks are fresh
 	// answers to the re-proposals and genuinely cover 1.5 and 1.6 — but
 	// the epoch-2 write must NOT ride along on old-epoch watermarks.
 	if len(got) != 2 || got[0].lsn != wal.MakeLSN(1, 5) || got[1].lsn != wal.MakeLSN(1, 6) {
 		t.Fatalf("popped %d writes, want the two re-proposed 1.x writes", len(got))
 	}
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("epoch-2 write committed on a quorum of stale-epoch acks")
 	}
 	// An old-epoch watermark beyond anything pending (earned on a branch
 	// that was since logically truncated) still compares below epoch 2.
 	q.markAckedThrough("f1", wal.MakeLSN(1, 99))
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("ack for a truncated LSN committed something")
 	}
 	// Only a current-epoch acknowledgement commits the epoch-2 write.
 	q.markAckedThrough("f1", wal.MakeLSN(2, 7))
-	if got := q.popCommittable(2, nil); len(got) != 1 || got[0].lsn != wal.MakeLSN(2, 7) {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 || got[0].lsn != wal.MakeLSN(2, 7) {
 		t.Fatal("epoch-2 write did not commit on its own epoch's ack")
 	}
 }
@@ -357,11 +365,11 @@ func TestCommitQueueCumulativeAckForceInterleavings(t *testing.T) {
 	q := newCommitQueue()
 	q.add(pw(1, "r", "c"))
 	q.markAckedThrough("f1", lsn)
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("committed without the local force")
 	}
 	q.markForced(lsn)
-	if got := q.popCommittable(2, nil); len(got) != 1 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 {
 		t.Fatal("not committed after force joined the ack")
 	}
 
@@ -369,11 +377,11 @@ func TestCommitQueueCumulativeAckForceInterleavings(t *testing.T) {
 	q = newCommitQueue()
 	q.add(pw(1, "r", "c"))
 	q.markForced(lsn)
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("committed without any follower ack")
 	}
 	q.markAckedThrough("f1", lsn)
-	if got := q.popCommittable(2, nil); len(got) != 1 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 {
 		t.Fatal("not committed after ack joined the force")
 	}
 }
@@ -388,11 +396,11 @@ func TestCommitQueueDistinctPeerQuorum(t *testing.T) {
 	q.markForced(lsn)
 	q.markAckedThrough("f1", lsn)
 	q.markAckedThrough("f1", lsn)
-	if got := q.popCommittable(3, nil); len(got) != 0 {
+	if got := q.popCommittable(3, nil, nil); len(got) != 0 {
 		t.Fatal("one peer double-counted toward a 3-quorum")
 	}
 	q.markAckedThrough("f2", lsn)
-	if got := q.popCommittable(3, nil); len(got) != 1 {
+	if got := q.popCommittable(3, nil, nil); len(got) != 1 {
 		t.Fatal("two distinct peers + leader should commit at quorum 3")
 	}
 }
@@ -408,11 +416,11 @@ func TestCommitQueueResetAcksOnStepDown(t *testing.T) {
 	q.markAckedThrough("f1", lsn)
 	q.markAckedThrough("f2", lsn)
 	q.resetAcks()
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("stale acks survived resetAcks")
 	}
 	q.markAckedThrough("f1", lsn)
-	if got := q.popCommittable(2, nil); len(got) != 1 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 1 {
 		t.Fatal("fresh ack after reset did not commit")
 	}
 }
@@ -427,7 +435,7 @@ func TestCommitQueueDrainClearsWatermarks(t *testing.T) {
 	q.drain()
 	q.add(pw(2, "r", "c"))
 	q.markForced(wal.MakeLSN(1, 2))
-	if got := q.popCommittable(2, nil); len(got) != 0 {
+	if got := q.popCommittable(2, nil, nil); len(got) != 0 {
 		t.Fatal("watermark survived drain")
 	}
 }
@@ -435,11 +443,11 @@ func TestCommitQueueDrainClearsWatermarks(t *testing.T) {
 func TestCommitQueueStaleResponders(t *testing.T) {
 	q := newCommitQueue()
 	fresh := pw(1, "r", "c")
-	fresh.respond = func(writeOutcome) {}
+	fresh.client = &replies{}
 	fresh.enqueuedAt = time.Now()
 	q.add(fresh)
 	old := pw(2, "r", "c")
-	old.respond = func(writeOutcome) {}
+	old.client = &replies{}
 	old.enqueuedAt = time.Now().Add(-time.Minute)
 	q.add(old)
 	follower := pw(3, "r", "c") // no responder: never listed

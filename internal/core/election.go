@@ -365,7 +365,7 @@ func (r *replica) takeover() bool {
 	r.leaderID = r.n.cfg.ID
 	lCmt := r.lastCommitted
 	lLst = r.lastLSN
-	peers := append([]string(nil), r.peers...)
+	peers := r.peers
 	r.mu.Unlock()
 
 	// Lines 3-7: catch up each follower to l.cmt, in parallel; line 8:

@@ -569,17 +569,17 @@ func (n *Node) handle(m transport.Message) {
 		}
 		n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeRowResp(r.getRow(req))})
 	case MsgWrite:
-		op, _, err := DecodeWriteOp(m.Payload)
+		// Sequence now, reply on commit. The link goroutine is freed
+		// immediately, so one client's pipelined writes coalesce into
+		// shared batches instead of running in lockstep. The op aliases
+		// the request payload, which nothing writes once received; the
+		// reply needs only the request's header.
+		op, _, err := decodeWriteOpShared(m.Payload)
 		if err != nil {
 			return
 		}
-		// Sequence now, reply on commit. The link goroutine is freed
-		// immediately, so one client's pipelined writes coalesce into
-		// shared batches instead of running in lockstep.
-		r.submitWriteAsync(op, func(out writeOutcome) {
-			n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeWriteResult(writeResult{
-				Status: out.status, Detail: out.detail, Versions: out.versions})})
-		})
+		m.Payload = nil
+		r.submitWriteAsync(op, m)
 	case MsgProposeBatch:
 		r.onProposeBatch(m)
 	case MsgAckBatch:
@@ -607,6 +607,22 @@ func (n *Node) handleGet(r *replica, m transport.Message) {
 		return
 	}
 	n.reply(m, transport.Message{Cohort: m.Cohort, Payload: encodeGetResp(r.get(req))})
+}
+
+// replyWrite implements writeReplier: it answers the client write req with
+// out, reporting lsn as the version of each of the write's cols columns.
+//
+//spinnaker:hotpath
+func (n *Node) replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, cols int) {
+	var buf [4]uint64
+	versions := buf[:0]
+	if !lsn.IsZero() {
+		for range cols {
+			versions = append(versions, uint64(lsn))
+		}
+	}
+	n.reply(req, transport.Message{Cohort: req.Cohort, Payload: encodeWriteResult(writeResult{
+		Status: out.status, Detail: out.detail, Versions: versions})})
 }
 
 // commitTimer drives the leader's periodic asynchronous commit messages

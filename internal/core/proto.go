@@ -319,22 +319,31 @@ func decodeWriteOp(b []byte, copyValues bool) (WriteOp, int, error) {
 	return op, off, nil
 }
 
-// Entries converts a sequenced WriteOp into storage entries at lsn.
-func (op WriteOp) Entries(lsn wal.LSN) []kv.Entry {
-	out := make([]kv.Entry, 0, len(op.Cols))
-	for _, c := range op.Cols {
-		out = append(out, kv.Entry{
-			Key: kv.Key{Row: op.Row, Col: c.Col},
-			Cell: kv.Cell{
-				Value:   c.Value,
-				Version: c.Version,
-				LSN:     lsn,
-				Deleted: c.Delete,
-			},
+// entrySink receives a committed write's cells: the storage engine, or a
+// catch-up reply being assembled (entryList).
+type entrySink interface{ Apply(kv.Entry) }
+
+// applyOp hands each column of op, sequenced at lsn, to dst as a storage
+// entry. It is the one conversion from a committed write to cells: the
+// leader's commit, a follower's apply, local recovery and catch-up all go
+// through it.
+//
+//spinnaker:hotpath
+func applyOp(dst entrySink, op WriteOp, lsn wal.LSN) {
+	for i := range op.Cols {
+		c := &op.Cols[i]
+		dst.Apply(kv.Entry{
+			Key:  kv.Key{Row: op.Row, Col: c.Col},
+			Cell: kv.Cell{Value: c.Value, Version: c.Version, LSN: lsn, Deleted: c.Delete},
 		})
 	}
-	return out
 }
+
+// entryList is an entrySink that collects the entries.
+type entryList []kv.Entry
+
+// Apply implements entrySink.
+func (l *entryList) Apply(e kv.Entry) { *l = append(*l, e) }
 
 // proposeRec is one sequenced write inside a propose message: the LSN plus
 // the op, Fig 4's per-write protocol state. Raw, when non-nil, is Op's

@@ -103,7 +103,8 @@ func TestWriteOpEntries(t *testing.T) {
 		{Col: "b", Delete: true, Version: 9},
 	}}
 	lsn := wal.MakeLSN(2, 5)
-	entries := op.Entries(lsn)
+	var entries entryList
+	applyOp(&entries, op, lsn)
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d", len(entries))
 	}

@@ -183,11 +183,11 @@ func TestPopCommittableFiltersRemovedPeers(t *testing.T) {
 	q.markAckedThrough("old-member", lsn)
 
 	// Quorum 2 with only a removed member's ack: must not commit.
-	if got := q.popCommittable(2, []string{"current-member"}); len(got) != 0 {
+	if got := q.popCommittable(2, []string{"current-member"}, nil); len(got) != 0 {
 		t.Fatalf("committed %d writes on a removed member's ack", len(got))
 	}
 	// The same ack counts again if the member is (still) in the cohort.
-	if got := q.popCommittable(2, []string{"old-member"}); len(got) != 1 {
+	if got := q.popCommittable(2, []string{"old-member"}, nil); len(got) != 1 {
 		t.Fatalf("ack from a current member did not commit (got %d)", len(got))
 	}
 }

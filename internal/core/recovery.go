@@ -109,9 +109,7 @@ func (r *replica) localRecover(recs []wal.Record) error {
 			continue
 		}
 		if l <= cmt {
-			for _, e := range writes[l].Entries(l) {
-				r.engine.Apply(e)
-			}
+			applyOp(r.engine, writes[l], l)
 			continue
 		}
 		// Ambiguous suffix (f.cmt, f.lst]: pending until catch-up.
@@ -466,7 +464,7 @@ func (r *replica) onCatchupReq(m transport.Message) {
 				}
 				// Duplicates against the scan are fine: the absorber's
 				// memtable resolves same-key entries newest-wins.
-				entries = append(entries, op.Entries(rec.LSN)...)
+				applyOp((*entryList)(&entries), op, rec.LSN)
 			}
 		}
 	}
@@ -692,7 +690,7 @@ func (r *replica) absorbSnapshot(leader string, man snapManifest, ambiguous []wa
 	// pending op's memtable redo could shadow a newer ingested cell — the
 	// ingest already reflects their final effect) and advance f.cmt.
 	r.mu.Lock()
-	popped := r.queue.popThrough(man.SnapCmt)
+	popped := r.queue.popThrough(man.SnapCmt, nil)
 	if man.SnapCmt > r.lastCommitted {
 		r.lastCommitted = man.SnapCmt
 	}

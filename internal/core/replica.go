@@ -61,7 +61,9 @@ type replica struct {
 	// stopCh still covers shutdown).
 	stopCh chan struct{}
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// peers is copy-on-write: applyLayout installs a fresh slice and nothing
+	// writes to an installed one, so a reader may keep it past mu.
 	peers    []string // the other cohort members (layout-managed)
 	quorum   int      // majority of the cohort, counting ourselves
 	low      string   // serving bounds: [low, high), high=="" means top
@@ -103,10 +105,14 @@ type replica struct {
 	// under r.mu; the first writer to find no drain in progress becomes
 	// the drainer and sends everything sequenced since the last send
 	// (sendProposals), looping while further writes accumulate behind it.
-	// batchSending marks the active drainer (guarded by r.mu).
+	// batchSending marks the active drainer (guarded by r.mu). batchSpare
+	// is the buffer the drainer last sent, cleared, which becomes batchBuf
+	// at the next swap, so the two alternate instead of regrowing.
 	batchBuf     []proposeRec
+	batchSpare   []proposeRec
 	batchEnd     int64 // max log offset of buffered records (force target)
 	batchSending bool
+	logScratch   []wal.Record // onProposeBatch's log append list (AppendBatch keeps none)
 
 	// Bulk catch-up counters (guarded by r.mu): manifests served as
 	// leader, snapshot-path catch-ups absorbed as follower.
@@ -128,7 +134,7 @@ type replica struct {
 func (r *replica) membership() (peers []string, quorum int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.peers...), r.quorum
+	return r.peers, r.quorum
 }
 
 // inBoundsLocked reports whether this replica currently serves row; callers
@@ -290,28 +296,28 @@ func (r *replica) loggerPrefix() string {
 
 // submitWriteAsync runs the leader's side of the write protocol (Fig 4) for
 // one client write without blocking the caller: the write is sequenced,
-// logged, and handed to the cohort's proposal drainer, and respond is invoked
-// with the outcome when the write commits (or fails). Not holding a goroutine
-// per in-flight write is what lets a single client pipeline many writes
-// through one leader link. The WriteTimeout bound is enforced by the commit
-// timer's sweep of staleResponders.
+// logged, and handed to the cohort's proposal drainer, and the request req
+// is answered with the outcome when the write commits (or fails). Not
+// holding a goroutine per in-flight write is what lets a single client
+// pipeline many writes through one leader link. The WriteTimeout bound is
+// enforced by the commit timer's sweep of staleResponders.
 //
 //spinnaker:hotpath
-func (r *replica) submitWriteAsync(op WriteOp, respond func(writeOutcome)) {
+func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 	r.mu.Lock()
 	if !r.inBoundsLocked(op.Row) {
 		r.mu.Unlock()
-		respond(r.wrongLayoutOutcome())
+		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0, 0)
 		return
 	}
 	if r.role != RoleLeader || !r.open {
 		leader := r.leaderID
 		r.mu.Unlock()
 		if leader != "" && leader != r.n.cfg.ID {
-			respond(writeOutcome{status: StatusNotLeader, detail: leader})
+			r.n.replyWrite(req, writeOutcome{status: StatusNotLeader, detail: leader}, 0, 0)
 			return
 		}
-		respond(writeOutcome{status: StatusUnavailable, detail: "no leader for range"})
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: "no leader for range"}, 0, 0)
 		return
 	}
 	// Conditional checks run before sequencing (§5.1), against the
@@ -320,34 +326,29 @@ func (r *replica) submitWriteAsync(op WriteOp, respond func(writeOutcome)) {
 	if out, dep := r.checkCondsLocked(op); out != nil {
 		r.mu.Unlock()
 		if dep == nil {
-			respond(*out)
+			r.n.replyWrite(req, *out, 0, 0)
 			return
 		}
 		// Hold the reply until the observed uncommitted write resolves;
 		// the WriteTimeout bound comes from the client side here (the
 		// dependency itself is swept by the leader's timeout timer).
-		deferMismatch(dep, *out, respond)
+		deferMismatch(dep, *out, r.n, req)
 		return
 	}
 
+	// Every column's version is the write's LSN; the reply reports it once
+	// per column (Node.replyWrite).
 	lsn := wal.MakeLSN(r.epoch, r.nextSeq)
 	r.nextSeq++
-	versions := make([]uint64, len(op.Cols))
 	for i := range op.Cols {
 		op.Cols[i].Version = uint64(lsn)
-		versions[i] = uint64(lsn)
 	}
-	//lint:ignore spinnaker/hotpath the respond closure is the async pipeline's continuation — one per in-flight write, stamping assigned versions onto the outcome; it dies when the write resolves
-	stamped := func(out writeOutcome) {
-		out.versions = versions
-		respond(out)
-	}
-	p := &pendingWrite{lsn: lsn, op: op, enqueuedAt: time.Now(), respond: stamped}
+	p := &pendingWrite{lsn: lsn, op: op, client: r.n, req: req, enqueuedAt: time.Now()}
 	r.queue.add(p)
 	r.m.keys.Note(op.Row)
-	// One encode per sequenced write: the same bytes are the WAL record
-	// payload here and the batch-payload body in encodeProposeBatch (via
-	// proposeRec.Raw), instead of encoding the op twice.
+	// One encode per sequenced write, and the write's only copy of its
+	// value: the same bytes are the WAL record payload here and the
+	// batch-payload body in encodeProposeBatch (via proposeRec.Raw).
 	enc := EncodeWriteOp(nil, op)
 	rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: lsn,
 		Payload: enc}
@@ -355,7 +356,7 @@ func (r *replica) submitWriteAsync(op WriteOp, respond func(writeOutcome)) {
 	if err != nil {
 		r.queue.remove(lsn)
 		r.mu.Unlock()
-		respond(writeOutcome{status: StatusUnavailable, detail: err.Error()})
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: err.Error()}, 0, 0)
 		return
 	}
 	r.lastLSN = lsn
@@ -447,15 +448,15 @@ func (r *replica) checkCondsLocked(op WriteOp) (*writeOutcome, *pendingWrite) {
 	return deferred, dep
 }
 
-// deferMismatch delivers a pending-dependent mismatch once dep resolves.
-func deferMismatch(dep *pendingWrite, out writeOutcome, respond func(writeOutcome)) {
+// deferMismatch answers req with a pending-dependent mismatch once dep
+// resolves.
+func deferMismatch(dep *pendingWrite, out writeOutcome, n *Node, req transport.Message) {
 	dep.observe(func(committed bool) {
-		if committed {
-			respond(out)
-			return
+		if !committed {
+			out = writeOutcome{status: StatusUnavailable,
+				detail: "conditional check raced an uncommitted write; retry"}
 		}
-		respond(writeOutcome{status: StatusUnavailable,
-			detail: "conditional check raced an uncommitted write; retry"})
+		n.replyWrite(req, out, 0, 0)
 	})
 }
 
@@ -496,14 +497,14 @@ func (r *replica) drainProposals() {
 	r.mu.Lock()
 	for len(r.batchBuf) > 0 {
 		recs := r.batchBuf
-		r.batchBuf = nil
+		r.batchBuf, r.batchSpare = r.batchSpare, nil
 		end := r.batchEnd
 		r.batchEnd = 0
 		committedThrough := wal.LSN(0)
 		if r.n.cfg.PiggybackCommits {
 			committedThrough = r.lastCommitted
 		}
-		peers := append([]string(nil), r.peers...)
+		peers := r.peers
 		r.mu.Unlock()
 		// Send first, then force: the followers' round trip overlaps the
 		// leader's force (Fig 4).
@@ -530,7 +531,9 @@ func (r *replica) drainProposals() {
 				}
 			}
 		}
+		clear(recs) // pin no ops
 		r.mu.Lock()
+		r.batchSpare = recs[:0]
 	}
 	r.batchSending = false
 	r.mu.Unlock()
@@ -569,18 +572,19 @@ func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs [
 // The pop and the memtable applies happen under r.mu so that version
 // checks (which consult the pending queue and then the engine) never
 // observe a write in neither place.
+//
+//spinnaker:hotpath
 func (r *replica) tryCommit() {
+	var buf [128]*pendingWrite // the popped writes; more spill to the heap
 	r.mu.Lock()
-	committed := r.queue.popCommittable(r.quorum, r.peers)
+	committed := r.queue.popCommittable(r.quorum, r.peers, buf[:0])
 	if len(committed) == 0 {
 		r.mu.Unlock()
 		return
 	}
 	now := time.Now()
 	for _, p := range committed {
-		for _, e := range p.op.Entries(p.lsn) {
-			r.engine.Apply(e)
-		}
+		applyOp(r.engine, p.op, p.lsn)
 		if p.lsn > r.lastCommitted {
 			r.lastCommitted = p.lsn
 		}
@@ -642,10 +646,12 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		end int64
 		gap bool
 	)
-	// Pre-sized to the batch: in steady state every record is new, so the
-	// appends below never grow (re-proposals and gaps only shrink the count).
-	toLog := make([]wal.Record, 0, len(b.Recs))
-	toAdd := make([]*pendingWrite, 0, len(b.Recs))
+	// The batch's pending writes share one array, sized to the batch: in
+	// steady state every record is new (re-proposals and gaps only shrink
+	// the count). The log records go into the replica's scratch list.
+	pending := make([]pendingWrite, len(b.Recs))
+	added := 0
+	toLog := r.logScratch[:0]
 	last := r.lastLSN
 	for i := range b.Recs {
 		rec := &b.Recs[i]
@@ -701,7 +707,8 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		}
 		toLog = append(toLog, wal.Record{Cohort: r.rangeID, Type: wal.RecWrite,
 			LSN: rec.LSN, Payload: payload})
-		toAdd = append(toAdd, &pendingWrite{lsn: rec.LSN, op: rec.Op})
+		pending[added].lsn, pending[added].op = rec.LSN, rec.Op
+		added++
 		if rec.LSN > last {
 			last = rec.LSN
 		}
@@ -715,13 +722,16 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		if e, err := r.n.log.AppendBatch(toLog); err == nil {
 			end = e
 			r.lastLSN = last
-			for _, p := range toAdd {
-				r.queue.add(p)
+			for i := range pending[:added] {
+				r.queue.add(&pending[i])
 			}
 		} else {
-			toAdd = nil
+			added = 0
 		}
+		clear(toLog) // pin no payloads
+		r.logScratch = toLog[:0]
 	}
+	pending = pending[:added]
 	if gap {
 		r.gapped = true
 	}
@@ -736,8 +746,8 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		} else if err := r.n.log.Force(); err != nil {
 			return
 		}
-		for _, p := range toAdd {
-			r.queue.markForced(p.lsn)
+		for i := range pending {
+			r.queue.markForced(pending[i].lsn)
 		}
 		if !ackThrough.IsZero() {
 			if ParanoidAckChecks {
@@ -850,7 +860,10 @@ func (r *replica) onCommitMsg(m transport.Message) {
 // would advertise an f.cmt above its real state and the leader would skip
 // the missing writes. Catch-up responses (viaCatchup=true) carry the state
 // itself, so they advance unconditionally.
+//
+//spinnaker:hotpath
 func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
+	var buf [128]*pendingWrite // the popped writes; more spill to the heap
 	r.mu.Lock()
 	if lsn <= r.lastCommitted {
 		r.mu.Unlock()
@@ -873,11 +886,9 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 			return
 		}
 	}
-	popped := r.queue.popThrough(lsn)
+	popped := r.queue.popThrough(lsn, buf[:0])
 	for _, p := range popped {
-		for _, e := range p.op.Entries(p.lsn) {
-			r.engine.Apply(e)
-		}
+		applyOp(r.engine, p.op, p.lsn)
 	}
 	r.lastCommitted = lsn
 	r.commitAdvanced = time.Now()
@@ -913,7 +924,7 @@ func (r *replica) sendCommitMessages() {
 	}
 	lsn := r.lastCommitted
 	gc := r.gcWatermarkLocked()
-	peers := append([]string(nil), r.peers...)
+	peers := r.peers
 	r.mu.Unlock()
 	if !lsn.IsZero() {
 		payload := encodeCommitMsg(lsn, gc)

@@ -20,11 +20,47 @@ type node struct {
 	next  []*node
 }
 
+// Arena chunk sizes, in nodes: the first chunk is small, so a range that
+// sees a handful of writes before its flush pins almost nothing, and each
+// later one doubles up to the cap.
+const (
+	minChunkNodes = 32
+	maxChunkNodes = 1024
+)
+
+// arena carves a memtable's nodes and their towers out of chunks the
+// memtable owns, so a new key costs no allocation of its own. Nodes are
+// never freed one at a time: a chunk lives as long as any node in it is
+// linked, which is as long as the memtable.
+type arena struct {
+	nodes []node  // the current node chunk's unused tail
+	ptrs  []*node // the current tower chunk's unused tail
+	chunk int     // nodes in the current chunk
+}
+
+// newNode returns a zeroed node with a tower of lvl links.
+func (a *arena) newNode(lvl int) *node {
+	if len(a.nodes) == 0 {
+		a.chunk = min(max(2*a.chunk, minChunkNodes), maxChunkNodes)
+		a.nodes = make([]node, a.chunk)
+	}
+	n := &a.nodes[0]
+	a.nodes = a.nodes[1:]
+	if len(a.ptrs) < lvl {
+		// A tower has 2 links on average (randomLevel halves each level).
+		a.ptrs = make([]*node, max(2*a.chunk, maxLevel))
+	}
+	n.next = a.ptrs[:lvl:lvl]
+	a.ptrs = a.ptrs[lvl:]
+	return n
+}
+
 // Memtable is a concurrent sorted map from kv.Key to kv.Cell.
 // The zero value is not usable; call New.
 type Memtable struct {
 	mu     sync.RWMutex
 	head   *node
+	arena  arena // guarded by mu's write lock
 	level  int
 	len    int
 	bytes  int64
@@ -68,7 +104,10 @@ func (m *Memtable) findPredecessors(key kv.Key, update []*node) *node {
 // Apply inserts or replaces the cell for key. A newer cell (per
 // kv.Cell.Newer) replaces an older one; an older arrival is ignored, making
 // Apply idempotent under the redo of local recovery (paper §6.1: replay
-// "is done in an idempotent way").
+// "is done in an idempotent way"). A new key's node comes from the arena;
+// a replaced cell allocates nothing.
+//
+//spinnaker:hotpath
 func (m *Memtable) Apply(key kv.Key, cell kv.Cell) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -96,7 +135,8 @@ func (m *Memtable) Apply(key kv.Key, cell kv.Cell) {
 	if lvl > m.level {
 		m.level = lvl
 	}
-	n := &node{entry: kv.Entry{Key: key, Cell: cell}, next: make([]*node, lvl)}
+	n := m.arena.newNode(lvl)
+	n.entry = kv.Entry{Key: key, Cell: cell}
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n

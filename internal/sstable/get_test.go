@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -153,5 +154,45 @@ func TestTableGetAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { _, ok = tbl.Get(miss) }); n != 0 || ok {
 		t.Errorf("probe miss: %v allocs/op (want 0), found=%v", n, ok)
+	}
+}
+
+// TestOpenAllocs: Open keeps only the keys of the entries it walks (the
+// sparse index and the last index block), so it allocates the table, the
+// index slice and two strings per key, and copies no value.
+func TestOpenAllocs(t *testing.T) {
+	const n, valueSize = 10*indexEvery + 5, 4096
+	var entries []kv.Entry
+	for i := 0; i < n; i++ {
+		entries = append(entries, entry(fmt.Sprintf("row%06d", i), "col", strings.Repeat("v", valueSize), uint64(i+1)))
+	}
+	b := NewBuilder()
+	for _, e := range entries {
+		b.Add(e)
+	}
+	blob := b.Finish()
+	indexLen := (n + indexEvery - 1) / indexEvery
+	var (
+		tbl *Table
+		err error
+	)
+	allocs := testing.AllocsPerRun(50, func() { tbl, err = Open(1, blob) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(2 + 2*(indexLen+1)); allocs > want {
+		t.Errorf("Open: %v allocs, want ≤ %v (table, index, a row and a column per index entry and for the max key)", allocs, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		tbl, err = Open(1, blob)
+	}
+	runtime.ReadMemStats(&after)
+	if perOpen := (after.TotalAlloc - before.TotalAlloc) / 10; perOpen >= valueSize {
+		t.Errorf("Open allocates %d bytes, at least one %d-byte value", perOpen, valueSize)
+	}
+	if min, max, ok := tbl.KeyRange(); !ok || min != entries[0].Key || max != entries[n-1].Key {
+		t.Errorf("KeyRange = %v, %v, %v; want %v, %v", min, max, ok, entries[0].Key, entries[n-1].Key)
 	}
 }

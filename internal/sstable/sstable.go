@@ -205,34 +205,44 @@ func Open(id uint64, blob []byte) (*Table, error) {
 	}
 	t.bloom = blob[bloomOff : bloomOff+bloomLen]
 	t.data = blob[:indexOff]
+	// Index entries and the last block are walked in place: only their keys
+	// are kept, so their values are never copied. ViewEntry fails exactly
+	// where DecodeEntry would, which keeps every malformed-blob check.
 	t.index = make([]indexEnt, indexLen)
 	for i := uint64(0); i < indexLen; i++ {
 		off := binary.LittleEndian.Uint32(blob[indexOff+i*4:])
 		if int(off) > len(t.data) {
 			return nil, fmt.Errorf("%w: index entry out of bounds", ErrMalformed)
 		}
-		e, _, err := kv.DecodeEntry(t.data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		v, _, ok := kv.ViewEntry(t.data[off:])
+		if !ok {
+			return nil, fmt.Errorf("%w: index entry %d truncated", ErrMalformed, i)
 		}
-		t.index[i] = indexEnt{key: e.Key, off: off}
+		t.index[i] = indexEnt{key: viewKey(v), off: off}
 	}
 	if len(t.index) > 0 {
 		// Key-range tags: the first entry is the min key; the max key is
 		// within the last index block (≤ indexEvery entries from its
 		// start).
 		t.minKey = t.index[0].key
-		off := int(t.index[len(t.index)-1].off)
-		for off < len(t.data) {
-			e, n, err := kv.DecodeEntry(t.data[off:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		var last kv.EntryView
+		for off := int(t.index[len(t.index)-1].off); off < len(t.data); {
+			v, n, ok := kv.ViewEntry(t.data[off:])
+			if !ok {
+				return nil, fmt.Errorf("%w: entry at offset %d truncated", ErrMalformed, off)
 			}
-			t.maxKey = e.Key
+			last = v
 			off += n
 		}
+		t.maxKey = viewKey(last)
 	}
 	return t, nil
+}
+
+// viewKey copies a located entry's key out of the blob.
+func viewKey(v kv.EntryView) kv.Key {
+	row, col := v.Key()
+	return kv.Key{Row: string(row), Col: string(col)}
 }
 
 // ID returns the table's identifier.
