@@ -190,6 +190,9 @@ func writeMetrics(w http.ResponseWriter, s Source) {
 			fmt.Fprintf(w, "spinnaker_table_bytes%s %d\n", lbl, rm.TableBytes)
 			fmt.Fprintf(w, "spinnaker_range_storage_read_probes_total%s %d\n", lbl, rm.ReadProbes)
 			fmt.Fprintf(w, "spinnaker_range_storage_read_pruned_total%s %d\n", lbl, rm.ReadPruned)
+			fmt.Fprintf(w, "spinnaker_range_storage_flushed_bytes_total%s %d\n", lbl, rm.FlushedBytes)
+			fmt.Fprintf(w, "spinnaker_range_storage_compacted_bytes_total%s %d\n", lbl, rm.CompactedBytes)
+			fmt.Fprintf(w, "spinnaker_range_storage_compaction_read_bytes_total%s %d\n", lbl, rm.CompactReadBytes)
 		}
 	}
 }

@@ -114,7 +114,8 @@ func StorageMaintenance(cfg Config) (Table, error) {
 		Title: "strong reads under a sustained update stream, with LSM maintenance off vs churning",
 		Columns: []string{"config", "writes/s", "reads/s", "read avg ms", "read p95 ms",
 			"flushes", "compactions", "tables"},
-		Notes: "maintenance-off uses thresholds nothing reaches; churn flushes every 64KB and compacts past 4 tables.\n" +
+		Notes: "maintenance-off uses thresholds nothing reaches (one memtable, never flushed, so nothing to merge); churn flushes\n" +
+			"every 64KB, merges every table once the newer ones outweigh the oldest, and merges a size tier past 4 tables.\n" +
 			"The reproduction target: read avg/p95 under churn stay near the quiet baseline — flushes and compaction\n" +
 			"rounds build SSTables outside the engine lock instead of freezing reads for the duration of each merge.",
 	}

@@ -73,6 +73,12 @@ type RangeMetrics struct {
 	TableBytes int64 `json:"table_bytes"` // summed blob size of the live tables
 	ReadProbes int64 `json:"read_probes"`
 	ReadPruned int64 `json:"read_pruned"`
+	// Blob bytes flushes wrote, compaction wrote and compaction read over
+	// the engine's life: write amplification is CompactedBytes ÷
+	// FlushedBytes.
+	FlushedBytes     int64 `json:"flushed_bytes"`
+	CompactedBytes   int64 `json:"compacted_bytes"`
+	CompactReadBytes int64 `json:"compact_read_bytes"`
 }
 
 // NodeMetrics is one node's full metrics snapshot.
@@ -139,6 +145,7 @@ func (r *replica) metricsSnapshot() RangeMetrics {
 	m.Flushes, m.Compacts, m.Tables = r.engine.Stats()
 	m.TableBytes = r.engine.TableBytes()
 	m.ReadProbes, m.ReadPruned = r.engine.ReadStats()
+	m.FlushedBytes, m.CompactedBytes, m.CompactReadBytes = r.engine.ByteStats()
 	return m
 }
 

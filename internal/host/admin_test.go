@@ -98,6 +98,8 @@ func TestAdminEndpoints(t *testing.T) {
 		"spinnaker_node_wal_forces_total",
 		"spinnaker_log_bytes",
 		"spinnaker_table_bytes",
+		"spinnaker_range_storage_flushed_bytes_total",
+		"spinnaker_range_storage_compacted_bytes_total",
 		`role="leader"`,
 	} {
 		if !strings.Contains(string(text), want) {

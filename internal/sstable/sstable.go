@@ -261,7 +261,8 @@ func (t *Table) KeyRange() (min, max kv.Key, ok bool) {
 	return t.minKey, t.maxKey, len(t.index) > 0
 }
 
-// Bytes returns the serialized blob size (data + index, without footer).
+// Bytes returns the size of the data section — the encoded entries, without
+// the sparse index, bloom filter or footer (len(Blob()) is the whole table).
 func (t *Table) Bytes() int { return len(t.data) }
 
 // Blob returns the table's full serialized form — the exact bytes Open was

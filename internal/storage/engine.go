@@ -14,14 +14,18 @@
 // memtable onto an immutable queue and builds its SSTable outside the
 // engine lock (applies and reads proceed against the new active memtable,
 // the sealed queue, and the current table set throughout), taking the write
-// lock only to swap the table set and persist the manifest. Compaction is
-// size-tiered — each round merges a few adjacent, similar-sized tables, also
-// off-lock with a short swap — instead of a stop-the-world full merge.
-// Tombstones are garbage-collected only at or below the cohort tombstone-GC
-// watermark the replication layer passes in (the minimum committed LSN
-// across cohort members): dropping a newer tombstone would make
-// EntriesSince-based catch-up (§6.1) incomplete and resurrect the deleted
-// row on a lagging follower.
+// lock only to swap the table set and persist the manifest. Compaction runs
+// off-lock too, one round at a time with a short swap. Once the tables
+// newer than the oldest hold at least as many data bytes as it does, the
+// next round merges every table into one, so a range's tables stay within
+// about twice its data; between those full merges, size-tiered rounds merge
+// a few adjacent, similar-sized tables to bound the table count.
+// Tombstones are garbage-collected only by a round that includes the oldest
+// table — in practice the full merges — and only at or below the cohort
+// tombstone-GC watermark the replication layer passes in (the minimum
+// committed LSN across cohort members): dropping a newer tombstone would
+// make EntriesSince-based catch-up (§6.1) incomplete and resurrect the
+// deleted row on a lagging follower.
 package storage
 
 import (
@@ -75,6 +79,9 @@ type Engine struct {
 	flushes    int64
 	compacts   int64
 	closed     bool // maintenance permanently disabled (Close)
+	// Blob bytes written by flushes and by compaction, and read by
+	// compaction (ByteStats).
+	flushedBytes, compactedBytes, compactReadBytes int64
 
 	// maintMu serializes maintenance (one flush or compaction at a time);
 	// reads and applies never take it.
@@ -337,8 +344,9 @@ func (e *Engine) MemtableBytes() int64 {
 }
 
 // MaybeFlush flushes when the memtable exceeds the flush threshold (or a
-// sealed memtable is still queued from an earlier failed attempt) and runs
-// one incremental compaction round when the table count exceeds MaxTables,
+// sealed memtable is still queued from an earlier failed attempt), then
+// runs one compaction round when the tables newer than the oldest outweigh
+// it (a full merge) or the table count exceeds MaxTables (a size tier),
 // dropping tombstones at or below tombstoneGC when the round includes the
 // oldest table. It reports which of the two actually ran — a flush that
 // succeeded advances the checkpoint and must drive log truncation even if
@@ -353,9 +361,9 @@ func (e *Engine) MaybeFlush(tombstoneGC wal.LSN) (flushed, compacted bool, err e
 		err = ferr
 	}
 	e.mu.RLock()
-	tooMany := len(e.tables) > e.cfg.MaxTables
+	due := len(e.tables) > e.cfg.MaxTables || overlayHeavy(e.tables)
 	e.mu.RUnlock()
-	if tooMany {
+	if due {
 		did, cerr := e.compactRound(tombstoneGC, false, true)
 		compacted = did
 		if err == nil {
@@ -493,11 +501,13 @@ func (e *Engine) flushOldestSealed() (bool, error) {
 		e.sealed = append([]*memtable.Memtable(nil), e.sealed[1:]...)
 	}
 	e.flushes++
+	e.flushedBytes += int64(len(blob))
 	return true, nil
 }
 
-// CompactOnce runs one incremental size-tiered compaction round if a
-// qualifying run of tables exists, dropping tombstones at or below
+// CompactOnce runs one compaction round if one is due — a full merge when
+// the tables newer than the oldest outweigh it, else a size tier if a
+// qualifying run of tables exists — dropping tombstones at or below
 // tombstoneGC when the round includes the oldest table. It reports whether
 // a round ran.
 func (e *Engine) CompactOnce(tombstoneGC wal.LSN) (bool, error) {
@@ -512,12 +522,13 @@ func (e *Engine) CompactAll(tombstoneGC wal.LSN) error {
 	return err
 }
 
-// compactRound picks a run of adjacent tables (all of them when full;
-// otherwise a size tier, falling back to the oldest tables when force is
-// set), merges them off-lock, and swaps the merged table into the set. The
-// run is always age-adjacent, so the newest-first probe order of Get stays
-// correct, and tombstones are only dropped when the run includes the
-// oldest table (nothing older remains to resurrect the deleted value).
+// compactRound picks a run of adjacent tables (all of them when full or
+// overlayHeavy; otherwise a size tier, falling back to the oldest tables
+// when force is set), merges them off-lock, and swaps the merged table into
+// the set. The run is always age-adjacent, so the newest-first probe order
+// of Get stays correct, and tombstones are only dropped when the run
+// includes the oldest table (nothing older remains to resurrect the deleted
+// value). A round that drops every entry installs no table.
 func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
@@ -531,7 +542,7 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 	}
 	var run []*sstable.Table
 	switch {
-	case full:
+	case full || overlayHeavy(tables):
 		if len(tables) <= 1 {
 			return false, nil
 		}
@@ -568,12 +579,23 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 	nextID := e.nextID
 	checkpoint := e.checkpoint
 	e.mu.Unlock()
-	if err := e.cfg.Tables.Put(id, blob); err != nil {
-		return false, fmt.Errorf("storage: compact put: %w", err)
-	}
 	t, err := sstable.Open(id, blob)
 	if err != nil {
-		return false, fmt.Errorf("storage: compact reopen: %w", err)
+		return false, fmt.Errorf("storage: compact open: %w", err)
+	}
+	// When every winner was a collected tombstone the round installs
+	// nothing: an empty table would make Empty false and, as the oldest,
+	// would be outweighed by every later flush.
+	var out []*sstable.Table
+	if t.Len() > 0 {
+		if err := e.cfg.Tables.Put(id, blob); err != nil {
+			return false, fmt.Errorf("storage: compact put: %w", err)
+		}
+		out = append(out, t)
+	}
+	var read int64
+	for _, o := range run {
+		read += int64(len(o.Blob()))
 	}
 
 	// Relocate the run in the snapshot. maintMu serializes all
@@ -592,9 +614,9 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 		_ = e.cfg.Tables.Remove(id)
 		return false, fmt.Errorf("storage: compact lost its inputs (table set changed)")
 	}
-	newTables := make([]*sstable.Table, 0, len(tables)-len(run)+1)
+	newTables := make([]*sstable.Table, 0, len(tables)-len(run)+len(out))
 	newTables = append(newTables, tables[:idx]...)
-	newTables = append(newTables, t)
+	newTables = append(newTables, out...)
 	newTables = append(newTables, tables[idx+len(run):]...)
 	e.mu.RLock()
 	stale := len(e.tables) != len(tables) || (len(tables) > 0 && e.tables[0] != tables[0])
@@ -610,6 +632,10 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 	e.mu.Lock()
 	e.tables = newTables
 	e.compacts++
+	e.compactReadBytes += read
+	if len(out) > 0 {
+		e.compactedBytes += int64(len(blob))
+	}
 	e.mu.Unlock()
 
 	// Remove the inputs only after the manifest no longer references
@@ -618,6 +644,23 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 		_ = e.cfg.Tables.Remove(o.ID())
 	}
 	return true, nil
+}
+
+// overlayHeavy reports whether the tables newer than the oldest hold at
+// least as many data bytes as it does; the next round then merges them all
+// into it. That bounds a range's tables to about twice its data — the
+// oldest table plus less than as much again above it — and, under
+// append-only writes, grows the oldest table geometrically, so a byte is
+// rewritten by a full merge about log₂(data / flush) times.
+func overlayHeavy(tables []*sstable.Table) bool {
+	if len(tables) < 2 {
+		return false
+	}
+	newer := 0
+	for _, t := range tables[:len(tables)-1] {
+		newer += t.Bytes()
+	}
+	return newer >= tables[len(tables)-1].Bytes()
 }
 
 // pickTier selects a run of adjacent, similar-sized tables to merge
@@ -878,6 +921,14 @@ func (e *Engine) Stats() (flushes, compacts int64, tables int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.flushes, e.compacts, len(e.tables)
+}
+
+// ByteStats reports the blob bytes flushes wrote, the blob bytes
+// compaction wrote, and the blob bytes compaction read, since Open.
+func (e *Engine) ByteStats() (flushed, compacted, compactRead int64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.flushedBytes, e.compactedBytes, e.compactReadBytes
 }
 
 // TableBytes returns the summed blob size of the live tables.

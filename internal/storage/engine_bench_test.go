@@ -130,8 +130,9 @@ func BenchmarkEngineFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCompactRound measures one incremental size-tiered round
-// over 4 similar-sized overlapping tables.
+// BenchmarkEngineCompactRound measures one compaction round over 4
+// similar-sized overlapping tables (a full merge: the three newer outweigh
+// the oldest).
 func BenchmarkEngineCompactRound(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()

@@ -210,8 +210,8 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 	// goroutine applies several full generations and drives explicit
 	// flushes and compaction rounds over them. Phase 1's organic
 	// maintenance depends on scheduler luck under a loaded host; this
-	// phase guarantees reads race real flushes and real size-tiered
-	// merges regardless.
+	// phase guarantees reads race real flushes and real full merges
+	// regardless.
 	for gen := 0; gen < 5; gen++ {
 		base := lastSeq.Load()
 		for k := 0; k < keys; k++ {
