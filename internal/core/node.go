@@ -155,7 +155,7 @@ type Config struct {
 	DisableProposalBatching bool
 	// DisableSnapshotCatchup forces catch-up onto the entry-replay path
 	// even when the leader's log is truncated past the follower's f.cmt
-	// (the log-replay ablation for the rejoin benchmarks). With the
+	// (the log-replay ablation the truncated-rejoin tests run). With the
 	// default (snapshot catch-up on), such a follower receives sealed
 	// SSTables directly and replays only the log tail beyond them.
 	DisableSnapshotCatchup bool
@@ -825,17 +825,6 @@ func (n *Node) ReplicaStats(rangeID uint32) (ReplicaStats, bool) {
 		return ReplicaStats{}, false
 	}
 	return r.stats(), true
-}
-
-// StorageStats reports a replica engine's maintenance counters (flushes,
-// compaction rounds, live tables) for tests, benchmarks, and tooling.
-func (n *Node) StorageStats(rangeID uint32) (flushes, compacts int64, tables int, ok bool) {
-	r := n.getReplica(rangeID)
-	if r == nil {
-		return 0, 0, 0, false
-	}
-	flushes, compacts, tables = r.engine.Stats()
-	return flushes, compacts, tables, true
 }
 
 // LogTruncated reports the cohort's log-truncation point on this node: a

@@ -559,7 +559,7 @@ type catchupReq struct {
 	// truncated past Cmt: after a snapshot round the follower's next
 	// request covers only (snapCmt, l.cmt], which the engine serves as
 	// entries, and the flag keeps a laggard from looping on manifests.
-	// It also backs the log-replay ablation in the rejoin benchmark.
+	// It also backs the log-replay ablation (DisableSnapshotCatchup).
 	NoSnap bool
 	// Empty declares the follower holds no data at all (fresh join, or a
 	// disk-loss rejoin after Wipe). The leader then skips building the

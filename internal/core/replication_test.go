@@ -122,6 +122,53 @@ func TestProposalBatchingCap(t *testing.T) {
 	})
 }
 
+// TestPiggybackedCommitsAdvanceFollowers pins App. D.1's piggyback
+// (Config.PiggybackCommits): with no commit message due for a minute, a
+// follower learns that a write committed from the next write's propose, and
+// without the option it does not.
+func TestPiggybackedCommitsAdvanceFollowers(t *testing.T) {
+	run := func(t *testing.T, piggyback bool) {
+		tc := newTestCluster(t, 3, func(cfg *Config) {
+			cfg.CommitPeriod = time.Minute
+			cfg.PiggybackCommits = piggyback
+		})
+		tc.waitAllLeaders()
+		rangeID := tc.layout.RangeOf(row0(1))
+		leader := tc.waitFollowing(rangeID)
+		c := tc.client()
+		first, err := c.Put(row0(1), "c", []byte("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := c.Put(row0(2), "c", []byte("b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Once a follower holds the second write, it has seen every propose
+		// that could carry the first write's commit.
+		for _, name := range tc.layout.Cohort(rangeID) {
+			if name == leader {
+				continue
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				st, _ := tc.nodes[name].ReplicaStats(rangeID)
+				learned := st.LastCommitted >= wal.LSN(first)
+				if st.LastLSN >= wal.LSN(second) && learned == piggyback {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("follower %s at lst %s cmt %s: want lst >= %s, and cmt >= %s to be %v",
+						name, st.LastLSN, st.LastCommitted, wal.LSN(second), wal.LSN(first), piggyback)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	t.Run("off", func(t *testing.T) { run(t, false) })
+	t.Run("on", func(t *testing.T) { run(t, true) })
+}
+
 // waitFollowing waits until every follower of rangeID has left
 // RoleRecovering and follows the range's current leader, whose id it returns.
 func (tc *testCluster) waitFollowing(rangeID uint32) string {

@@ -5,11 +5,10 @@
 // reconfiguration executor (reconfig.go: AddNode, SplitRange, MoveRange,
 // Rebalance), the load balancer (balancer.go) and the admin-plane source
 // (admin.go). It is the one assembly outside benchmark/: the embedded API
-// (package spinnaker), cmd/spinnaker-server, the nemesis and internal/bench
-// all run a host.Cluster, so what is tested is what is served. The harness
-// (nemesis, workloads, baselines) is internal/sim. What an in-process cluster
-// simulates is set here, at the nodes' seams: network, logging device and
-// read CPU (readCPU).
+// (package spinnaker), cmd/spinnaker-server and the nemesis all run a
+// host.Cluster, so what is tested is what is served. The harness (nemesis,
+// workloads) is internal/sim. What an in-process cluster simulates is set
+// here, at the nodes' seams: network and logging device.
 package host
 
 import (
@@ -26,7 +25,7 @@ import (
 	"spinnaker/internal/wal"
 )
 
-// Options configure a cluster (sim.DynamoCluster reads the same struct).
+// Options configure a cluster.
 type Options struct {
 	// Dir, when set, makes the cluster a deployment: every node keeps its
 	// log, metadata and SSTables in files under Dir/<node> and recovers
@@ -61,32 +60,28 @@ type Options struct {
 	// TCP hides sub-connection faults from them, so injecting duplicates
 	// there would fail runs the deployed system cannot exhibit.
 	LinkFaults transport.LinkFaults
-	// Device is the logging-device latency profile (default instant, for
-	// tests; benches pass wal.DeviceHDD / DeviceSSD / DeviceMem).
+	// Device is the logging-device latency profile (default instant; the
+	// embedded API's LogDevice picks wal.DeviceHDD / DeviceSSD / DeviceMem).
 	Device wal.DeviceProfile
 	// CommitPeriod is Spinnaker's commit-message interval.
 	CommitPeriod time.Duration
-	// PiggybackCommits / DisableProposalBatching toggle protocol options
-	// (ablation benches). DisableProposalBatching caps every propose
-	// message at one write.
+	// PiggybackCommits carries the commit LSN on propose messages (the
+	// embedded API's option). DisableProposalBatching caps every propose
+	// message at one write (the skew experiment's link physics).
 	PiggybackCommits        bool
 	DisableProposalBatching bool
 	// KeyWidth is the zero-padded decimal width of row keys (default 8).
 	KeyWidth int
 	// WriteTimeout bounds client writes.
 	WriteTimeout time.Duration
-	// ReadServiceTime / ReadConcurrency model a node's read CPU for
-	// Figure 8's latency knee (readCPU; zero disables, default 4 slots).
-	ReadServiceTime time.Duration
-	ReadConcurrency int
 	// DisableSnapshotCatchup is the log-replay ablation: rejoining
 	// followers always catch up by entry replay, never by SSTable
-	// shipping (the rejoin benchmarks compare both).
+	// shipping (the truncated-rejoin scenario runs both).
 	DisableSnapshotCatchup bool
 	// Storage knobs, passed through to the engines and the shared log;
-	// benchmarks lower them so sustained write loads stay memory-flat
-	// (flush → SSTable capture → log segment truncation). MaxTables is
-	// the table count that triggers an incremental compaction round.
+	// harness scenarios lower them so flushes, segment rolls and log
+	// truncation happen within a run. MaxTables is the table count that
+	// triggers an incremental compaction round.
 	FlushBytes    int64
 	MaxTables     int
 	SegmentBytes  int64
@@ -113,13 +108,10 @@ func (o *Options) FillDefaults() {
 	if o.KeyWidth <= 0 {
 		o.KeyWidth = 8
 	}
-	if o.ReadConcurrency <= 0 {
-		o.ReadConcurrency = 4
-	}
 }
 
-// NodeNames generates the stable ids of an n-node cluster.
-func NodeNames(n int) []string {
+// nodeNames generates the stable ids of an n-node cluster.
+func nodeNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = nodeName(i)
@@ -164,7 +156,7 @@ type Cluster struct {
 // New builds and starts a cluster.
 func New(opts Options) (*Cluster, error) {
 	opts.FillDefaults()
-	names := NodeNames(opts.Nodes)
+	names := nodeNames(opts.Nodes)
 	layout, err := cluster.Uniform(names, opts.KeyWidth, opts.Replication)
 	if err != nil {
 		return nil, err
@@ -279,11 +271,7 @@ func (c *Cluster) startNode(name string) error {
 	cfg.Layout = c.CurrentLayout()
 	c.nodeMu.Lock()
 	defer c.nodeMu.Unlock()
-	var ep transport.Endpoint = c.Net.Join(name)
-	if c.opts.ReadServiceTime > 0 {
-		ep = readCPU{ep, c.opts.ReadServiceTime, make(chan struct{}, c.opts.ReadConcurrency)}
-	}
-	n, err := core.NewNode(cfg, c.stores[name], ep, c.Coord)
+	n, err := core.NewNode(cfg, c.stores[name], c.Net.Join(name), c.Coord)
 	if err != nil {
 		return err
 	}
@@ -292,32 +280,6 @@ func (c *Cluster) startNode(name string) error {
 	}
 	c.nodes[name] = n
 	return nil
-}
-
-// readCPU is the harness's model of a node's read CPU, which draws Figure 8's
-// latency knee: an endpoint decorator under which every inbound MsgGet takes
-// one of the node's slots, holds it for the service time, releases it, and
-// only then reaches the node's handler. Like the node-side gate it replaced,
-// it charges gets only (not MsgGetRow), on the link goroutine, with no
-// replica lock held. Two things differ: a get the node then refuses
-// (NotLeader, Unavailable, WrongLayout) pays the cost too, and the per-range
-// read-latency histogram no longer includes it.
-type readCPU struct {
-	transport.Endpoint
-	service time.Duration
-	slots   chan struct{}
-}
-
-// SetHandler implements transport.Endpoint, wrapping h.
-func (e readCPU) SetHandler(h transport.Handler) {
-	e.Endpoint.SetHandler(func(m transport.Message) {
-		if m.Kind == core.MsgGet {
-			e.slots <- struct{}{}
-			simtime.Sleep(e.service)
-			<-e.slots
-		}
-		h(m)
-	})
 }
 
 // WaitReady blocks until every range of the current layout has an open
@@ -343,19 +305,18 @@ func (c *Cluster) LeaderOf(rangeID uint32) string {
 	return string(data)
 }
 
-// HarnessCallTimeout bounds a client call that gets no answer: one into a
+// harnessCallTimeout bounds a client call that gets no answer: one into a
 // partition, or to a leader stalled without a quorum. It is not what detects
 // a crashed node — the transport reports a closed peer at once and the
 // client follows the leader znode — so it no longer figures in measured
 // unavailability (Table 1 likewise excludes the failure-detection timeout).
-// Memory-backed clusters use it (and the Dynamo baseline's clients, so the
-// two systems compare); a deployment waits a full second.
-const HarnessCallTimeout = 250 * time.Millisecond
+// Memory-backed clusters use it; a deployment waits a full second.
+const harnessCallTimeout = 250 * time.Millisecond
 
 // NewClient attaches a fresh client (its own endpoint and session); safe
 // for concurrent use.
 func (c *Cluster) NewClient() *core.Client {
-	timeout := HarnessCallTimeout
+	timeout := harnessCallTimeout
 	if c.opts.Dir != "" {
 		timeout = time.Second
 	}

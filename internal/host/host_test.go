@@ -3,9 +3,6 @@ package host
 import (
 	"testing"
 	"time"
-
-	"spinnaker/internal/core"
-	"spinnaker/internal/transport"
 )
 
 // TestLeaderOfReusesSession pins that LeaderOf, which sits in every polling
@@ -51,43 +48,5 @@ func TestLeaderOfReusesSession(t *testing.T) {
 	}
 	if sc.LeaderOf(r) == "" {
 		t.Fatalf("range %d has no leader after the session expired", r)
-	}
-}
-
-// handlerCapture is an endpoint that only records the handler installed on it.
-type handlerCapture struct {
-	transport.Endpoint
-	h transport.Handler
-}
-
-func (e *handlerCapture) SetHandler(h transport.Handler) { e.h = h }
-
-// TestReadCPUChargesGetsOnly: with every slot of the node's read CPU held, a
-// row read still reaches the node at once, and a get waits for a slot.
-func TestReadCPUChargesGetsOnly(t *testing.T) {
-	inner := &handlerCapture{}
-	cpu := readCPU{inner, time.Microsecond, make(chan struct{}, 1)}
-	served := make(chan uint8, 2)
-	cpu.SetHandler(func(m transport.Message) { served <- m.Kind })
-
-	cpu.slots <- struct{}{} // the node's one core is busy
-	done := make(chan struct{})
-	go func() {
-		inner.h(transport.Message{Kind: core.MsgGet})
-		close(done)
-	}()
-	inner.h(transport.Message{Kind: core.MsgGetRow})
-	if k := <-served; k != core.MsgGetRow {
-		t.Fatalf("served kind %d first, want the row read", k)
-	}
-	select {
-	case <-done:
-		t.Fatal("a get was served while every slot was held")
-	default:
-	}
-	<-cpu.slots
-	<-done
-	if k := <-served; k != core.MsgGet {
-		t.Fatalf("served kind %d, want the get", k)
 	}
 }

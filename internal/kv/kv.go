@@ -36,9 +36,10 @@ func (k Key) String() string { return fmt.Sprintf("%s:%s", k.Row, k.Col) }
 // Cell is one versioned column value. Version numbers are monotonically
 // increasing integers managed by the datastore and exposed through its get
 // API (paper §3); they drive the optimistic concurrency control of
-// conditional put/delete. Deleted marks a tombstone. Timestamp is used only
-// by the eventually consistent baseline for conflict resolution (paper §9:
-// "conflicts are resolved using timestamps").
+// conditional put/delete. Deleted marks a tombstone. Nothing sets
+// Timestamp, a last-writer-wins clock (paper §9: "conflicts are resolved
+// using timestamps"): Spinnaker's cells carry zero. It stays because the
+// entry format has eight bytes for it.
 type Cell struct {
 	Value     []byte
 	Version   uint64
@@ -55,10 +56,9 @@ type Entry struct {
 }
 
 // Newer reports whether c should supersede o when both describe the same
-// key. The eventually consistent baseline resolves conflicts by wall-clock
-// timestamp (its cells carry one; Spinnaker's carry zero, making the
-// comparison a tie), then by LSN — Spinnaker's writes execute in LSN order
-// within a cohort, so the LSN decides — and finally by version number.
+// key: by timestamp (Spinnaker's cells carry zero, making the comparison a
+// tie), then by LSN — Spinnaker's writes execute in LSN order within a
+// cohort, so the LSN decides — and finally by version number.
 func (c Cell) Newer(o Cell) bool {
 	if c.Timestamp != o.Timestamp {
 		return c.Timestamp > o.Timestamp

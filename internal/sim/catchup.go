@@ -20,11 +20,10 @@ import (
 type RejoinOptions struct {
 	// Seed drives the recorded workload.
 	Seed int64
-	// Writers is the recorded workload concurrency (default 3; ignored
-	// in Measure mode).
+	// Writers is the recorded workload concurrency (default 3).
 	Writers int
 	// ContendedKeys is the number of linearizability-checked rows
-	// (default 5; ignored in Measure mode).
+	// (default 5).
 	ContendedKeys int
 	// PreloadRows is the bulk data loaded before the crash — the state
 	// the rejoining node must recover (default 400).
@@ -37,9 +36,6 @@ type RejoinOptions struct {
 	DiskLoss bool
 	// DisableSnapshot runs the log-replay ablation for comparison.
 	DisableSnapshot bool
-	// Measure skips the recorded workload and the linearizability check:
-	// preload, crash, rejoin, and report timing only (benchmark mode).
-	Measure bool
 	// CheckTimeout bounds the linearizability search (default 60s).
 	CheckTimeout time.Duration
 }
@@ -64,8 +60,7 @@ func (o *RejoinOptions) fillDefaults() {
 
 // RejoinResult reports one rejoin scenario run.
 type RejoinResult struct {
-	Victim      string
-	PreloadRows int
+	Victim string
 	// RejoinTime is restart-to-caught-up: every range the victim serves
 	// is back at (or past) the commit point its leader held at restart.
 	RejoinTime time.Duration
@@ -83,8 +78,8 @@ type RejoinResult struct {
 // snapshot path (slow flush daemon; rerun or raise the write volume).
 var ErrNeverTruncated = errors.New("sim: log never truncated past the victim's cmt")
 
-// RunTruncatedRejoin executes the scenario and, unless Measure is set,
-// checks the concurrent workload's history for per-key linearizability.
+// RunTruncatedRejoin executes the scenario and checks the concurrent
+// workload's history for per-key linearizability.
 func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 	opts.fillDefaults()
 	sc, err := NewSpinnakerCluster(Options{
@@ -127,8 +122,8 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 		}
 		return fmt.Errorf("sim: preload put %s: %w", row, err)
 	}
-	// Parallel preload: at benchmark sizes (10k+ rows) a single closed-loop
-	// client would spend longer loading than the scenario measures.
+	// Parallel preload: a single closed-loop client would spend longer
+	// loading than the scenario itself takes.
 	const loaders = 8
 	var plwg sync.WaitGroup
 	plErr := make(chan error, loaders)
@@ -164,7 +159,7 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 			break
 		}
 	}
-	res := &RejoinResult{Victim: victim, PreloadRows: opts.PreloadRows}
+	res := &RejoinResult{Victim: victim}
 
 	ranges := sc.CurrentLayout().RangeIDs()
 	vn, ok := sc.Node(victim)
@@ -179,24 +174,22 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 	}
 
 	// Recorded workload over contended keys, concurrent with the crash
-	// and the rejoin (skipped in Measure mode).
+	// and the rejoin.
 	rec := lin.NewRecorder()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	if !opts.Measure {
-		keys := make([]string, opts.ContendedKeys)
-		for i := range keys {
-			keys[i] = sc.Key(i * (domain / opts.ContendedKeys))
-		}
-		for w := 0; w < opts.Writers; w++ {
-			c := sc.NewClient()
-			c.SetStrictWrites(true)
-			wg.Add(1)
-			go func(w int, c *core.Client) {
-				defer wg.Done()
-				runWriter(c, rec, keys, w, opts.Seed, stop)
-			}(w, c)
-		}
+	keys := make([]string, opts.ContendedKeys)
+	for i := range keys {
+		keys[i] = sc.Key(i * (domain / opts.ContendedKeys))
+	}
+	for w := 0; w < opts.Writers; w++ {
+		c := sc.NewClient()
+		c.SetStrictWrites(true)
+		wg.Add(1)
+		go func(w int, c *core.Client) {
+			defer wg.Done()
+			runWriter(c, rec, keys, w, opts.Seed, stop)
+		}(w, c)
 	}
 	bail := func(err error) (*RejoinResult, error) {
 		close(stop)
@@ -294,24 +287,19 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 		}
 	}
 
-	if !opts.Measure {
-		// Let the workload observe the recovered cluster, then check.
-		simtime.Sleep(300 * time.Millisecond)
-		close(stop)
-		wg.Wait()
-		res.Check = rec.Check(opts.CheckTimeout)
-		res.Ops = res.Check.Ops
-		if res.Check.Err != nil {
-			return res, fmt.Errorf("sim: seed %d: linearizability check undecided: %w", opts.Seed, res.Check.Err)
-		}
-		if !res.Check.Linearizable {
-			return res, fmt.Errorf("%w: seed %d, key %q\n%s\nhistory:\n%s",
-				ErrNotLinearizable, opts.Seed, res.Check.BadKey, res.Check.Detail,
-				rec.FormatKey(res.Check.BadKey))
-		}
-	} else {
-		close(stop)
-		wg.Wait()
+	// Let the workload observe the recovered cluster, then check.
+	simtime.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	res.Check = rec.Check(opts.CheckTimeout)
+	res.Ops = res.Check.Ops
+	if res.Check.Err != nil {
+		return res, fmt.Errorf("sim: seed %d: linearizability check undecided: %w", opts.Seed, res.Check.Err)
+	}
+	if !res.Check.Linearizable {
+		return res, fmt.Errorf("%w: seed %d, key %q\n%s\nhistory:\n%s",
+			ErrNotLinearizable, opts.Seed, res.Check.BadKey, res.Check.Detail,
+			rec.FormatKey(res.Check.BadKey))
 	}
 	return res, nil
 }

@@ -32,7 +32,7 @@ const leakSlack = 1
 var leakSettle = 5 * time.Second
 
 // CheckGoroutineLeaks arms a goroutine-leak sentinel for a cluster
-// test: call it FIRST, before NewSpinnakerCluster/NewDynamoCluster, so
+// test: call it FIRST, before NewSpinnakerCluster, so
 // its cleanup runs after the test's deferred Stop. The cleanup
 // compares runtime.NumGoroutine against the baseline taken here,
 // waiting up to leakSettle for stragglers, and on a leak fails the

@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
-
-	"spinnaker/internal/dynamo"
 )
 
 func TestSpinnakerClusterLifecycle(t *testing.T) {
@@ -63,128 +60,5 @@ func TestSpinnakerClusterCrashRestart(t *testing.T) {
 	}
 	if err := sc.CrashNode(leader); err != nil {
 		t.Fatal(err) // restart registered it again
-	}
-}
-
-func TestDynamoClusterLifecycle(t *testing.T) {
-	CheckGoroutineLeaks(t)
-	dc, err := NewDynamoCluster(Options{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Stop()
-	c := dc.NewClient()
-	if _, err := c.Put(dc.Key(7), "col", []byte("value"), dynamo.Quorum); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := c.Get(dc.Key(7), "col", dynamo.Quorum)
-	if err != nil || string(got) != "value" {
-		t.Fatalf("Get = %q,%v", got, err)
-	}
-}
-
-func TestLatencyRecorder(t *testing.T) {
-	r := NewLatencyRecorder()
-	if r.Avg() != 0 || r.Count() != 0 {
-		t.Error("fresh recorder not empty")
-	}
-	for i := 1; i <= 100; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 100 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if avg := r.Avg(); avg < 50*time.Millisecond || avg > 51*time.Millisecond {
-		t.Errorf("Avg = %v, want ~50.5ms", avg)
-	}
-	if r.Min() != time.Millisecond || r.Max() != 100*time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-	if p := r.Percentile(95); p < 90*time.Millisecond || p > 100*time.Millisecond {
-		t.Errorf("P95 = %v", p)
-	}
-}
-
-func TestRunClosedLoopCountsThroughput(t *testing.T) {
-	point := RunClosedLoop(4, 50*time.Millisecond, func(thread, i int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if point.Threads != 4 {
-		t.Errorf("Threads = %d", point.Threads)
-	}
-	if point.Throughput <= 0 {
-		t.Error("Throughput = 0")
-	}
-	if point.AvgLatency < time.Millisecond {
-		t.Errorf("AvgLatency = %v, below the op's own sleep", point.AvgLatency)
-	}
-	if point.Errors != 0 {
-		t.Errorf("Errors = %d", point.Errors)
-	}
-}
-
-func TestRunClosedLoopCountsErrors(t *testing.T) {
-	point := RunClosedLoop(1, 20*time.Millisecond, func(thread, i int) error {
-		time.Sleep(time.Millisecond)
-		if i%2 == 1 {
-			return fmt.Errorf("boom")
-		}
-		return nil
-	})
-	if point.Errors == 0 {
-		t.Error("errors not counted")
-	}
-}
-
-func TestKeyPicker(t *testing.T) {
-	k := NewKeyPicker(100, 8, 1)
-	seen := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		key := k.Random()
-		if len(key) != 8 {
-			t.Fatalf("key %q has width %d", key, len(key))
-		}
-		seen[key] = true
-	}
-	if len(seen) < 10 {
-		t.Errorf("random keys not spread: %d distinct", len(seen))
-	}
-	// Sequential indices map through the stride: with space=1000 over a
-	// 6-digit domain the stride is 1000.
-	k2 := NewKeyPicker(1000, 6, 1)
-	if got := k2.Sequential(); got != "000000" {
-		t.Errorf("first sequential key = %q", got)
-	}
-	if got := k2.Sequential(); got != "001000" {
-		t.Errorf("second sequential key = %q", got)
-	}
-	k2.SeekTo(999)
-	if got := k2.Sequential(); got != "999000" {
-		t.Errorf("seeked key = %q", got)
-	}
-}
-
-func TestStridedKeySpreadsAcrossDomain(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		key := StridedKey(i, 100, 8)
-		if len(key) != 8 {
-			t.Fatalf("key %q width %d", key, len(key))
-		}
-		seen[key[:1]] = true // leading digit ~ key range bucket
-	}
-	if len(seen) < 9 {
-		t.Errorf("strided keys cover %d leading digits, want ~10", len(seen))
-	}
-}
-
-func TestValueOfSize(t *testing.T) {
-	v := ValueOfSize(4096)
-	if len(v) != 4096 {
-		t.Fatalf("len = %d", len(v))
-	}
-	if v[0] != 'a' || v[25] != 'z' || v[26] != 'a' {
-		t.Error("payload pattern wrong")
 	}
 }

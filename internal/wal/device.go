@@ -42,12 +42,10 @@ var ErrDeviceFailed = errors.New("wal: device failed")
 // DeviceProfile models the latency behaviour of a logging device. The paper
 // evaluates three: a dedicated SATA disk (Fig 9), a FusionIO SSD (Fig 13,
 // App. D.4), and a main-memory log (Fig 16, App. D.6.2). Latencies here are
-// scaled ~10x down from the hardware the paper used so that the benchmark
-// suite finishes in seconds; every comparison in the paper is relative, and
-// the shapes are preserved because the model keeps the same structure
-// (per-force fixed cost + per-byte cost + occasional seek penalty).
+// scaled ~10x down from the hardware the paper used; the model keeps the same
+// structure (per-force fixed cost + per-byte cost + occasional seek penalty).
 type DeviceProfile struct {
-	// Name identifies the profile in benchmark output.
+	// Name identifies the profile.
 	Name string
 	// ForceLatency is the fixed cost of making appended bytes durable.
 	ForceLatency time.Duration
@@ -61,12 +59,10 @@ type DeviceProfile struct {
 	SeekEvery   int
 }
 
-// Standard profiles used throughout the benchmark harness. Latencies sit a
-// small constant factor below the paper's hardware (a SATA force with the
-// primitive log manager's seeking cost them ~10-40ms; here ~7ms) so the
-// whole evaluation runs on one box in minutes; every figure compares the
-// two systems on identical profiles, so the paper's relative shapes are
-// what these reproduce.
+// Standard profiles, selectable through the embedded API's LogDevice.
+// Latencies sit a small constant factor below the paper's hardware (a SATA
+// force with the primitive log manager's seeking cost them ~10-40ms; here
+// ~7ms).
 var (
 	// DeviceHDD models the dedicated SATA logging disk of Appendix C with
 	// the primitive log manager's seek behaviour (no preallocated log
@@ -100,8 +96,7 @@ var (
 // MemDevice is an in-memory Device with simulated latency and crash
 // semantics: bytes appended but not yet forced are lost by Crash, exactly
 // like an OS buffer cache in front of a disk with its write-back cache
-// disabled (App. C). It is the device used by in-process clusters and by
-// the benchmark harness.
+// disabled (App. C). It is the device used by in-process clusters.
 type MemDevice struct {
 	profile DeviceProfile
 
@@ -264,8 +259,8 @@ func (d *MemDevice) Repair() {
 	d.closed = false
 }
 
-// Forces returns the number of medium forces performed, for ablation
-// benchmarks of group commit.
+// Forces returns the number of medium forces performed (the group-commit
+// tests count them through MemSegmentStore.TotalForces).
 func (d *MemDevice) Forces() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

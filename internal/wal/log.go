@@ -16,7 +16,7 @@ type Config struct {
 	SegmentBytes int64
 	// GroupCommit enables batching of concurrent force requests into a
 	// single device force (paper §5: "group commit [13] is also used to
-	// improve logging performance"). Every node and the baseline set it.
+	// improve logging performance"). Every node sets it.
 	// It stays a field only because benchmark/probes.go names it in a
 	// struct literal: deleting it, ForceTo's force-per-call branch and
 	// TestLogNoGroupCommitForcesEach together needs an edit to benchmark/.
@@ -327,7 +327,7 @@ func (l *Log) forceTail() error {
 	return err
 }
 
-// Stats reports append and force counts (ablation benchmarks).
+// Stats reports append and force counts (node metrics).
 func (l *Log) Stats() (appends, forces int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

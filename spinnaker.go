@@ -14,9 +14,8 @@
 // stay linearizable throughout (the nemesis suite checks exactly this).
 //
 // The package runs a full multi-node cluster in process, over a simulated
-// network and simulated logging devices, which is how the paper's entire
-// evaluation is reproduced on one machine (see bench_test.go and
-// EXPERIMENTS.md). A Cluster is a thin wrapper over internal/host, the one
+// network and simulated logging devices (see EXPERIMENTS.md for what has
+// been measured on it). A Cluster is a thin wrapper over internal/host, the one
 // cluster assembly: cmd/spinnaker-server runs the same object over real
 // disks behind a TCP line protocol, and the test harness (internal/sim)
 // drives it under faults — the package links no test scaffolding.
@@ -80,9 +79,9 @@ var (
 // LogDevice names a simulated logging-device latency profile.
 type LogDevice string
 
-// Logging device profiles (paper §9.2, App. D.4, D.6.2). Latencies are the
-// benchmark harness's scaled models of the paper's hardware (see
-// wal.DeviceHDD and friends for the exact figures).
+// Logging device profiles (paper §9.2, App. D.4, D.6.2). Latencies are
+// scaled models of the paper's hardware (see wal.DeviceHDD and friends for
+// the exact figures).
 const (
 	// DeviceInstant has no simulated latency (unit tests, functional use).
 	DeviceInstant LogDevice = "instant"
