@@ -171,6 +171,7 @@ func writeMetrics(w http.ResponseWriter, s Source) {
 				return fmt.Sprintf("{node=%q,range=\"%d\",role=%q,q=%q}", nm.ID, rm.Range, rm.Role, q)
 			}
 			fmt.Fprintf(w, "spinnaker_range_writes_total%s %d\n", lbl, rm.Writes)
+			fmt.Fprintf(w, "spinnaker_range_propose_batches_total%s %d\n", lbl, rm.ProposeBatches)
 			fmt.Fprintf(w, "spinnaker_range_strong_reads_total%s %d\n", lbl, rm.StrongReads)
 			fmt.Fprintf(w, "spinnaker_range_timeline_reads_total%s %d\n", lbl, rm.TimelineReads)
 			fmt.Fprintf(w, "spinnaker_range_write_latency_seconds%s %g\n", qlbl("0.5"), rm.WriteP50.Seconds())

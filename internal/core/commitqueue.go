@@ -164,6 +164,23 @@ func (q *commitQueue) markForced(lsn wal.LSN) {
 	}
 }
 
+// markForcedBatch records that the leader's log force for recs completed,
+// and that they were proposed at sent (the stale-propose sweep's clock
+// starts when a write leaves, not when it was sequenced): one lock for the
+// whole batch.
+//
+//spinnaker:hotpath
+func (q *commitQueue) markForcedBatch(recs []proposeRec, sent time.Time) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range recs {
+		if p, ok := q.byLSN[recs[i].LSN]; ok {
+			p.selfForced = true
+			p.lastPropose = sent
+		}
+	}
+}
+
 // markAckedThrough advances a peer's cumulative ack watermark: the peer
 // durably holds every write of the cohort at or below lsn. Watermarks only move forward, so stale or reordered acks — including
 // acks carrying LSNs from a prior epoch, which compare below every LSN of
@@ -407,13 +424,4 @@ func (q *commitQueue) staleResponders(timeout time.Duration) []*pendingWrite {
 		}
 	}
 	return out
-}
-
-// touchPropose stamps the propose time for lsn.
-func (q *commitQueue) touchPropose(lsn wal.LSN) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if p, ok := q.byLSN[lsn]; ok {
-		p.lastPropose = time.Now()
-	}
 }

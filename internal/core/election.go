@@ -363,6 +363,7 @@ func (r *replica) takeover() bool {
 	r.role = RoleLeader
 	r.open = false
 	r.leaderID = r.n.cfg.ID
+	r.dropProposalsLocked() // a new term starts with no batch outstanding
 	lCmt := r.lastCommitted
 	lLst = r.lastLSN
 	peers := r.peers

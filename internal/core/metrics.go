@@ -13,6 +13,7 @@ import (
 // metrics); snapshots are taken by the admin plane and the balancer.
 type rangeMetrics struct {
 	writes        metrics.Counter   // client writes committed (leader side)
+	proposes      metrics.Counter   // propose messages sent (leader side)
 	writeLat      metrics.Histogram // sequence-to-commit latency, ns
 	strongReads   metrics.Counter   // consistent reads served
 	timelineReads metrics.Counter   // timeline reads served
@@ -54,6 +55,11 @@ type RangeMetrics struct {
 	StrongReads   int64         `json:"strong_reads"`
 	TimelineReads int64         `json:"timeline_reads"`
 	ReadP95       time.Duration `json:"read_p95_ns"`
+
+	// ProposeBatches counts the propose messages this replica sent as
+	// leader, once per message however many peers it went to, re-sends
+	// included: Writes ÷ ProposeBatches is the leader's batch size.
+	ProposeBatches int64 `json:"propose_batches"`
 
 	// Commit lag: how far apply trails sequencing, as an LSN-sequence gap
 	// and as time since the committed watermark last advanced (zero when
@@ -133,6 +139,7 @@ func (r *replica) metricsSnapshot() RangeMetrics {
 	r.mu.Unlock()
 
 	m.Writes = r.m.writes.Load()
+	m.ProposeBatches = r.m.proposes.Load()
 	m.StrongReads = r.m.strongReads.Load()
 	m.TimelineReads = r.m.timelineReads.Load()
 	m.Elections = r.m.elections.Load()

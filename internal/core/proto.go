@@ -5,9 +5,10 @@
 // §6, and the leader election protocol of §7.
 //
 // Two ways this implementation goes beyond the paper's figures as drawn:
-// the write path is a batched, pipelined proposal stream (leaders coalesce
-// concurrently sequenced writes into one MsgProposeBatch per peer and
-// followers reply with one cumulative acked-through LSN; Figure 4's literal
+// the write path is a batched, pipelined proposal stream (leaders keep one
+// batch outstanding per range and coalesce the writes sequenced meanwhile
+// into the next MsgProposeBatch per peer, and followers reply with one
+// cumulative acked-through LSN; Figure 4's literal
 // one-propose-one-ack-per-write pattern is the same stream capped at one
 // write per message, the DisableProposalBatching ablation), and cluster
 // membership is live: nodes follow the versioned layout published through

@@ -792,9 +792,9 @@ func (r *replica) demoteLocked(newLeader string) {
 	}
 	// Drop any proposals still waiting in the batcher: the new leader
 	// owns the replication stream now (followers would reject them as
-	// stale-epoch anyway).
-	r.batchBuf = nil
-	r.batchEnd = 0
+	// stale-epoch anyway). The window re-arms with them, so a batch left
+	// outstanding here cannot hold back a later term's first write.
+	r.dropProposalsLocked()
 	// Pending writes keep their places in the queue — they are in our
 	// durable log and may yet be committed by the new leader's
 	// re-proposals. Their waiting clients, however, must not hang.

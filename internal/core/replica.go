@@ -102,16 +102,19 @@ type replica struct {
 	gcFloor    wal.LSN
 
 	// Leader-side proposal batcher: writes are sequenced into batchBuf
-	// under r.mu; the first writer to find no drain in progress becomes
-	// the drainer and sends everything sequenced since the last send
-	// (sendProposals), looping while further writes accumulate behind it.
-	// batchSending marks the active drainer (guarded by r.mu). batchSpare
-	// is the buffer the drainer last sent, cleared, which becomes batchBuf
-	// at the next swap, so the two alternate instead of regrowing.
+	// under r.mu and leave as one batch per drain (sendProposals). At
+	// most one batch is outstanding: batchOut is the last LSN of the
+	// batch sent and not yet resolved (zero when none), and the writes
+	// sequenced meanwhile wait in batchBuf until it commits or its force
+	// fails (see claimDrainLocked). batchSending marks the active drainer.
+	// batchSpare is the buffer the drainer last sent, cleared, which
+	// becomes batchBuf at the next swap, so the two alternate instead of
+	// regrowing. All guarded by r.mu.
 	batchBuf     []proposeRec
 	batchSpare   []proposeRec
 	batchEnd     int64 // max log offset of buffered records (force target)
 	batchSending bool
+	batchOut     wal.LSN
 	logScratch   []wal.Record // onProposeBatch's log append list (AppendBatch keeps none)
 
 	// Bulk catch-up counters (guarded by r.mu): manifests served as
@@ -202,8 +205,7 @@ func (r *replica) retire() {
 	r.role = RoleFollower
 	r.open = false
 	r.leaderID = ""
-	r.batchBuf = nil
-	r.batchEnd = 0
+	r.dropProposalsLocked()
 	for _, lsn := range r.queue.snapshotOrder() {
 		if p, ok := r.queue.get(lsn); ok {
 			p.finish(writeOutcome{status: StatusAmbiguous, detail: "cohort membership changed mid-replication"})
@@ -360,7 +362,6 @@ func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 		return
 	}
 	r.lastLSN = lsn
-	r.queue.touchPropose(lsn)
 	r.enqueueProposalLocked(proposeRec{LSN: lsn, Op: op, Raw: enc})
 	if end > r.batchEnd {
 		r.batchEnd = end
@@ -368,8 +369,8 @@ func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 	claimed := r.claimDrainLocked()
 	r.mu.Unlock()
 	if claimed {
-		// The drainer loops for as long as writes keep arriving, so it
-		// must not run on this (link) goroutine.
+		// The drainer forces the leader's log, so it must not run on this
+		// (link) goroutine.
 		go r.drainProposals()
 	}
 }
@@ -470,36 +471,58 @@ func (r *replica) enqueueProposalLocked(rec proposeRec) {
 	r.batchBuf = append(r.batchBuf, rec)
 }
 
-// claimDrainLocked makes the caller the cohort's proposal drainer if no
-// drain is in progress; callers hold r.mu and, on true, must call
-// drainProposals after releasing it.
+// claimDrainLocked makes the caller the cohort's proposal drainer if there
+// is something to send, no drain is in progress and no batch is
+// outstanding; callers hold r.mu and, on true, must call drainProposals
+// after releasing it. Two callers claim: the writer that sequences into an
+// idle batcher (a lone write leaves at once), and tryCommit when the commit
+// point passes the outstanding batch (the writes that waited behind it
+// leave together). One drainer at a time, swapping the LSN-ordered buffer
+// under r.mu, keeps batches leaving in LSN order on the in-order links.
 //
 //spinnaker:locked(mu)
 func (r *replica) claimDrainLocked() bool {
-	if r.batchSending || len(r.batchBuf) == 0 {
+	if r.batchSending || !r.batchOut.IsZero() || len(r.batchBuf) == 0 {
 		return false
 	}
 	r.batchSending = true
 	return true
 }
 
-// drainProposals streams the cohort's proposal buffer to the followers:
-// it repeatedly swaps out everything sequenced since the last swap, sends
-// it to every peer (sendProposals), forces the leader's log through the
-// batch in parallel (Fig 4's overlap, per batch instead of per write), and
-// commits what the acks allow. Writes sequenced while a batch is being
-// sent and forced accumulate behind it and leave in the next batch, so
-// batch size adapts to offered load — group commit's trick applied to the
-// replication stream. Single-drainer + in-LSN-order buffer keeps batches
-// leaving in LSN order on the in-order links; the drainer exits once the
-// buffer runs dry.
+// dropProposalsLocked discards the batcher's unsent writes and re-arms its
+// window, for when this replica stops (or starts) leading: an outstanding
+// batch of an earlier term resolves with that term, so the first write of
+// the next one leaves at once. Callers hold r.mu.
+//
+//spinnaker:locked(mu)
+func (r *replica) dropProposalsLocked() {
+	r.batchBuf = nil
+	r.batchEnd = 0
+	r.batchOut = 0
+}
+
+// drainProposals sends the cohort's proposal buffer to the followers, one
+// batch at a time: it swaps out everything sequenced since the last swap,
+// sends it to every peer (sendProposals), forces the leader's log through
+// the batch in parallel (Fig 4's overlap, per batch instead of per write),
+// and commits what the acks allow. The batch is then outstanding until it
+// resolves: it commits (tryCommit, which claims the next drain) or its
+// force fails (the loop below goes on). Writes sequenced meanwhile wait and
+// leave together in the next batch, so batch size follows the commit
+// round trip — group commit's trick applied to the replication stream.
+// The drainer exits when the buffer is empty or a batch is outstanding.
+// With DisableProposalBatching there is no window: the drainer sends
+// whatever is buffered, as on Figure 4's per-write stream.
 func (r *replica) drainProposals() {
 	r.mu.Lock()
-	for len(r.batchBuf) > 0 {
+	for len(r.batchBuf) > 0 && r.batchOut.IsZero() {
 		recs := r.batchBuf
 		r.batchBuf, r.batchSpare = r.batchSpare, nil
 		end := r.batchEnd
 		r.batchEnd = 0
+		if !r.n.cfg.DisableProposalBatching {
+			r.batchOut = recs[len(recs)-1].LSN
+		}
 		committedThrough := wal.LSN(0)
 		if r.n.cfg.PiggybackCommits {
 			committedThrough = r.lastCommitted
@@ -508,15 +531,14 @@ func (r *replica) drainProposals() {
 		r.mu.Unlock()
 		// Send first, then force: the followers' round trip overlaps the
 		// leader's force (Fig 4).
+		sent := time.Now()
 		r.sendProposals(peers, committedThrough, recs)
 		var forceErr error
 		if end > 0 {
 			forceErr = r.n.log.ForceTo(end)
 		}
 		if forceErr == nil {
-			for _, rec := range recs {
-				r.queue.markForced(rec.LSN)
-			}
+			r.queue.markForcedBatch(recs, sent)
 			r.tryCommit()
 		} else {
 			// The writes are already sequenced, queued, and proposed:
@@ -534,17 +556,24 @@ func (r *replica) drainProposals() {
 		clear(recs) // pin no ops
 		r.mu.Lock()
 		r.batchSpare = recs[:0]
+		if forceErr != nil {
+			// A failed force resolves the batch: it cannot commit here,
+			// and the writes behind it must still be proposed (and
+			// answered) rather than wait for a commit that never comes.
+			r.batchOut = 0
+		}
 	}
 	r.batchSending = false
 	r.mu.Unlock()
 }
 
-// sendProposals sends recs (ascending by LSN) to every peer. This is the one
-// place the DisableProposalBatching ablation acts: normally recs leave as one
-// MsgProposeBatch per peer; with the ablation set each record leaves in a
-// MsgProposeBatch of its own — one propose and, since followers answer every
-// message with one cumulative MsgAckBatch, one ack per write per link, which
-// is Figure 4's message pattern.
+// sendProposals sends recs (ascending by LSN) to every peer. Normally recs
+// leave as one MsgProposeBatch per peer; with the DisableProposalBatching
+// ablation set each record leaves in a MsgProposeBatch of its own — one
+// propose and, since followers answer every message with one cumulative
+// MsgAckBatch, one ack per write per link, which is Figure 4's message
+// pattern. Each message counts once in ProposeBatches, however many peers
+// it goes to.
 //
 //spinnaker:hotpath
 func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs []proposeRec) {
@@ -556,6 +585,7 @@ func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs [
 		payload := encodeProposeBatch(proposeBatchPayload{
 			CommittedThrough: committedThrough, Recs: recs[:per],
 		})
+		r.m.proposes.Inc()
 		for _, peer := range peers {
 			r.n.send(peer, transport.Message{
 				Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload,
@@ -590,7 +620,17 @@ func (r *replica) tryCommit() {
 		}
 	}
 	r.commitAdvanced = now
+	// The outstanding propose batch has committed: the writes that waited
+	// behind it leave now, as the next batch.
+	claimed := false
+	if !r.batchOut.IsZero() && r.lastCommitted >= r.batchOut {
+		r.batchOut = 0
+		claimed = r.claimDrainLocked()
+	}
 	r.mu.Unlock()
+	if claimed {
+		go r.drainProposals()
+	}
 	for _, p := range committed {
 		r.m.writes.Inc()
 		if !p.enqueuedAt.IsZero() {

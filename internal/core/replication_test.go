@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,7 +231,10 @@ var errInjectedForce = errors.New("injected force failure")
 // TestLeaderForceErrorAnswersAmbiguous: when the leader's log force fails,
 // the clients of that batch are told StatusAmbiguous at once — the writes
 // are sequenced and proposed, so they stay queued for a takeover to commit —
-// instead of hanging until the WriteTimeout sweep.
+// instead of hanging until the WriteTimeout sweep. The failed force also
+// resolves the batch's propose window: once the failure clears, the next
+// write is still proposed (the leader's log stays failed, so it too is
+// answered ambiguous at once), and a healthy successor commits it.
 func TestLeaderForceErrorAnswersAmbiguous(t *testing.T) {
 	const writeTimeout = 30 * time.Second
 	failing := make(map[string]*atomic.Bool)
@@ -249,7 +253,9 @@ func TestLeaderForceErrorAnswersAmbiguous(t *testing.T) {
 	tc.waitAllLeaders()
 
 	rangeID := tc.layout.RangeOf(row0(0))
-	leader := tc.leaderOf(rangeID)
+	// A follower still recovering ignores proposes, and would then refuse
+	// the later ones as a gap; the check below needs both to log them.
+	leader := tc.nodes[tc.waitFollowing(rangeID)]
 	failing[leader.ID()].Store(true)
 
 	ep := tc.net.Join("strict-client")
@@ -281,19 +287,58 @@ func TestLeaderForceErrorAnswersAmbiguous(t *testing.T) {
 	if stale := q.staleResponders(writeTimeout); len(stale) != 0 {
 		t.Errorf("%d writes were old enough for the WriteTimeout sweep", len(stale))
 	}
+
+	// The failure clears. A write that waited behind the failed batch's
+	// window would be answered by the WriteTimeout sweep; a proposed one
+	// reaches its own force, which reports the log's (sticky) failure.
+	failing[leader.ID()].Store(false)
+	last := row0(writes)
+	if _, err := c.Put(last, "c", []byte("last")); !errors.Is(err, ErrAmbiguous) ||
+		!strings.Contains(err.Error(), errInjectedForce.Error()) {
+		t.Fatalf("put after the failure cleared: %v, want ErrAmbiguous carrying the force error", err)
+	}
+	// A proposed write reaches the followers' logs; a healthy successor's
+	// takeover then commits it.
+	lst, _ := leader.ReplicaStats(rangeID)
+	for _, name := range tc.layout.Cohort(rangeID) {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st, _ := tc.nodes[name].ReplicaStats(rangeID); st.LastLSN >= lst.LastLSN {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never logged %v, the write proposed after the failure", name, lst.LastLSN)
+			}
+		}
+	}
+	for i := 0; tc.leaderOf(rangeID) == leader; i++ {
+		if i == 10 {
+			t.Fatal("the failed leader kept the range")
+		}
+		leader.StepDown(rangeID)
+		tc.waitAllLeaders()
+	}
+	reader := tc.client()
+	if v, _, err := reader.Get(last, "c", true); err != nil || string(v) != "last" {
+		t.Fatalf("strong read of the write proposed after the failure: %q, %v; want \"last\"", v, err)
+	}
+	if _, err := reader.Put(row0(writes+1), "c", []byte("v")); err != nil {
+		t.Fatalf("put through the successor: %v", err)
+	}
 }
 
 // inboundHook is an endpoint decorator that shows every inbound message to
-// saw before the node's handler gets it.
+// saw before the node's handler gets it; a message saw returns false for is
+// dropped.
 type inboundHook struct {
 	transport.Endpoint
-	saw func(m transport.Message)
+	saw func(m transport.Message) bool
 }
 
 func (e inboundHook) SetHandler(h transport.Handler) {
 	e.Endpoint.SetHandler(func(m transport.Message) {
-		e.saw(m)
-		h(m)
+		if e.saw(m) {
+			h(m)
+		}
 	})
 }
 
@@ -344,9 +389,9 @@ func TestLeaderSendsProposesBeforeForcing(t *testing.T) {
 			})
 		},
 		endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
-			return inboundHook{ep, func(m transport.Message) {
+			return inboundHook{ep, func(m transport.Message) bool {
 				if m.Kind != MsgProposeBatch {
-					return
+					return true
 				}
 				mu.Lock()
 				defer mu.Unlock()
@@ -356,6 +401,7 @@ func TestLeaderSendsProposesBeforeForcing(t *testing.T) {
 						close(proposed)
 					}
 				}
+				return true
 			}}
 		},
 	})
@@ -374,6 +420,267 @@ func TestLeaderSendsProposesBeforeForcing(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Put(row0(0), "c", []byte("v")); err != nil {
 		t.Fatalf("put: %v", err)
+	}
+	if n := ep.timeouts.Load(); n != 0 {
+		t.Fatalf("%d calls ended in ErrTimeout, want 0", n)
+	}
+}
+
+// windowBed is a three-node cluster built for counting one range's
+// proposes: the followers' acks to that range's leader can be held or
+// dropped, and every MsgProposeBatch the leader sends is recorded, per
+// receiving follower, as its record count. The leader's stale-propose
+// sweep re-sends an unacknowledged write after two commit periods.
+type windowBed struct {
+	tc *testCluster
+
+	mu      sync.Mutex
+	rangeID uint32
+	leader  string           // whose proposes are counted and acks held; "" until set
+	hold    chan struct{}    // non-nil: acks to the leader wait until it closes
+	drop    bool             // acks to the leader are lost
+	got     map[string][]int // per follower: record count of each propose from leader
+}
+
+func newWindowBed(t *testing.T, timeout, commitPeriod time.Duration) *windowBed {
+	b := &windowBed{got: make(map[string][]int)}
+	b.tc = newHookedTestCluster(t, 3, func(cfg *Config) {
+		cfg.DisableProposalBatching = false // the window is the batcher's
+		cfg.CommitPeriod = commitPeriod
+		cfg.WriteTimeout = timeout
+	}, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		return inboundHook{ep, func(m transport.Message) bool {
+			b.mu.Lock()
+			var hold chan struct{}
+			keep := true
+			if b.leader != "" && m.Cohort == b.rangeID {
+				switch {
+				case m.Kind == MsgAckBatch && name == b.leader:
+					hold, keep = b.hold, !b.drop
+				case m.Kind == MsgProposeBatch && m.From == b.leader:
+					if pb, err := decodeProposeBatch(m.Payload); err == nil {
+						b.got[name] = append(b.got[name], len(pb.Recs))
+					}
+				}
+			}
+			b.mu.Unlock()
+			if hold != nil {
+				<-hold
+			}
+			return keep
+		}}
+	}})
+	t.Cleanup(b.release) // before the cluster's shutdown: free held links
+	b.tc.waitAllLeaders()
+	rangeID := b.tc.layout.RangeOf(row0(0))
+	leader := b.tc.waitFollowing(rangeID)
+	b.mu.Lock()
+	b.rangeID, b.leader = rangeID, leader
+	b.mu.Unlock()
+	return b
+}
+
+// holdAcks makes the followers' acks to the leader wait until release.
+func (b *windowBed) holdAcks() {
+	b.mu.Lock()
+	b.hold = make(chan struct{})
+	b.mu.Unlock()
+}
+
+// dropAcks sets whether the followers' acks to the leader are lost.
+func (b *windowBed) dropAcks(drop bool) {
+	b.mu.Lock()
+	b.drop = drop
+	b.mu.Unlock()
+}
+
+// release lets held acks through and stops holding new ones.
+func (b *windowBed) release() {
+	b.mu.Lock()
+	if b.hold != nil {
+		close(b.hold)
+		b.hold = nil
+	}
+	b.mu.Unlock()
+}
+
+func (b *windowBed) followers() []string {
+	var out []string
+	for _, name := range b.tc.layout.Cohort(b.rangeID) {
+		if name != b.leader {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// proposes returns the record counts of the proposes follower has received
+// from the leader.
+func (b *windowBed) proposes(follower string) []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]int(nil), b.got[follower]...)
+}
+
+// waitProposes waits until every follower has received n more proposes
+// from the leader than before[follower] (nil: none before) and returns
+// their record counts, per follower.
+func (b *windowBed) waitProposes(before map[string]int, n int) map[string][]int {
+	b.tc.t.Helper()
+	out := make(map[string][]int)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, f := range b.followers() {
+		for len(b.proposes(f)) < before[f]+n {
+			if time.Now().After(deadline) {
+				b.tc.t.Fatalf("follower %s received %v from %s, want %d proposes", f, b.proposes(f), b.leader, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		out[f] = b.proposes(f)
+	}
+	return out
+}
+
+// client returns a client whose calls time out after timeout, and the
+// counter of the calls that did.
+func (b *windowBed) client(timeout time.Duration) (*Client, *timeoutCounter) {
+	local := b.tc.net.Join(fmt.Sprintf("window-client-%d", time.Now().UnixNano()))
+	local.SetCallTimeout(timeout)
+	ep := &timeoutCounter{Endpoint: local}
+	c := NewClient(b.tc.layout, ep, b.tc.coord, 1)
+	b.tc.t.Cleanup(c.Close)
+	return c, ep
+}
+
+// TestProposalWindow pins the leader's one-batch propose window by counting
+// messages: a lone write leaves at once, writes sequenced while its batch is
+// outstanding send nothing, and they leave together, as one more propose per
+// follower, when that batch commits.
+func TestProposalWindow(t *testing.T) {
+	const timeout = 30 * time.Second
+	// A minute's commit period: every propose counted comes from the
+	// batcher, none from the stale-propose sweep.
+	b := newWindowBed(t, timeout, time.Minute)
+	c, ep := b.client(timeout)
+	leader := b.tc.nodes[b.leader]
+	b.holdAcks()
+
+	// (a) One write: one propose per follower, at once.
+	first := c.PutAsync(row0(0), "c", []byte("v"))
+	for f, got := range b.waitProposes(nil, 1) {
+		if len(got) != 1 || got[0] != 1 {
+			t.Fatalf("follower %s received %v, want one propose of one record", f, got)
+		}
+	}
+
+	// (b) Ten more while the first batch's acks are held: all sequenced,
+	// none sent.
+	const more = 10
+	rest := make([]*WriteFuture, more)
+	for i := range rest {
+		rest[i] = c.PutAsync(row0(1+i), "c", []byte("v"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := leader.ReplicaStats(b.rangeID)
+		if st.Pending == 1+more {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leader holds %d pending writes, want %d", st.Pending, 1+more)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, f := range b.followers() {
+		if got := b.proposes(f); len(got) != 1 {
+			t.Fatalf("follower %s received %v while the first batch was outstanding, want only it", f, got)
+		}
+	}
+
+	// (c) Released: the first batch commits, and the ten leave together.
+	b.release()
+	if _, err := first.Wait(); err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+	for i, f := range rest {
+		if _, err := f.Wait(); err != nil {
+			t.Fatalf("put %d: %v", 1+i, err)
+		}
+	}
+	for f, got := range b.waitProposes(nil, 2) {
+		if len(got) != 2 || got[1] != more {
+			t.Fatalf("follower %s received %v, want [1 %d]", f, got, more)
+		}
+	}
+	if n := ep.timeouts.Load(); n != 0 {
+		t.Fatalf("%d calls ended in ErrTimeout, want 0", n)
+	}
+}
+
+// TestProposalWindowReArmsAcrossTerms: a leader deposed with a batch
+// outstanding, then re-elected, sends its new term's first write at once.
+// The deposed batch's acks are lost, and the node learns that it committed
+// from its successor's commit messages, not from its own commit queue, so
+// nothing but the term change resolves its window. The stale-propose sweep
+// cannot stand in: it re-sends only writes the leader's force has covered,
+// and a write still waiting to be drained has none.
+func TestProposalWindowReArmsAcrossTerms(t *testing.T) {
+	const timeout = 30 * time.Second
+	b := newWindowBed(t, timeout, 50*time.Millisecond)
+	c, ep := b.client(timeout)
+	home := b.tc.nodes[b.leader]
+
+	// A batch outstanding, then the leader is deposed.
+	b.dropAcks(true)
+	first := c.PutAsync(row0(0), "c", []byte("v"))
+	b.waitProposes(nil, 1)
+	if !home.StepDown(b.rangeID) {
+		t.Fatal("the leader no longer led the range")
+	}
+	_, _ = first.Wait() // ambiguous, or committed by a retry at the successor
+	b.dropAcks(false)
+
+	// Its successor commits the batch, and the commit messages tell it so.
+	// (It sits out one election round only; should it win the range
+	// straight back, it is deposed again.)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := home.ReplicaStats(b.rangeID)
+		if st.Leader != home.ID() && st.Leader != "" && st.Pending == 0 && st.LastCommitted >= st.LastLSN {
+			break
+		}
+		if st.Role == RoleLeader && st.Open {
+			home.StepDown(b.rangeID)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never learned its last batch committed: %+v", home.ID(), st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.tc.waitAllLeaders()
+
+	// Re-elect it: depose every other leader until it leads again.
+	for i := 0; b.tc.leaderOf(b.rangeID) != home; i++ {
+		if i == 10 {
+			t.Fatalf("%s never led range %d again", home.ID(), b.rangeID)
+		}
+		b.tc.leaderOf(b.rangeID).StepDown(b.rangeID)
+		b.tc.waitAllLeaders()
+	}
+	b.tc.waitFollowing(b.rangeID)
+	before := make(map[string]int)
+	for _, f := range b.followers() {
+		before[f] = len(b.proposes(f))
+	}
+
+	// The new term's first write leaves at once, alone, and commits.
+	if _, err := c.Put(row0(1), "c", []byte("w")); err != nil {
+		t.Fatalf("first put of the new term: %v", err)
+	}
+	for f, got := range b.waitProposes(before, 1) {
+		if got[before[f]] != 1 {
+			t.Fatalf("follower %s received %v (%d before the put), want a propose of one record next", f, got, before[f])
+		}
 	}
 	if n := ep.timeouts.Load(); n != 0 {
 		t.Fatalf("%d calls ended in ErrTimeout, want 0", n)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +93,7 @@ func TestAdminEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"spinnaker_layout_version",
 		"spinnaker_range_writes_total",
+		"spinnaker_range_propose_batches_total",
 		"spinnaker_range_write_latency_seconds",
 		"spinnaker_range_commit_lag_seqs",
 		"spinnaker_range_storage_flushes_total",
@@ -109,5 +111,29 @@ func TestAdminEndpoints(t *testing.T) {
 	// Strong reads were served and counted on some leader line.
 	if !strings.Contains(string(text), "spinnaker_range_strong_reads_total") {
 		t.Fatalf("/metrics missing strong read counter")
+	}
+	// One client writing one row at a time: every write left in a propose
+	// batch of its own (re-sends only add batches).
+	var batches, leaderWrites int64
+	for _, line := range strings.Split(string(text), "\n") {
+		name, rest, _ := strings.Cut(line, "{")
+		var sum *int64
+		switch name {
+		case "spinnaker_range_propose_batches_total":
+			sum = &batches
+		case "spinnaker_range_writes_total":
+			sum = &leaderWrites
+		}
+		if sum == nil || !strings.Contains(rest, `role="leader"`) {
+			continue
+		}
+		n, err := strconv.ParseInt(rest[strings.LastIndexByte(rest, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		*sum += n
+	}
+	if leaderWrites == 0 || batches < leaderWrites {
+		t.Fatalf("leaders sent %d propose batches for %d writes, want at least one per write", batches, leaderWrites)
 	}
 }
