@@ -78,10 +78,6 @@ func newHookedTestCluster(t *testing.T, nodeCount int, tweak func(*Config), hook
 		TakeoverTimeout: 2 * time.Second,
 		RetryInterval:   5 * time.Millisecond,
 		FlushInterval:   20 * time.Millisecond,
-		// SPINNAKER_TEST_NO_BATCHING=1 runs the whole package under the
-		// ProposalBatching=false ablation (every propose message capped
-		// at one write); CI exercises both settings.
-		DisableProposalBatching: os.Getenv("SPINNAKER_TEST_NO_BATCHING") != "",
 	}
 	if tweak != nil {
 		tweak(&tc.cfgTmpl)

@@ -144,16 +144,6 @@ type Config struct {
 	MaxTables  int
 	// SegmentBytes is the shared log's roll threshold.
 	SegmentBytes int64
-	// DisableProposalBatching caps every propose message at one write
-	// (the ProposalBatching=false ablation). The default keeps one propose
-	// batch outstanding per range and coalesces every write sequenced
-	// while it is outstanding into the next MsgProposeBatch per peer;
-	// followers append the whole batch under one lock acquisition, issue
-	// one force, and reply with one cumulative acked-through LSN. With the
-	// cap, the same pipeline sends one message per write per peer, with
-	// no batch held back for an outstanding one, and so draws one ack per
-	// write — the message pattern of the paper's Figure 4 read literally.
-	DisableProposalBatching bool
 	// DisableSnapshotCatchup forces catch-up onto the entry-replay path
 	// even when the leader's log is truncated past the follower's f.cmt
 	// (the log-replay ablation the truncated-rejoin tests run). With the

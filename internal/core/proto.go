@@ -8,13 +8,11 @@
 // the write path is a batched, pipelined proposal stream (leaders keep one
 // batch outstanding per range and coalesce the writes sequenced meanwhile
 // into the next MsgProposeBatch per peer, and followers reply with one
-// cumulative acked-through LSN; Figure 4's literal
-// one-propose-one-ack-per-write pattern is the same stream capped at one
-// write per message, the DisableProposalBatching ablation), and cluster
-// membership is live: nodes follow the versioned layout published through
-// the coordination service, creating, retiring, and re-membering cohort
-// replicas as ranges split and move (elastic scale-out, §4's placement made
-// dynamic).
+// cumulative acked-through LSN, where Figure 4 draws one propose and one
+// ack per write), and cluster membership is live: nodes follow the
+// versioned layout published through the coordination service, creating,
+// retiring, and re-membering cohort replicas as ranges split and move
+// (elastic scale-out, §4's placement made dynamic).
 package core
 
 import (

@@ -511,8 +511,6 @@ func (r *replica) dropProposalsLocked() {
 // leave together in the next batch, so batch size follows the commit
 // round trip — group commit's trick applied to the replication stream.
 // The drainer exits when the buffer is empty or a batch is outstanding.
-// With DisableProposalBatching there is no window: the drainer sends
-// whatever is buffered, as on Figure 4's per-write stream.
 func (r *replica) drainProposals() {
 	r.mu.Lock()
 	for len(r.batchBuf) > 0 && r.batchOut.IsZero() {
@@ -520,9 +518,7 @@ func (r *replica) drainProposals() {
 		r.batchBuf, r.batchSpare = r.batchSpare, nil
 		end := r.batchEnd
 		r.batchEnd = 0
-		if !r.n.cfg.DisableProposalBatching {
-			r.batchOut = recs[len(recs)-1].LSN
-		}
+		r.batchOut = recs[len(recs)-1].LSN
 		committedThrough := wal.LSN(0)
 		if r.n.cfg.PiggybackCommits {
 			committedThrough = r.lastCommitted
@@ -567,30 +563,20 @@ func (r *replica) drainProposals() {
 	r.mu.Unlock()
 }
 
-// sendProposals sends recs (ascending by LSN) to every peer. Normally recs
-// leave as one MsgProposeBatch per peer; with the DisableProposalBatching
-// ablation set each record leaves in a MsgProposeBatch of its own — one
-// propose and, since followers answer every message with one cumulative
-// MsgAckBatch, one ack per write per link, which is Figure 4's message
-// pattern. Each message counts once in ProposeBatches, however many peers
-// it goes to.
+// sendProposals sends recs (ascending by LSN) to every peer as one
+// MsgProposeBatch, which counts once in ProposeBatches however many peers
+// it goes to. Each follower answers it with one cumulative MsgAckBatch.
 //
 //spinnaker:hotpath
 func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs []proposeRec) {
-	per := len(recs)
-	if r.n.cfg.DisableProposalBatching {
-		per = 1
-	}
-	for ; len(recs) > 0; recs = recs[per:] {
-		payload := encodeProposeBatch(proposeBatchPayload{
-			CommittedThrough: committedThrough, Recs: recs[:per],
+	payload := encodeProposeBatch(proposeBatchPayload{
+		CommittedThrough: committedThrough, Recs: recs,
+	})
+	r.m.proposes.Inc()
+	for _, peer := range peers {
+		r.n.send(peer, transport.Message{
+			Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload,
 		})
-		r.m.proposes.Inc()
-		for _, peer := range peers {
-			r.n.send(peer, transport.Message{
-				Kind: MsgProposeBatch, Cohort: r.rangeID, Payload: payload,
-			})
-		}
 	}
 }
 

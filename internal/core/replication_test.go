@@ -49,22 +49,20 @@ func (c *proposeCounter) snapshot() (proposes []int, acks int) {
 	return append([]int(nil), c.proposes...), c.acks
 }
 
-// TestProposalBatchingCap pins what DisableProposalBatching means on the one
-// replication path: with it set every propose message carries exactly one
-// write and draws exactly one cumulative ack; without it concurrently
-// sequenced writes share propose messages.
+// TestProposalBatchingCap pins that concurrently sequenced writes share
+// propose messages on the one replication path, and that every propose
+// message draws exactly one cumulative ack.
 func TestProposalBatchingCap(t *testing.T) {
 	const writes = 64
-	run := func(t *testing.T, disable bool) (proposes []int, acks int) {
+	t.Run("batched", func(t *testing.T) {
 		counter := &proposeCounter{}
 		tc := newHookedTestCluster(t, 3, func(cfg *Config) {
-			cfg.DisableProposalBatching = disable
 			// No retransmissions (they start at two commit periods): every
 			// propose counted below is a first transmission.
 			cfg.CommitPeriod = time.Second
 		}, testHooks{
 			// A force that takes a moment, so writes sequenced meanwhile
-			// queue up behind the drainer.
+			// queue up behind the outstanding batch.
 			stores: func(string) *Stores { return NewMemStores(wal.DeviceMem) },
 			endpoint: func(_ string, ep transport.Endpoint) transport.Endpoint {
 				return countingEndpoint{ep, counter}
@@ -86,30 +84,16 @@ func TestProposalBatchingCap(t *testing.T) {
 		}
 		// A write commits on the first follower's ack; let the second
 		// follower's acks arrive too.
+		var proposes []int
+		var acks int
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			proposes, acks = counter.snapshot()
 			if acks == len(proposes) || time.Now().After(deadline) {
-				return proposes, acks
+				break
 			}
 			time.Sleep(time.Millisecond)
 		}
-	}
-
-	t.Run("capped", func(t *testing.T) {
-		proposes, acks := run(t, true)
-		for _, n := range proposes {
-			if n != 1 {
-				t.Fatalf("a propose message carried %d records, want exactly 1 (all: %v)", n, proposes)
-			}
-		}
-		// One message per write per follower, one ack per message.
-		if len(proposes) != 2*writes || acks != len(proposes) {
-			t.Fatalf("%d propose messages and %d acks for %d writes to 2 followers", len(proposes), acks, writes)
-		}
-	})
-	t.Run("batched", func(t *testing.T) {
-		proposes, acks := run(t, false)
 		most := 0
 		for _, n := range proposes {
 			most = max(most, n)
@@ -428,8 +412,9 @@ func TestLeaderSendsProposesBeforeForcing(t *testing.T) {
 
 // windowBed is a three-node cluster built for counting one range's
 // proposes: the followers' acks to that range's leader can be held or
-// dropped, and every MsgProposeBatch the leader sends is recorded, per
-// receiving follower, as its record count. The leader's stale-propose
+// dropped, every MsgProposeBatch the leader sends is recorded, per
+// receiving follower, as its record count, and every MsgAckBatch the leader
+// receives is counted per sending follower. The leader's stale-propose
 // sweep re-sends an unacknowledged write after two commit periods.
 type windowBed struct {
 	tc *testCluster
@@ -440,12 +425,12 @@ type windowBed struct {
 	hold    chan struct{}    // non-nil: acks to the leader wait until it closes
 	drop    bool             // acks to the leader are lost
 	got     map[string][]int // per follower: record count of each propose from leader
+	acks    map[string]int   // per follower: acks the leader received from it
 }
 
 func newWindowBed(t *testing.T, timeout, commitPeriod time.Duration) *windowBed {
-	b := &windowBed{got: make(map[string][]int)}
+	b := &windowBed{got: make(map[string][]int), acks: make(map[string]int)}
 	b.tc = newHookedTestCluster(t, 3, func(cfg *Config) {
-		cfg.DisableProposalBatching = false // the window is the batcher's
 		cfg.CommitPeriod = commitPeriod
 		cfg.WriteTimeout = timeout
 	}, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
@@ -457,6 +442,9 @@ func newWindowBed(t *testing.T, timeout, commitPeriod time.Duration) *windowBed 
 				switch {
 				case m.Kind == MsgAckBatch && name == b.leader:
 					hold, keep = b.hold, !b.drop
+					if keep {
+						b.acks[m.From]++
+					}
 				case m.Kind == MsgProposeBatch && m.From == b.leader:
 					if pb, err := decodeProposeBatch(m.Payload); err == nil {
 						b.got[name] = append(b.got[name], len(pb.Recs))
@@ -514,6 +502,13 @@ func (b *windowBed) followers() []string {
 	return out
 }
 
+// ackCount returns how many acks the leader has received from follower.
+func (b *windowBed) ackCount(follower string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.acks[follower]
+}
+
 // proposes returns the record counts of the proposes follower has received
 // from the leader.
 func (b *windowBed) proposes(follower string) []int {
@@ -554,8 +549,8 @@ func (b *windowBed) client(timeout time.Duration) (*Client, *timeoutCounter) {
 
 // TestProposalWindow pins the leader's one-batch propose window by counting
 // messages: a lone write leaves at once, writes sequenced while its batch is
-// outstanding send nothing, and they leave together, as one more propose per
-// follower, when that batch commits.
+// outstanding send nothing, they leave together, as one more propose per
+// follower, when that batch commits, and each propose draws one ack.
 func TestProposalWindow(t *testing.T) {
 	const timeout = 30 * time.Second
 	// A minute's commit period: every propose counted comes from the
@@ -610,6 +605,16 @@ func TestProposalWindow(t *testing.T) {
 	for f, got := range b.waitProposes(nil, 2) {
 		if len(got) != 2 || got[1] != more {
 			t.Fatalf("follower %s received %v, want [1 %d]", f, got, more)
+		}
+	}
+	// (d) Each propose drew exactly one cumulative ack. A write commits on
+	// the first follower's ack; let the second follower's arrive too.
+	for _, f := range b.followers() {
+		for b.ackCount(f) < len(b.proposes(f)) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := b.ackCount(f); n != len(b.proposes(f)) {
+			t.Fatalf("follower %s answered %d proposes with %d acks, want one each", f, len(b.proposes(f)), n)
 		}
 	}
 	if n := ep.timeouts.Load(); n != 0 {

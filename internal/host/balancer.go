@@ -293,9 +293,9 @@ func (b *Balancer) splitHot(id uint32, leader string, perNode map[string]int64) 
 	if err != nil {
 		return true // the action ran (and consumed the round) even if it failed
 	}
-	// Both halves start under the same cohort and usually the same
-	// leader; parallelism arrives when the new half's leadership lands
-	// on the least-loaded member.
+	// Both halves start under the same cohort, and the new half's own
+	// election may land on the origin's leader; parallelism is certain
+	// once the new half's leadership lands on the least-loaded member.
 	cohort := b.c.CurrentLayout().Cohort(newID)
 	to := leastLoaded(cohort, perNode, leader)
 	if to != "" && to != b.c.LeaderOf(newID) {

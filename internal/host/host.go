@@ -42,15 +42,10 @@ type Options struct {
 	Nodes int
 	// Replication is N (default 3).
 	Replication int
-	// NetworkDelay is the simulated one-way message latency; the default
-	// of 50µs stands in for the paper's rack-level 1-GbE switch at ~10×
-	// scale (Appendix C).
+	// NetworkDelay is the simulated one-way message latency (default 0;
+	// 50µs stands in for the paper's rack-level 1-GbE switch at ~10×
+	// scale, Appendix C).
 	NetworkDelay time.Duration
-	// MessageCost is the per-message delivery cost serialized on each
-	// link (receive-path CPU: syscalls, interrupts, protocol work).
-	// Unlike NetworkDelay it does not pipeline, so it bounds per-link
-	// message rate; zero keeps the latency-only model.
-	MessageCost time.Duration
 	// FaultSeed seeds the network's per-link fault RNGs (nemesis
 	// scenarios replay a failing run by reusing its seed).
 	FaultSeed int64
@@ -66,10 +61,8 @@ type Options struct {
 	// CommitPeriod is Spinnaker's commit-message interval.
 	CommitPeriod time.Duration
 	// PiggybackCommits carries the commit LSN on propose messages (the
-	// embedded API's option). DisableProposalBatching caps every propose
-	// message at one write (the skew experiment's link physics).
-	PiggybackCommits        bool
-	DisableProposalBatching bool
+	// embedded API's option).
+	PiggybackCommits bool
 	// KeyWidth is the zero-padded decimal width of row keys (default 8).
 	KeyWidth int
 	// WriteTimeout bounds client writes.
@@ -169,7 +162,6 @@ func New(opts Options) (*Cluster, error) {
 		stores: make(map[string]*core.Stores),
 		nodes:  make(map[string]*core.Node),
 	}
-	c.Net.SetMessageCost(opts.MessageCost)
 	c.Net.SetFaultSeed(opts.FaultSeed)
 	if opts.LinkFaults != (transport.LinkFaults{}) {
 		for _, a := range names {
@@ -181,16 +173,15 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	c.cfg = core.Config{
-		Layout:                  layout,
-		CommitPeriod:            opts.CommitPeriod,
-		PiggybackCommits:        opts.PiggybackCommits,
-		DisableProposalBatching: opts.DisableProposalBatching,
-		WriteTimeout:            opts.WriteTimeout,
-		DisableSnapshotCatchup:  opts.DisableSnapshotCatchup,
-		FlushBytes:              opts.FlushBytes,
-		MaxTables:               opts.MaxTables,
-		SegmentBytes:            opts.SegmentBytes,
-		FlushInterval:           opts.FlushInterval,
+		Layout:                 layout,
+		CommitPeriod:           opts.CommitPeriod,
+		PiggybackCommits:       opts.PiggybackCommits,
+		WriteTimeout:           opts.WriteTimeout,
+		DisableSnapshotCatchup: opts.DisableSnapshotCatchup,
+		FlushBytes:             opts.FlushBytes,
+		MaxTables:              opts.MaxTables,
+		SegmentBytes:           opts.SegmentBytes,
+		FlushInterval:          opts.FlushInterval,
 	}
 	if opts.Dir == "" {
 		// Harness scale; a deployment keeps core's defaults.

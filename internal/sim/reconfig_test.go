@@ -220,7 +220,6 @@ func TestRebalanceUnderPipelinedLoad(t *testing.T) {
 	sc, err := NewSpinnakerCluster(Options{
 		Nodes:        3,
 		CommitPeriod: 100 * time.Millisecond,
-		MessageCost:  5 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"math/rand"
-	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,114 +11,95 @@ import (
 	"spinnaker/internal/lin"
 )
 
-// The zipfian skew experiment. The network model charges a serialized
-// per-message receive cost on every link, so a link delivers at most
-// 1/MessageCost messages per second. With replication 3 on 3 nodes and
-// proposal batching disabled, every committed write costs one propose on
-// each leader→follower link and one ack on each follower→leader link:
-//
-//   - all load on ONE leader: that leader's two outbound links each carry
-//     every propose, capping cluster throughput at 1/MessageCost;
-//   - leaders spread across all three nodes: each ordered link carries a
-//     mix of proposes and acks totalling ~2/3 of the write volume, so the
-//     cluster sustains ~1.5/MessageCost.
-//
-// A zipfian workload aimed at one range therefore runs at ~2/3 of the
-// uniform ceiling until the balancer splits the hot range at its
-// load-weighted median key and spreads leadership — exactly the hot-spot
-// mechanics the paper's range-partitioned design is built to absorb.
+// The zipfian skew test. A θ=0.99 zipfian write load aimed inside one range
+// lands on that range's leader; the balancer must split the hot range at its
+// load-weighted median key and spread the pieces' leadership over the
+// nodes — the hot-spot mechanics the paper's range-partitioned design is
+// built to absorb. Every assertion is on where writes commit, read from the
+// leaders' per-range write counters (RangeMetrics.Writes, the signal the
+// balancer samples), never on a rate: a closed-loop writer draws each key
+// from the zipf distribution and retries it until it commits, so how
+// committed writes divide over ranges follows the key distribution however
+// fast or slow the host is.
 
-func skewOpts() Options {
-	return Options{
-		Nodes:        3,
-		Replication:  3,
-		NetworkDelay: 5 * time.Microsecond,
-		MessageCost:  200 * time.Microsecond,
-		// One message per proposal: batching would let a single link
-		// carry unbounded write volume and mask the hot leader.
-		DisableProposalBatching: true,
-		WriteTimeout:            2 * time.Second,
-	}
+// skewWindow is the number of committed writes each load-share window
+// spans: enough that the 24 writes in flight at its edges move a share by
+// under 1%.
+const skewWindow = 3000
+
+// replicaKey names one node's replica of one range.
+type replicaKey struct {
+	node string
+	rng  uint32
 }
 
-// runPutLoad starts nWriters closed-loop writers; pickKey chooses each
-// write's row. Returns the success counter and a stop/drain pair.
-func runPutLoad(t *testing.T, sc *SpinnakerCluster, nWriters int, seed int64,
-	pickKey func(rng *rand.Rand) string) (*int64, chan struct{}, *sync.WaitGroup) {
-	t.Helper()
-	ops := new(int64)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	val := make([]byte, 64)
-	for w := 0; w < nWriters; w++ {
-		c := sc.NewClient() // attach outside the goroutine
-		wg.Add(1)
-		go func(w int, c *core.Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Put(pickKey(rng), "v", val); err == nil {
-					atomic.AddInt64(ops, 1)
-				} else {
-					// Brief elections during balancer transfers surface
-					// as errors; back off instead of spinning on them.
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}(w, c)
-	}
-	return ops, stop, &wg
-}
-
-// rate measures the success throughput (ops/sec) over a window.
-func rate(ops *int64, window time.Duration) float64 {
-	before := atomic.LoadInt64(ops)
-	start := time.Now()
-	time.Sleep(window)
-	return float64(atomic.LoadInt64(ops)-before) / time.Since(start).Seconds()
-}
-
-// measureUniformBaseline runs the same physics with uniformly spread keys
-// and returns the sustained throughput.
-func measureUniformBaseline(t *testing.T, domain int) float64 {
-	t.Helper()
-	sc, err := NewSpinnakerCluster(skewOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Stop()
-	if err := sc.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The ceiling assumes leaders spread over the nodes; start-up elections
-	// now and then leave all three ranges led by one node, which is the
-	// single-leader cap the skewed run is supposed to be compared against.
-	layout := sc.CurrentLayout()
-	for id := 0; id < layout.NumRanges(); id++ {
-		if err := sc.TransferLeadership(uint32(id), layout.HomeNode(uint32(id)), 10*time.Second); err != nil {
-			t.Fatal(err)
+// leaderWrites returns, per replica, the writes that node has committed as
+// that range's leader.
+func leaderWrites(sc *SpinnakerCluster) map[replicaKey]int64 {
+	out := make(map[replicaKey]int64)
+	for _, id := range sc.Nodes() {
+		n, ok := sc.Node(id)
+		if !ok {
+			continue
+		}
+		for _, rm := range n.Metrics().Ranges {
+			out[replicaKey{id, rm.Range}] = rm.Writes
 		}
 	}
-	pick := func(rng *rand.Rand) string { return sc.Key(rng.Intn(domain)) }
-	ops, stop, wg := runPutLoad(t, sc, 24, 1000, pick)
-	time.Sleep(700 * time.Millisecond) // warm up past elections and cold caches
-	r := rate(ops, 1500*time.Millisecond)
-	close(stop)
-	wg.Wait()
-	return r
+	return out
+}
+
+// loadWindow is how one window's committed writes divided over leader
+// nodes.
+type loadWindow struct {
+	total   int64
+	perNode map[string]int64
+}
+
+func (w loadWindow) share(n int64) float64 { return float64(n) / float64(w.total) }
+
+// busiest returns the node that committed the most writes in the window.
+func (w loadWindow) busiest() (string, int64) {
+	best, most := "", int64(-1)
+	for nd, n := range w.perNode {
+		if n > most {
+			best, most = nd, n
+		}
+	}
+	return best, most
+}
+
+// commitWindow waits until the leaders have committed at least n more
+// writes and returns which nodes committed them.
+func commitWindow(t *testing.T, sc *SpinnakerCluster, n int64) loadWindow {
+	t.Helper()
+	before := leaderWrites(sc)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		time.Sleep(10 * time.Millisecond)
+		w := loadWindow{perNode: make(map[string]int64)}
+		for k, c := range leaderWrites(sc) {
+			if d := c - before[k]; d > 0 {
+				w.perNode[k.node] += d
+				w.total += d
+			}
+		}
+		if w.total >= n {
+			return w
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leaders committed %d writes, want a window of %d", w.total, n)
+		}
+	}
 }
 
 // hotRangeKeys maps zipf ranks, in key order, onto the key span of the
 // range covering the middle of the domain, so rank order = key order and
 // the load-weighted median key splits the observed load roughly in half.
-// Returns the keys, the hot range's bounds, and the initial range count.
-func hotRangeKeys(t *testing.T, sc *SpinnakerCluster, domain, items int) ([]string, string, string, int) {
+// Returns the keys, the hot range and its bounds.
+func hotRangeKeys(t *testing.T, sc *SpinnakerCluster, items int) ([]string, uint32, string, string) {
 	t.Helper()
+	domain := sc.KeyDomain()
 	layout := sc.CurrentLayout()
 	hotRange := layout.RangeOf(sc.Key(domain / 2))
 	lowS, highS := layout.Bounds(hotRange)
@@ -139,114 +118,37 @@ func hotRangeKeys(t *testing.T, sc *SpinnakerCluster, domain, items int) ([]stri
 	for r := 0; r < items; r++ {
 		keys[r] = sc.Key(lowN + 1 + r*span/items)
 	}
-	return keys, lowS, highS, layout.NumRanges()
+	return keys, hotRange, lowS, highS
 }
 
-// skewPoint runs one θ point of the sweep: skewed load into one range,
-// pre-balancer rate, balancer on, post rate. No linearizability session
-// and no assertions — the regression test covers those at θ=0.99; this
-// generates EXPERIMENTS.md's sweep table.
-func skewPoint(t *testing.T, theta float64, domain int) (pre, post float64, ranges0, ranges1 int) {
-	t.Helper()
-	sc, err := NewSpinnakerCluster(skewOpts())
-	if err != nil {
-		t.Fatal(err)
+// hotLeaders returns the distinct current leaders of the ranges holding
+// keys.
+func hotLeaders(sc *SpinnakerCluster, keys []string) map[string]bool {
+	layout := sc.CurrentLayout()
+	ranges := make(map[uint32]bool)
+	for _, k := range keys {
+		ranges[layout.RangeOf(k)] = true
 	}
-	defer sc.Stop()
-	if err := sc.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
+	leaders := make(map[string]bool)
+	for id := range ranges {
+		if l := sc.LeaderOf(id); l != "" {
+			leaders[l] = true
+		}
 	}
-	const hotItems = 1000
-	hotKeys, _, _, initialRanges := hotRangeKeys(t, sc, domain, hotItems)
-
-	ops := new(int64)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	val := make([]byte, 64)
-	for w := 0; w < 24; w++ {
-		c := sc.NewClient()
-		z := NewZipf(rand.New(rand.NewSource(5000+int64(w))), hotItems, theta)
-		wg.Add(1)
-		go func(c *core.Client, z *Zipf) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Put(hotKeys[z.Next()], "v", val); err == nil {
-					atomic.AddInt64(ops, 1)
-				} else {
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}(c, z)
-	}
-
-	time.Sleep(1200 * time.Millisecond)
-	pre = rate(ops, 700*time.Millisecond)
-	bal := sc.StartBalancer(BalancerOptions{
-		Interval:          150 * time.Millisecond,
-		HotShare:          0.45,
-		MinWritesPerRound: 150,
-		HotRounds:         2,
-		CooldownRounds:    2,
-		MaxRanges:         8,
-		ActionTimeout:     20 * time.Second,
-	})
-	time.Sleep(6 * time.Second)
-	post = rate(ops, 2*time.Second)
-	close(stop)
-	wg.Wait()
-	bal.Stop()
-	return pre, post, initialRanges, sc.CurrentLayout().NumRanges()
-}
-
-// TestZipfianSkewSweep regenerates EXPERIMENTS.md's θ sweep table. It is
-// a multi-minute, timing-sensitive throughput experiment, so it only runs
-// when asked for (and never under -short or -race):
-//
-//	SPINNAKER_SKEW_SWEEP=1 go test -run TestZipfianSkewSweep -v -timeout 900s ./internal/sim/
-func TestZipfianSkewSweep(t *testing.T) {
-	if os.Getenv("SPINNAKER_SKEW_SWEEP") == "" {
-		t.Skip("set SPINNAKER_SKEW_SWEEP=1 to run the θ sweep (see EXPERIMENTS.md)")
-	}
-	domain := 1
-	for i := 0; i < 8; i++ {
-		domain *= 10
-	}
-	uniRate := measureUniformBaseline(t, domain)
-	t.Logf("uniform baseline: %.0f ops/s", uniRate)
-	t.Logf("%-6s %8s %8s %8s %8s %8s", "theta", "pre", "pre%", "post", "post%", "ranges")
-	for _, theta := range []float64{0.5, 0.8, 0.99, 1.2} {
-		pre, post, r0, r1 := skewPoint(t, theta, domain)
-		t.Logf("%-6.2f %8.0f %7.0f%% %8.0f %7.0f%% %4d->%d",
-			theta, pre, 100*pre/uniRate, post, 100*post/uniRate, r0, r1)
-	}
+	return leaders
 }
 
 // TestZipfianSkewBalancer is the end-to-end skew regression: a θ=0.99
-// zipfian workload concentrated inside one range throttles the cluster to
-// a fraction of its uniform-load throughput; the balancer must split the
-// hot range at the load-weighted median and spread leadership until
-// throughput recovers to at least 70% of the uniform baseline — while a
-// linearizability-tracked client session stays correct across every
-// split, move, and leadership transfer.
+// zipfian workload concentrated inside one range commits almost entirely on
+// that range's leader; the balancer must split the hot range at a key
+// inside it and spread leadership until no leader node carries the
+// balancer's NodeHotShare of the writes — while linearizability-tracked
+// client sessions stay correct across every split and leadership transfer.
 func TestZipfianSkewBalancer(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second throughput experiment")
+		t.Skip("multi-second balancer run")
 	}
-	domain := 1
-	for i := 0; i < 8; i++ { // default KeyWidth
-		domain *= 10
-	}
-	uniRate := measureUniformBaseline(t, domain)
-	if uniRate < 1000 {
-		t.Fatalf("uniform baseline implausibly low: %.0f ops/s", uniRate)
-	}
-
-	sc, err := NewSpinnakerCluster(skewOpts())
+	sc, err := NewSpinnakerCluster(Options{Nodes: 3, Replication: 3, WriteTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +158,9 @@ func TestZipfianSkewBalancer(t *testing.T) {
 	}
 
 	const hotItems = 1000
-	hotKeys, lowS, highS, initialRanges := hotRangeKeys(t, sc, domain, hotItems)
+	hotKeys, hotRange, lowS, highS := hotRangeKeys(t, sc, hotItems)
+	initialRanges := sc.CurrentLayout().NumRanges()
 
-	ops := new(int64)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	val := make([]byte, 64)
@@ -269,14 +171,20 @@ func TestZipfianSkewBalancer(t *testing.T) {
 		go func(c *core.Client, z *Zipf) {
 			defer wg.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Put(hotKeys[z.Next()], "v", val); err == nil {
-					atomic.AddInt64(ops, 1)
-				} else {
+				key := hotKeys[z.Next()]
+				// Retry the key until it commits, so that writes divide
+				// over ranges as the draws do. Brief elections during
+				// balancer transfers surface as errors; back off instead
+				// of spinning on them.
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := c.Put(key, "v", val); err == nil {
+						break
+					}
 					time.Sleep(time.Millisecond)
 				}
 			}
@@ -305,27 +213,40 @@ func TestZipfianSkewBalancer(t *testing.T) {
 			runWriter(c, rec, linKeys, w, 77, stop)
 		}(w, c)
 	}
+	stopLoad := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopLoad()
 
-	time.Sleep(1200 * time.Millisecond) // settle into the skewed steady state
-	preRate := rate(ops, 700*time.Millisecond)
-	if preRate >= 0.9*uniRate {
-		t.Fatalf("skew did not throttle throughput: skewed %.0f vs uniform %.0f ops/s", preRate, uniRate)
+	// Before the balancer: the hot range's leader commits nearly every
+	// write.
+	pre := commitWindow(t, sc, skewWindow)
+	hotLeader := sc.LeaderOf(hotRange)
+	t.Logf("before: %d writes, range %d's leader %s committed %.3f (per node %v)",
+		pre.total, hotRange, hotLeader, pre.share(pre.perNode[hotLeader]), pre.perNode)
+	if s := pre.share(pre.perNode[hotLeader]); s < 0.9 {
+		t.Fatalf("hot range %d's leader %s committed %.3f of %d writes, want >= 0.9 (per node %v)",
+			hotRange, hotLeader, s, pre.total, pre.perNode)
 	}
 
-	bal := sc.StartBalancer(BalancerOptions{
+	opts := BalancerOptions{
 		Interval:          150 * time.Millisecond,
 		HotShare:          0.45,
+		NodeHotShare:      0.6,
 		MinWritesPerRound: 150,
 		HotRounds:         2,
 		CooldownRounds:    2,
 		MaxRanges:         8,
 		ActionTimeout:     20 * time.Second,
-	})
+	}
+	bal := sc.StartBalancer(opts)
 	defer bal.Stop()
 
-	// The first split must land within a bounded number of rounds.
+	// The first split must land within a bounded number of rounds, at a
+	// key inside the hot range.
 	var firstSplit *BalancerAction
-	deadline := time.Now().Add(12 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for firstSplit == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("balancer never split the hot range; actions: %+v", bal.Actions())
@@ -337,7 +258,7 @@ func TestZipfianSkewBalancer(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	if firstSplit.Round > 40 {
 		t.Fatalf("first split took %d rounds, want <= 40", firstSplit.Round)
@@ -346,28 +267,30 @@ func TestZipfianSkewBalancer(t *testing.T) {
 		t.Fatalf("split key %q outside hot range [%q,%q)", firstSplit.Key, lowS, highS)
 	}
 
-	// Let the balancer finish spreading load, then measure the recovered
-	// steady state.
-	time.Sleep(4 * time.Second)
-	postRate := rate(ops, 2*time.Second)
+	// Afterwards the hot keys span more ranges, led by at least two nodes.
+	for {
+		leaders := hotLeaders(sc, hotKeys)
+		if sc.CurrentLayout().NumRanges() > initialRanges && len(leaders) >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hot keys still led by %v over %d ranges; actions: %+v",
+				leaders, sc.CurrentLayout().NumRanges(), bal.Actions())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
-	close(stop)
-	wg.Wait()
+	// No leader node carries the share the balancer would act on.
+	post := commitWindow(t, sc, skewWindow)
+	busiest, most := post.busiest()
+	stopLoad()
 	bal.Stop()
-
-	finalRanges := sc.CurrentLayout().NumRanges()
-	t.Logf("uniform %.0f ops/s; skewed pre %.0f (%.0f%%), post %.0f (%.0f%%); ranges %d -> %d; actions: %+v",
-		uniRate, preRate, 100*preRate/uniRate, postRate, 100*postRate/uniRate,
-		initialRanges, finalRanges, bal.Actions())
-	if finalRanges <= initialRanges {
-		t.Fatalf("layout still has %d ranges", finalRanges)
-	}
-	if postRate < 0.70*uniRate {
-		t.Fatalf("throughput recovered to only %.0f%% of uniform (%.0f vs %.0f ops/s), want >= 70%%",
-			100*postRate/uniRate, postRate, uniRate)
-	}
-	if postRate <= preRate {
-		t.Fatalf("no recovery: pre %.0f, post %.0f ops/s", preRate, postRate)
+	t.Logf("after: %d writes, busiest %s committed %.3f (per node %v); ranges %d -> %d; actions: %+v",
+		post.total, busiest, post.share(most), post.perNode,
+		initialRanges, sc.CurrentLayout().NumRanges(), bal.Actions())
+	if s := post.share(most); s >= opts.NodeHotShare {
+		t.Fatalf("after balancing, %s committed %.3f of %d writes, want < %.2f (per node %v)",
+			busiest, s, post.total, opts.NodeHotShare, post.perNode)
 	}
 
 	check := rec.Check(60 * time.Second)

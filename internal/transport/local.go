@@ -21,8 +21,7 @@ import (
 // can be partitioned symmetrically (Partition/Isolate) or one way
 // (PartitionOneWay) — the substrate for nemesis scenarios.
 type Network struct {
-	delay   time.Duration
-	msgCost time.Duration
+	delay time.Duration
 
 	mu            sync.Mutex
 	eps           map[string]*LocalEndpoint
@@ -168,15 +167,6 @@ func (n *Network) Close() {
 	n.links = make(map[[2]string]*link)
 }
 
-// SetMessageCost sets a per-message delivery cost, serialized on each
-// link: the receive-path CPU a real transport pays per message (syscalls,
-// interrupts, protocol work) that the propagation delay alone does not
-// model. Unlike delay, cost does not pipeline — a link delivers at most
-// 1/cost messages per second — so it is what per-message protocol overhead
-// (and hence message batching) trades against. Zero (the default) keeps
-// the historical latency-only model. Set it before traffic starts.
-func (n *Network) SetMessageCost(d time.Duration) { n.msgCost = d }
-
 // run delivers messages for a link in order, honoring per-message due
 // times. A constant per-link delay preserves FIFO order on a clean link;
 // the fault plane, when configured, may drop, duplicate, reorder, or
@@ -237,12 +227,11 @@ func (n *Network) deliverFaulty(l *link, to string, tm timedMsg, allowReorder bo
 	return true
 }
 
-// deliver waits out a message's due time (plus fault jitter) and the
-// per-message cost, then dispatches it — twice when the duplication fault
-// fired — unless the destination is gone or partitioned away.
+// deliver waits out a message's due time (plus fault jitter), then
+// dispatches it — twice when the duplication fault fired — unless the
+// destination is gone or partitioned away.
 func (n *Network) deliver(to string, tm timedMsg, jitter time.Duration, dup bool) {
 	simtime.Sleep(time.Until(tm.due) + jitter)
-	simtime.Sleep(n.msgCost)
 	n.mu.Lock()
 	ep, ok := n.eps[to]
 	cut := n.cutLocked(tm.m.From, to)

@@ -14,10 +14,9 @@
 // per-link fault plane for the nemesis harness: per-message drops,
 // duplication, reordering, and jittered delay (LinkFaults), plus symmetric
 // partitions, one-way partitions (PartitionOneWay), whole-node isolation,
-// a per-message delivery cost that bounds per-link message rate
-// (SetMessageCost), and crash injection via endpoint replacement. Fault
-// decisions derive from per-link RNGs seeded from a single run seed, so a
-// failing schedule replays exactly.
+// and crash injection via endpoint replacement. Fault decisions derive
+// from per-link RNGs seeded from a single run seed, so a failing schedule
+// replays exactly.
 package transport
 
 import (
