@@ -231,6 +231,12 @@ func TestPutAllocs(t *testing.T) {
 	}
 	tc := newTestCluster(t, 3, nil)
 	tc.waitAllLeaders()
+	// Count a settled cluster: a follower still catching up, or one whose
+	// leader is still syncing it, repairs the writes it misses through
+	// catch-up, which allocates per round.
+	for r := 0; r < tc.layout.NumRanges(); r++ {
+		tc.waitFollowing(uint32(r))
+	}
 	c := tc.client()
 	const puts = 2000
 	rows := make([]string, puts+1)
@@ -264,8 +270,10 @@ func TestPutAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPut := float64(after.Mallocs-before.Mallocs) / puts
 	t.Logf("%.1f allocs per put", perPut)
-	if perPut > 27 {
-		t.Errorf("%.1f allocs per replicated put, want ≤ 27", perPut)
+	// 10.5 measured with every replica decoding in place (24.4 before);
+	// the bound leaves 10%.
+	if perPut > 11.6 {
+		t.Errorf("%.1f allocs per replicated put, want ≤ 11.6", perPut)
 	}
 }
 

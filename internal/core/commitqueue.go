@@ -31,8 +31,15 @@ type writeReplier interface {
 // Writes are committed only after receiving a sufficient number of acks
 // from a cohort. In the meantime, they are stored in the commit queue.").
 type pendingWrite struct {
-	lsn        wal.LSN
-	op         WriteOp
+	lsn wal.LSN
+	op  WriteOp
+	// cols holds a one-column write's column, so a write decoded in place
+	// (decodeWrite, decodeProposeBatch) needs no Cols slice: op.Cols points
+	// here. raw, on a follower, is op's encoding within the propose payload:
+	// what its WAL append writes, and what a re-proposal sends should this
+	// replica lead later.
+	cols       [1]ColWrite
+	raw        []byte
 	selfForced bool // the local log force for this write completed
 	doneOnce   sync.Once
 	// client answers the write's request, req (the inbound MsgWrite's
@@ -160,6 +167,28 @@ func (q *commitQueue) markForced(lsn wal.LSN) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if p, ok := q.byLSN[lsn]; ok {
+		p.selfForced = true
+	}
+}
+
+// markForcedThrough records that a follower's log force covers every pending
+// write at or below lsn, its cumulative ack watermark. A follower marks
+// through ascending watermarks, so its forced writes are a prefix of the
+// queue, and the walk back from lsn stops at the first one already marked.
+//
+//spinnaker:hotpath
+func (q *commitQueue) markForcedThrough(lsn wal.LSN) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i, found := slices.BinarySearch(q.order, lsn)
+	if found {
+		i++
+	}
+	for i--; i >= 0; i-- {
+		p := q.byLSN[q.order[i]]
+		if p.selfForced {
+			break
+		}
 		p.selfForced = true
 	}
 }
@@ -403,7 +432,7 @@ func (q *commitQueue) stalePending(age time.Duration) []proposeRec {
 		}
 		if p.lastPropose.IsZero() || now.Sub(p.lastPropose) >= age {
 			p.lastPropose = now
-			out = append(out, proposeRec{LSN: p.lsn, Op: p.op})
+			out = append(out, proposeRec{LSN: p.lsn, Op: p.op, Raw: p.raw})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,49 @@ func pw(seq uint64, row, col string) *pendingWrite {
 	return &pendingWrite{
 		lsn: wal.MakeLSN(1, seq),
 		op:  WriteOp{Row: row, Cols: []ColWrite{{Col: col, Version: seq}}},
+	}
+}
+
+// TestMarkForcedThrough: a follower's force marks every pending write at or
+// below its ack watermark, and none above it.
+func TestMarkForcedThrough(t *testing.T) {
+	q := newCommitQueue()
+	ps := []*pendingWrite{pw(1, "r", "a"), pw(2, "r", "b"), pw(3, "r", "c"), pw(4, "r", "d")}
+	for _, p := range ps {
+		q.add(p)
+	}
+	forced := func() (out []bool) {
+		for _, p := range ps {
+			out = append(out, p.selfForced)
+		}
+		return out
+	}
+	for _, step := range []struct {
+		through wal.LSN
+		want    []bool
+	}{
+		{wal.MakeLSN(1, 2), []bool{true, true, false, false}},
+		{wal.MakeLSN(1, 2), []bool{true, true, false, false}},
+		{wal.MakeLSN(1, 4), []bool{true, true, true, true}},
+	} {
+		q.markForcedThrough(step.through)
+		if got := forced(); !slices.Equal(got, step.want) {
+			t.Fatalf("after markForcedThrough(%v): forced = %v, want %v", step.through, got, step.want)
+		}
+	}
+	// A watermark between pending LSNs (the writes above it belong to a
+	// later batch) and one above them all.
+	q2 := newCommitQueue()
+	a, b := pw(1, "r", "a"), pw(5, "r", "b")
+	q2.add(a)
+	q2.add(b)
+	q2.markForcedThrough(wal.MakeLSN(1, 3))
+	if !a.selfForced || b.selfForced {
+		t.Fatalf("through seq 3: forced = %v, %v; want true, false", a.selfForced, b.selfForced)
+	}
+	q2.markForcedThrough(wal.MakeLSN(2, 1))
+	if !b.selfForced {
+		t.Fatal("a watermark above every pending write left one unforced")
 	}
 }
 

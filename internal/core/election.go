@@ -374,7 +374,7 @@ func (r *replica) takeover() bool {
 	// success gives the quorum of 2, counting ourselves.)
 	results := make(chan bool, len(peers))
 	for _, peer := range peers {
-		go func(peer string) { results <- r.syncFollower(peer, lCmt, lLst) }(peer)
+		go func(peer string) { results <- r.syncFollower(peer, lCmt) }(peer)
 	}
 	deadline := time.After(r.n.cfg.TakeoverTimeout)
 	caughtUp := 0
@@ -412,7 +412,7 @@ func (r *replica) takeover() bool {
 			continue
 		}
 		r.queue.markForced(lsn) // it is in our durable log
-		reprops = append(reprops, proposeRec{LSN: lsn, Op: p.op})
+		reprops = append(reprops, proposeRec{LSN: lsn, Op: p.op, Raw: p.raw})
 	}
 	if len(reprops) > 0 {
 		r.reproposeRecs(reprops)
@@ -463,7 +463,7 @@ func (r *replica) takeover() bool {
 // syncFollower runs lines 4-6 of Figure 6 against one follower: learn its
 // f.cmt, send the committed writes in (f.cmt, l.cmt] plus a commit message.
 // Reports whether the follower confirmed catching up to l.cmt.
-func (r *replica) syncFollower(peer string, lCmt, lLst wal.LSN) bool {
+func (r *replica) syncFollower(peer string, lCmt wal.LSN) bool {
 	resp, err := r.n.call(peer, transport.Message{Kind: MsgStateReq, Cohort: r.rangeID})
 	if err != nil {
 		return false
@@ -475,14 +475,30 @@ func (r *replica) syncFollower(peer string, lCmt, lLst wal.LSN) bool {
 
 	r.mu.Lock()
 	// Present covers the follower's whole possible ambiguous range so it
-	// can logically truncate its dead branches in one step. EntriesSince
-	// is complete for fCmt — deletes included — because the follower's
-	// advertised cmt never drops below its durable floor, and no engine
-	// in the cohort compacts tombstones above the minimum of those floors
-	// (the tombstone-GC watermark).
-	present := r.logLSNsInRangeLocked(fCmt, lLst)
+	// can logically truncate its dead branches in one step: it truncates
+	// every ambiguous write the list leaves out. The range runs to our
+	// log's end now, not to l.lst: the cohort may already be open, and
+	// this term's writes proposed to the follower so far are no dead
+	// branch. Writes sequenced from here on are not proposed to it until
+	// it has answered (proposalPeersLocked), so none can reach it ahead of
+	// this message. EntriesSince is complete for fCmt — deletes included
+	// — because the follower's advertised cmt never drops below its
+	// durable floor, and no engine in the cohort compacts tombstones above
+	// the minimum of those floors (the tombstone-GC watermark).
+	present := r.logLSNsInRangeLocked(fCmt, r.lastLSN)
 	entries := r.engine.EntriesSince(fCmt)
+	if r.syncing == nil {
+		r.syncing = make(map[string]int)
+	}
+	r.syncing[peer]++
 	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		if r.syncing[peer]--; r.syncing[peer] <= 0 {
+			delete(r.syncing, peer)
+		}
+		r.mu.Unlock()
+	}()
 
 	sync := catchupResp{Status: StatusOK, Cmt: lCmt, Present: present, Entries: entries}
 	resp, err = r.n.call(peer, transport.Message{

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"spinnaker/internal/coord"
+	"spinnaker/internal/kv"
 	"spinnaker/internal/transport"
 	"spinnaker/internal/wal"
 )
@@ -668,5 +670,135 @@ func transportMsgGet(to string, cohort uint32, row, col string) transport.Messag
 	return transport.Message{
 		To: to, Kind: MsgGet, Cohort: cohort,
 		Payload: encodeGetReq(getReq{Row: row, Col: col, Consistent: false}),
+	}
+}
+
+// takeoverRace is an endpoint decorator, installed on every node, that
+// stages a new leader's takeover of range 0 racing its first write: the
+// leader's sync with one follower (the victim) stalls after the victim has
+// answered the state request (Fig 6 line 4; a request to a node not yet on
+// the network fails and is not held), the victim's acks are dropped
+// and the other follower's acks wait, so the write stays uncommitted until
+// the sync is over.
+type takeoverRace struct {
+	transport.Endpoint
+	name string
+	b    *takeoverBed
+}
+
+type takeoverBed struct {
+	mu             sync.Mutex
+	leader, victim string        // of the stalled sync
+	stall          chan struct{} // closed to let the stalled sync go on
+	synced         chan struct{} // closed once the victim has answered the takeover message
+	syncedOnce     sync.Once
+	acks           chan struct{} // closed to let the other follower's acks through
+}
+
+func (e takeoverRace) Call(m transport.Message) (transport.Message, error) {
+	resp, err := e.Endpoint.Call(m)
+	if m.Cohort != 0 {
+		return resp, err
+	}
+	b := e.b
+	b.mu.Lock()
+	first := m.Kind == MsgStateReq && err == nil && b.leader == ""
+	if first {
+		b.leader, b.victim = e.name, m.To
+	}
+	synced := m.Kind == MsgTakeover && e.name == b.leader && m.To == b.victim
+	b.mu.Unlock()
+	if first {
+		<-b.stall
+	}
+	if synced {
+		b.syncedOnce.Do(func() { close(b.synced) })
+	}
+	return resp, err
+}
+
+func (e takeoverRace) SetHandler(h transport.Handler) {
+	e.Endpoint.SetHandler(func(m transport.Message) {
+		b := e.b
+		b.mu.Lock()
+		ack := m.Kind == MsgAckBatch && m.Cohort == 0 && e.name == b.leader
+		victim := m.From == b.victim
+		b.mu.Unlock()
+		if ack && victim {
+			return
+		}
+		if ack {
+			<-b.acks
+		}
+		h(m)
+	})
+}
+
+// TestTakeoverSyncNotOvertakenByProposes: a new leader opens once one
+// follower has caught up (Fig 6 line 8), while its sync with another may
+// still be in flight. That sync's Present lists only the leader's writes
+// from before the new term, and the follower truncates every ambiguous
+// write it holds that the list leaves out. A write of the new term that
+// reached the follower before the sync did was therefore truncated as a
+// dead branch, and when the write committed the follower marked it
+// committed without ever applying it. The follower must end up holding the
+// write.
+func TestTakeoverSyncNotOvertakenByProposes(t *testing.T) {
+	b := &takeoverBed{stall: make(chan struct{}), synced: make(chan struct{}), acks: make(chan struct{})}
+	var stallOnce, acksOnce sync.Once
+	unstall := func() { stallOnce.Do(func() { close(b.stall) }) }
+	passAcks := func() { acksOnce.Do(func() { close(b.acks) }) }
+	// A long commit period keeps the commit message from reaching the
+	// victim before the takeover message does.
+	tc := newHookedTestCluster(t, 3, func(cfg *Config) { cfg.CommitPeriod = 500 * time.Millisecond }, testHooks{
+		endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+			return takeoverRace{Endpoint: ep, name: name, b: b}
+		},
+	})
+	t.Cleanup(passAcks) // before the cluster's shutdown: free held links
+	t.Cleanup(unstall)
+	tc.waitAllLeaders()
+	b.mu.Lock()
+	leader, victim := b.leader, b.victim
+	b.mu.Unlock()
+	if leader == "" || tc.leaderNameOf(0) != leader {
+		t.Skipf("range 0 is led by %q, not by the node whose sync stalled (%q)", tc.leaderNameOf(0), leader)
+	}
+	row := rowInRange(tc.layout, 0)
+	put := tc.client().PutAsync(row, "v", []byte("new-term"))
+	// Once the leader has sequenced the write, let its propose reach the
+	// victim if the leader sends it there.
+	var lsn wal.LSN
+	for deadline := time.Now().Add(10 * time.Second); lsn.IsZero(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never sequenced the write")
+		}
+		st, _ := tc.nodes[leader].ReplicaStats(0)
+		lsn = st.LastLSN
+	}
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st, _ := tc.nodes[victim].ReplicaStats(0); st.LastLSN >= lsn {
+			break
+		}
+	}
+	unstall()
+	select {
+	case <-b.synced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stalled takeover sync never finished")
+	}
+	passAcks()
+	if _, err := put.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	vr := tc.nodes[victim].getReplica(0)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, ok := vr.engine.Get(kv.Key{Row: row, Col: "v"}); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			st, _ := tc.nodes[victim].ReplicaStats(0)
+			t.Fatalf("follower %s never applied the write the leader committed during its sync: %+v", victim, st)
+		}
 	}
 }

@@ -81,13 +81,23 @@ func FuzzDecodeWriteOp(f *testing.F) {
 		if !reflect.DeepEqual(op, op2) {
 			t.Fatalf("decode/encode is not a fixpoint:\n first: %+v\nsecond: %+v", op, op2)
 		}
-		// The shared-value variant must accept the same inputs and agree
-		// on everything but value aliasing.
-		shared, sn, err := decodeWriteOpShared(b)
-		if err != nil || sn != n || !reflect.DeepEqual(op, shared) {
-			t.Fatalf("shared-value decode disagrees: n=%d err=%v\n  copy: %+v\nshared: %+v", sn, err, op, shared)
+		// The in-place variant must accept the same inputs and agree on
+		// everything but aliasing.
+		p, err := decodeWrite(b)
+		if err != nil || !reflect.DeepEqual(op, p.op) {
+			t.Fatalf("in-place decode disagrees: err=%v\n    copy: %+v\nin place: %+v", err, op, p)
 		}
 	})
+}
+
+// payload turns a decoded batch back into what the leader encodes.
+func (p proposeBatch) payload() proposeBatchPayload {
+	out := proposeBatchPayload{CommittedThrough: p.CommittedThrough}
+	for i := range p.Writes {
+		w := &p.Writes[i]
+		out.Recs = append(out.Recs, proposeRec{LSN: w.lsn, Op: w.op, Raw: w.raw})
+	}
+	return out
 }
 
 func FuzzDecodeProposeBatch(f *testing.F) {
@@ -104,18 +114,18 @@ func FuzzDecodeProposeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b2 := encodeProposeBatch(p)
+		b2 := encodeProposeBatch(p.payload())
 		p2, err := decodeProposeBatch(b2)
 		if err != nil {
 			t.Fatalf("decoder rejected its own encoder's output: %v", err)
 		}
-		if p.CommittedThrough != p2.CommittedThrough || len(p.Recs) != len(p2.Recs) {
+		if p.CommittedThrough != p2.CommittedThrough || len(p.Writes) != len(p2.Writes) {
 			t.Fatalf("decode/encode is not a fixpoint: %+v vs %+v", p, p2)
 		}
-		for i := range p.Recs {
-			if p.Recs[i].LSN != p2.Recs[i].LSN || !bytes.Equal(p.Recs[i].Raw, p2.Recs[i].Raw) ||
-				!reflect.DeepEqual(p.Recs[i].Op, p2.Recs[i].Op) {
-				t.Fatalf("record %d not a fixpoint:\n first: %+v\nsecond: %+v", i, p.Recs[i], p2.Recs[i])
+		for i := range p.Writes {
+			w, w2 := &p.Writes[i], &p2.Writes[i]
+			if w.lsn != w2.lsn || !bytes.Equal(w.raw, w2.raw) || !reflect.DeepEqual(w.op, w2.op) {
+				t.Fatalf("record %d not a fixpoint:\n first: %+v\nsecond: %+v", i, w, w2)
 			}
 		}
 	})

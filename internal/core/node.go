@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -190,10 +192,13 @@ type Node struct {
 	meta      wal.MetaStore
 
 	// layoutMu guards the current layout and the replica map, both of
-	// which change when a published layout is adopted live.
-	layoutMu sync.RWMutex
-	layout   *cluster.Layout
-	replicas map[uint32]*replica
+	// which change when a published layout is adopted live. replicaSnap
+	// lists the map's replicas in range order; it is replaced whenever the
+	// map changes, never mutated, so a reader may keep it past layoutMu.
+	layoutMu    sync.RWMutex
+	layout      *cluster.Layout
+	replicas    map[uint32]*replica
+	replicaSnap []*replica
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -214,15 +219,23 @@ func (n *Node) getReplica(rangeID uint32) *replica {
 	return n.replicas[rangeID]
 }
 
-// replicaList snapshots the current replicas.
+// replicaList returns the current replicas, in range order. The slice is
+// shared: callers must not write to it.
 func (n *Node) replicaList() []*replica {
 	n.layoutMu.RLock()
 	defer n.layoutMu.RUnlock()
-	out := make([]*replica, 0, len(n.replicas))
+	return n.replicaSnap
+}
+
+// snapReplicasLocked replaces replicaSnap after a change to the replica map;
+// callers hold layoutMu for writing.
+func (n *Node) snapReplicasLocked() {
+	snap := make([]*replica, 0, len(n.replicas))
 	for _, r := range n.replicas {
-		out = append(out, r)
+		snap = append(snap, r)
 	}
-	return out
+	slices.SortFunc(snap, func(a, b *replica) int { return cmp.Compare(a.rangeID, b.rangeID) })
+	n.replicaSnap = snap
 }
 
 // layoutVersion returns the version of the layout the node currently runs.
@@ -280,6 +293,7 @@ func NewNode(cfg Config, stores *Stores, ep transport.Endpoint, coordSvc *coord.
 		}
 		n.replicas[rangeID] = r
 	}
+	n.snapReplicasLocked()
 	return n, nil
 }
 
@@ -346,6 +360,7 @@ func (n *Node) buildReplica(l *cluster.Layout, rangeID uint32) (*replica, error)
 		engine:        engine,
 		peerFloors:    make(map[string]wal.LSN),
 		electionNudge: make(chan struct{}, 1),
+		ackNudge:      make(chan struct{}, 1),
 		stopCh:        make(chan struct{}),
 		m:             newRangeMetrics(),
 	}
@@ -428,6 +443,7 @@ func (n *Node) adoptLayout(l *cluster.Layout) bool {
 		n.replicas[id] = r
 		added = append(added, r)
 	}
+	n.snapReplicasLocked()
 	if complete {
 		n.layout = l
 	}
@@ -440,8 +456,7 @@ func (n *Node) adoptLayout(l *cluster.Layout) bool {
 		r.applyLayout(l)
 	}
 	for _, r := range added {
-		r := r
-		n.goLoop(func() { r.electionLoop() })
+		n.startReplica(r)
 		n.nudgeCatchup(r)
 	}
 	if complete {
@@ -503,8 +518,7 @@ func (n *Node) Start() error {
 
 	n.ep.SetHandler(n.handle)
 	for _, r := range n.replicas {
-		r := r
-		n.goLoop(func() { r.electionLoop() })
+		n.startReplica(r)
 	}
 	n.goLoop(n.commitTimer)
 	n.goLoop(n.flushLoop)
@@ -514,6 +528,13 @@ func (n *Node) Start() error {
 	// than the bootstrap one, then follows every subsequent version.
 	n.goLoop(n.layoutLoop)
 	return nil
+}
+
+// startReplica starts a replica's loops: its election loop and its
+// follower-side ack loop.
+func (n *Node) startReplica(r *replica) {
+	n.goLoop(r.electionLoop)
+	n.goLoop(r.ackLoop)
 }
 
 func (n *Node) goLoop(fn func()) {
@@ -562,15 +583,16 @@ func (n *Node) handle(m transport.Message) {
 	case MsgWrite:
 		// Sequence now, reply on commit. The link goroutine is freed
 		// immediately, so one client's pipelined writes coalesce into
-		// shared batches instead of running in lockstep. The op aliases
-		// the request payload, which nothing writes once received; the
-		// reply needs only the request's header.
-		op, _, err := decodeWriteOpShared(m.Payload)
+		// shared batches instead of running in lockstep. The write is
+		// decoded in place into its commit-queue entry and aliases the
+		// request payload, which nothing writes once received; the reply
+		// needs only the request's header.
+		p, err := decodeWrite(m.Payload)
 		if err != nil {
 			return
 		}
 		m.Payload = nil
-		r.submitWriteAsync(op, m)
+		r.submitWriteAsync(p, m)
 	case MsgProposeBatch:
 		r.onProposeBatch(m)
 	case MsgAckBatch:

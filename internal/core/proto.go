@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"spinnaker/internal/kv"
 	"spinnaker/internal/wal"
@@ -235,26 +236,33 @@ func EncodeWriteOp(dst []byte, op WriteOp) []byte {
 }
 
 // DecodeWriteOp parses a WriteOp, returning it and the bytes consumed.
-// Values are copied out of b; the result does not alias the input.
+// The result does not alias the input: the row, column names and values are
+// copied out of b.
 func DecodeWriteOp(b []byte) (WriteOp, int, error) {
-	return decodeWriteOp(b, true)
-}
-
-// decodeWriteOpShared is DecodeWriteOp without the value copies: the result's
-// Values alias b. The replication hot path uses it where the message payload
-// is immutable once received (nothing writes to a payload after encode), so
-// the bytes can flow into the commit queue and memtable without a per-column
-// allocation.
-//
-//spinnaker:aliases
-//spinnaker:hotpath
-func decodeWriteOpShared(b []byte) (WriteOp, int, error) {
-	return decodeWriteOp(b, false)
-}
-
-//spinnaker:hotpath
-func decodeWriteOp(b []byte, copyValues bool) (WriteOp, int, error) {
 	var op WriteOp
+	n, err := decodeWriteOp(b, &op, nil, false)
+	return op, n, err
+}
+
+// aliasString returns the n bytes of b at off as a string that shares b's
+// memory. Callers guarantee nothing writes to b afterwards: a received
+// payload is immutable (see decodeWrite).
+//
+//spinnaker:hotpath
+func aliasString(b []byte, off, n int) string {
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&b[off], n)
+}
+
+// decodeWriteOp parses one encoded op into *op, which must be zero, and
+// returns the bytes consumed. The columns go into inline when they fit, else
+// into a fresh slice. With shared set, the row, column names and values alias b (see
+// aliasString); without it they are copies.
+//
+//spinnaker:hotpath
+func decodeWriteOp(b []byte, op *WriteOp, inline []ColWrite, shared bool) (int, error) {
 	off := 0
 	need := func(n int) error {
 		if len(b)-off < n {
@@ -262,35 +270,50 @@ func decodeWriteOp(b []byte, copyValues bool) (WriteOp, int, error) {
 		}
 		return nil
 	}
+	bytesAt := func(n int) string {
+		if shared {
+			return aliasString(b, off, n)
+		}
+		return string(b[off : off+n])
+	}
 	if err := need(2); err != nil {
-		return op, 0, err
+		return 0, err
 	}
 	rl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if err := need(rl); err != nil {
-		return op, 0, err
+		return 0, err
 	}
-	op.Row = string(b[off : off+rl])
+	op.Row = bytesAt(rl)
 	off += rl
 	if err := need(2); err != nil {
-		return op, 0, err
+		return 0, err
 	}
 	nCols := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if nCols > 0 {
-		op.Cols = make([]ColWrite, 0, nCols)
+		// Every column is at least its fixed part: a forged count must not
+		// drive a huge make.
+		if err := need(nCols * (2 + 1 + 8 + 8 + 4)); err != nil {
+			return 0, err
+		}
+		if nCols <= len(inline) {
+			op.Cols = inline[:nCols:nCols]
+		} else {
+			op.Cols = make([]ColWrite, nCols)
+		}
 	}
-	for i := 0; i < nCols; i++ {
-		var c ColWrite
+	for i := range op.Cols {
+		c := &op.Cols[i]
 		if err := need(2); err != nil {
-			return op, 0, err
+			return 0, err
 		}
 		cl := int(binary.LittleEndian.Uint16(b[off:]))
 		off += 2
 		if err := need(cl + 1 + 8 + 8 + 4); err != nil {
-			return op, 0, err
+			return 0, err
 		}
-		c.Col = string(b[off : off+cl])
+		c.Col = bytesAt(cl)
 		off += cl
 		flags := b[off]
 		off++
@@ -303,19 +326,18 @@ func decodeWriteOp(b []byte, copyValues bool) (WriteOp, int, error) {
 		vl := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if err := need(vl); err != nil {
-			return op, 0, err
+			return 0, err
 		}
 		if vl > 0 {
-			if copyValues {
-				c.Value = append([]byte(nil), b[off:off+vl]...)
-			} else {
+			if shared {
 				c.Value = b[off : off+vl : off+vl]
+			} else {
+				c.Value = append([]byte(nil), b[off:off+vl]...)
 			}
 		}
 		off += vl
-		op.Cols = append(op.Cols, c)
 	}
-	return op, off, nil
+	return off, nil
 }
 
 // entrySink receives a committed write's cells: the storage engine, or a
@@ -344,12 +366,12 @@ type entryList []kv.Entry
 // Apply implements entrySink.
 func (l *entryList) Apply(e kv.Entry) { *l = append(*l, e) }
 
-// proposeRec is one sequenced write inside a propose message: the LSN plus
-// the op, Fig 4's per-write protocol state. Raw, when non-nil, is Op's
-// encoding: the leader fills it when sequencing (the same bytes become the
-// WAL record payload) so batch encoding copies instead of re-encoding, and
-// decode fills it by slicing the message payload so the follower's WAL
-// append never re-encodes either. Raw and Op must describe the same write.
+// proposeRec is one sequenced write the leader sends in a propose message:
+// the LSN plus the op, Fig 4's per-write protocol state. Raw, when non-nil,
+// is Op's encoding: the leader fills it when sequencing (the same bytes
+// become the WAL record payload) so batch encoding copies instead of
+// re-encoding. Raw and Op must describe the same write. The follower decodes
+// a batch into pending writes instead (decodeProposeBatch).
 type proposeRec struct {
 	LSN wal.LSN
 	Op  WriteOp
@@ -366,9 +388,10 @@ const (
 	minProposeRecEncodedSize = 8 + 2 + 2
 )
 
-// proposeBatchPayload is the body of MsgProposeBatch: the commit piggyback
-// (App. D.1: the follower may apply everything at or below CommittedThrough)
-// followed by the batch's records in ascending LSN order. In steady state the records are the contiguous run of writes the
+// proposeBatchPayload is the body of MsgProposeBatch as the leader encodes
+// it: the commit piggyback (App. D.1: the follower may apply everything at or
+// below CommittedThrough) followed by the batch's records in ascending LSN
+// order. In steady state the records are the contiguous run of writes the
 // leader sequenced since the previous batch; retransmissions may carry
 // non-contiguous records, so every record carries its full LSN.
 type proposeBatchPayload struct {
@@ -407,16 +430,25 @@ func encodeProposeBatch(p proposeBatchPayload) []byte {
 	return buf
 }
 
-// decodeProposeBatch parses a batched propose without copying: each record's
-// Op shares the payload's value bytes and its Raw slices the payload's
-// encoded-op bytes (see proposeRec). Payloads are immutable after encode, so
-// the follower appends Raw to its WAL and applies Op to its memtable with no
+// proposeBatch is a decoded MsgProposeBatch: the commit piggyback and the
+// batch's writes, each decoded in place into the pending write that the
+// follower's commit queue holds it in.
+type proposeBatch struct {
+	CommittedThrough wal.LSN
+	Writes           []pendingWrite
+}
+
+// decodeProposeBatch parses a batched propose into one array of pending
+// writes, with no other allocation for a batch of single-column writes. Each
+// write's row, column names and values alias the payload, and its raw slices
+// the payload's encoded-op bytes: payloads are immutable after encode, so the
+// follower appends raw to its WAL and applies op to its memtable with no
 // per-record re-encode or copy.
 //
 //spinnaker:aliases
 //spinnaker:hotpath
-func decodeProposeBatch(b []byte) (proposeBatchPayload, error) {
-	var p proposeBatchPayload
+func decodeProposeBatch(b []byte) (proposeBatch, error) {
+	var p proposeBatch
 	if len(b) < 12 {
 		return p, errProposeBatchTruncated
 	}
@@ -430,20 +462,38 @@ func decodeProposeBatch(b []byte) (proposeBatchPayload, error) {
 		return p, errProposeBatchCount
 	}
 	if count > 0 {
-		p.Recs = make([]proposeRec, 0, count)
+		p.Writes = make([]pendingWrite, count)
 	}
-	for i := 0; i < count; i++ {
+	for i := range p.Writes {
+		w := &p.Writes[i]
 		if len(b)-off < 8 {
-			return p, errProposeBatchTruncated
+			return proposeBatch{}, errProposeBatchTruncated
 		}
-		lsn := wal.LSN(binary.LittleEndian.Uint64(b[off:]))
+		w.lsn = wal.LSN(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
-		op, n, err := decodeWriteOpShared(b[off:])
+		n, err := decodeWriteOp(b[off:], &w.op, w.cols[:], true)
 		if err != nil {
-			return p, err
+			return proposeBatch{}, err
 		}
-		p.Recs = append(p.Recs, proposeRec{LSN: lsn, Op: op, Raw: b[off : off+n : off+n]})
+		w.raw = b[off : off+n : off+n]
 		off += n
+	}
+	return p, nil
+}
+
+// decodeWrite parses a client's MsgWrite payload in place into a fresh
+// pending write, the one object the leader keeps for the write until it
+// commits. The row, column names and values alias the payload, which nothing
+// writes once received (`LocalEndpoint` hands over the client's fresh encode,
+// the TCP reader gives each frame its own body), so the bytes flow into the
+// commit queue and memtable without a copy.
+//
+//spinnaker:aliases
+//spinnaker:hotpath
+func decodeWrite(b []byte) (*pendingWrite, error) {
+	p := new(pendingWrite)
+	if _, err := decodeWriteOp(b, &p.op, p.cols[:], true); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -773,6 +823,10 @@ func encodeGetReq(r getReq) []byte {
 	return buf
 }
 
+// decodeGetReq parses a get request without copying: Row and Col alias b.
+// The read path only looks keys up with them and keeps neither.
+//
+//spinnaker:aliases
 //spinnaker:hotpath
 func decodeGetReq(b []byte) (getReq, error) {
 	var r getReq
@@ -786,14 +840,14 @@ func decodeGetReq(b []byte) (getReq, error) {
 	if len(b) < off+rl+2 {
 		return r, errGetReqTruncated
 	}
-	r.Row = string(b[off : off+rl])
+	r.Row = aliasString(b, off, rl)
 	off += rl
 	cl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+cl {
 		return r, errGetReqTruncated
 	}
-	r.Col = string(b[off : off+cl])
+	r.Col = aliasString(b, off, cl)
 	return r, nil
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -235,21 +237,28 @@ func TestProposeBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CommittedThrough != p.CommittedThrough || len(got.Recs) != 2 {
+	if got.CommittedThrough != p.CommittedThrough || len(got.Writes) != 2 {
 		t.Fatalf("decoded %+v", got)
 	}
-	if got.Recs[0].LSN != p.Recs[0].LSN || got.Recs[0].Op.Row != "a" ||
-		!bytes.Equal(got.Recs[0].Op.Cols[0].Value, []byte("x")) {
-		t.Errorf("rec 0 = %+v", got.Recs[0])
+	w0, w1 := &got.Writes[0], &got.Writes[1]
+	if w0.lsn != p.Recs[0].LSN || w0.op.Row != "a" ||
+		!bytes.Equal(w0.op.Cols[0].Value, []byte("x")) {
+		t.Errorf("rec 0 = %+v", w0)
 	}
-	if got.Recs[1].LSN != p.Recs[1].LSN || !got.Recs[1].Op.Cols[0].Delete {
-		t.Errorf("rec 1 = %+v", got.Recs[1])
+	if w1.lsn != p.Recs[1].LSN || !w1.op.Cols[0].Delete {
+		t.Errorf("rec 1 = %+v", w1)
+	}
+	// Each write's raw is its op's encoding, what the follower logs.
+	for i := range got.Writes {
+		if w := &got.Writes[i]; !bytes.Equal(w.raw, EncodeWriteOp(nil, p.Recs[i].Op)) {
+			t.Errorf("rec %d raw = %x", i, w.raw)
+		}
 	}
 }
 
 func TestProposeBatchEmpty(t *testing.T) {
 	got, err := decodeProposeBatch(encodeProposeBatch(proposeBatchPayload{}))
-	if err != nil || len(got.Recs) != 0 {
+	if err != nil || len(got.Writes) != 0 {
 		t.Fatalf("empty batch: %+v, %v", got, err)
 	}
 }
@@ -261,6 +270,80 @@ func TestProposeBatchTruncation(t *testing.T) {
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeProposeBatch(buf[:cut]); err == nil {
 			t.Fatalf("cut %d decoded", cut)
+		}
+	}
+}
+
+// allocsOp is a single- or multi-column write whose row and column names are
+// too long for the allocator's tiny blocks, so every copy of them counts.
+func allocsOp(i, cols int) WriteOp {
+	op := WriteOp{Row: fmt.Sprintf("row-allocs-%012d", i)}
+	for c := 0; c < cols; c++ {
+		op.Cols = append(op.Cols, ColWrite{Col: fmt.Sprintf("column-name-%04d", c),
+			Value: bytes.Repeat([]byte("v"), 128), Version: uint64(i)})
+	}
+	return op
+}
+
+// TestProposeDecodeAllocs: a follower decodes a propose batch in place into
+// one array of pending writes. Each write's row, column names and values
+// alias the payload, and a single-column write's column lives inside its
+// pending write, so a batch is one object whatever its size.
+func TestProposeDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		recs int
+		max  float64
+	}{{1, 1}, {16, 2}} {
+		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(2, 7)}
+		for i := 0; i < tc.recs; i++ {
+			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Op: allocsOp(i, 1)})
+		}
+		payload := encodeProposeBatch(p)
+		var (
+			got proposeBatch
+			err error
+		)
+		n := testing.AllocsPerRun(200, func() { got, err = decodeProposeBatch(payload) })
+		if err != nil || len(got.Writes) != tc.recs {
+			t.Fatalf("%d records: decoded %d, %v", tc.recs, len(got.Writes), err)
+		}
+		for i := range got.Writes {
+			if w := &got.Writes[i]; !reflect.DeepEqual(w.op, p.Recs[i].Op) || w.lsn != p.Recs[i].LSN {
+				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", tc.recs, i, w.lsn, w.op, p.Recs[i].LSN, p.Recs[i].Op)
+			}
+		}
+		if n > tc.max {
+			t.Errorf("decoding a %d-record batch allocates %v objects, want ≤ %v", tc.recs, n, tc.max)
+		}
+	}
+}
+
+// TestWriteDecodeAllocs: the leader decodes a client's write in place into
+// the pending write that carries it to its commit. A single-column write is
+// that one object; more columns add their slice.
+func TestWriteDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		cols int
+		max  float64
+	}{{1, 1}, {3, 2}} {
+		op := allocsOp(1, tc.cols)
+		payload := EncodeWriteOp(nil, op)
+		var (
+			p   *pendingWrite
+			err error
+		)
+		n := testing.AllocsPerRun(200, func() { p, err = decodeWrite(payload) })
+		if err != nil || !reflect.DeepEqual(p.op, op) {
+			t.Fatalf("%d columns: decoded %+v, %v; want %+v", tc.cols, p, err, op)
+		}
+		if n > tc.max {
+			t.Errorf("decoding a %d-column write allocates %v objects, want ≤ %v", tc.cols, n, tc.max)
 		}
 	}
 }
@@ -292,8 +375,8 @@ func benchmarkProposeBatch(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		got, err := decodeProposeBatch(encodeProposeBatch(p))
-		if err != nil || len(got.Recs) != n {
-			b.Fatalf("decoded %d recs, err %v", len(got.Recs), err)
+		if err != nil || len(got.Writes) != n {
+			b.Fatalf("decoded %d recs, err %v", len(got.Writes), err)
 		}
 	}
 }

@@ -116,6 +116,16 @@ type replica struct {
 	batchSending bool
 	batchOut     wal.LSN
 	logScratch   []wal.Record // onProposeBatch's log append list (AppendBatch keeps none)
+	// syncing counts, per peer, the takeover messages (Fig 6 lines 5-6)
+	// in flight to it; see proposalPeersLocked. Guarded by mu.
+	syncing map[string]int
+
+	// Follower force-and-ack state: onProposeBatch adds each logged batch
+	// to ack (guarded by mu) and nudges ackNudge, a one-slot channel;
+	// ackLoop takes what accumulated and answers it with one force and one
+	// cumulative ack.
+	ack      ackDue
+	ackNudge chan struct{}
 
 	// Bulk catch-up counters (guarded by r.mu): manifests served as
 	// leader, snapshot-path catch-ups absorbed as follower.
@@ -130,14 +140,6 @@ type replica struct {
 	// the time half of the commit-lag metric.
 	m              rangeMetrics
 	commitAdvanced time.Time
-}
-
-// membership snapshots the cohort membership (peers and quorum) under lock;
-// both change when a newer layout is adopted mid-flight.
-func (r *replica) membership() (peers []string, quorum int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peers, r.quorum
 }
 
 // inBoundsLocked reports whether this replica currently serves row; callers
@@ -297,15 +299,17 @@ func (r *replica) loggerPrefix() string {
 // --- Write path (paper §5, Figure 4) ---------------------------------------
 
 // submitWriteAsync runs the leader's side of the write protocol (Fig 4) for
-// one client write without blocking the caller: the write is sequenced,
-// logged, and handed to the cohort's proposal drainer, and the request req
-// is answered with the outcome when the write commits (or fails). Not
-// holding a goroutine per in-flight write is what lets a single client
-// pipeline many writes through one leader link. The WriteTimeout bound is
-// enforced by the commit timer's sweep of staleResponders.
+// one client write, decoded into p (decodeWrite), without blocking the
+// caller: the write is sequenced, logged, and handed to the cohort's proposal
+// drainer, and the request req is answered with the outcome when the write
+// commits (or fails). p is then the write's commit-queue entry. Not holding a
+// goroutine per in-flight write is what lets a single client pipeline many
+// writes through one leader link. The WriteTimeout bound is enforced by the
+// commit timer's sweep of staleResponders.
 //
 //spinnaker:hotpath
-func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
+func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
+	op := &p.op
 	r.mu.Lock()
 	if !r.inBoundsLocked(op.Row) {
 		r.mu.Unlock()
@@ -325,7 +329,7 @@ func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 	// Conditional checks run before sequencing (§5.1), against the
 	// effective state: the newest pending write for the column if one is
 	// queued (writes execute in LSN order), else the committed cell.
-	if out, dep := r.checkCondsLocked(op); out != nil {
+	if out, dep := r.checkCondsLocked(*op); out != nil {
 		r.mu.Unlock()
 		if dep == nil {
 			r.n.replyWrite(req, *out, 0, 0)
@@ -345,13 +349,13 @@ func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 	for i := range op.Cols {
 		op.Cols[i].Version = uint64(lsn)
 	}
-	p := &pendingWrite{lsn: lsn, op: op, client: r.n, req: req, enqueuedAt: time.Now()}
+	p.lsn, p.client, p.req, p.enqueuedAt = lsn, r.n, req, time.Now()
 	r.queue.add(p)
 	r.m.keys.Note(op.Row)
 	// One encode per sequenced write, and the write's only copy of its
 	// value: the same bytes are the WAL record payload here and the
 	// batch-payload body in encodeProposeBatch (via proposeRec.Raw).
-	enc := EncodeWriteOp(nil, op)
+	enc := EncodeWriteOp(nil, *op)
 	rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: lsn,
 		Payload: enc}
 	end, err := r.n.log.Append(rec)
@@ -362,7 +366,7 @@ func (r *replica) submitWriteAsync(op WriteOp, req transport.Message) {
 		return
 	}
 	r.lastLSN = lsn
-	r.enqueueProposalLocked(proposeRec{LSN: lsn, Op: op, Raw: enc})
+	r.enqueueProposalLocked(proposeRec{LSN: lsn, Op: *op, Raw: enc})
 	if end > r.batchEnd {
 		r.batchEnd = end
 	}
@@ -523,7 +527,7 @@ func (r *replica) drainProposals() {
 		if r.n.cfg.PiggybackCommits {
 			committedThrough = r.lastCommitted
 		}
-		peers := r.peers
+		peers := r.proposalPeersLocked()
 		r.mu.Unlock()
 		// Send first, then force: the followers' round trip overlaps the
 		// leader's force (Fig 4).
@@ -561,6 +565,30 @@ func (r *replica) drainProposals() {
 	}
 	r.batchSending = false
 	r.mu.Unlock()
+}
+
+// proposalPeersLocked returns the peers that proposes go to: every peer but
+// those whose takeover message (Fig 6 lines 5-6) is in flight. The
+// message's Present lists the writes in our log when it was built, and the
+// follower truncates every ambiguous write that the list leaves out, so a
+// write sequenced after it that reached the follower first would be
+// truncated as a dead branch — and marked committed later without ever
+// being applied. A peer left out repairs what it missed as after any lost
+// propose: the next propose shows it a sequence gap, or a commit message
+// shows it is behind, and it catches up. Callers hold r.mu.
+//
+//spinnaker:locked(mu)
+func (r *replica) proposalPeersLocked() []string {
+	if len(r.syncing) == 0 {
+		return r.peers
+	}
+	peers := make([]string, 0, len(r.peers))
+	for _, p := range r.peers {
+		if r.syncing[p] == 0 {
+			peers = append(peers, p)
+		}
+	}
+	return peers
 }
 
 // sendProposals sends recs (ascending by LSN) to every peer as one
@@ -630,10 +658,11 @@ func (r *replica) tryCommit() {
 
 // onProposeBatch handles a propose message (the follower column of Fig 4,
 // for a run of one or more writes): append every new record to the shared
-// log under one lock acquisition, issue one force, and reply with one
-// cumulative ack covering everything this replica durably holds. The force
-// and ack run off the link goroutine so concurrent proposes across cohorts
-// share group-commit forces.
+// log under one lock acquisition and hand the force and the ack to the
+// replica's ack loop, which answers with one force and one cumulative ack
+// covering everything this replica durably holds. The force and ack run off
+// the link goroutine so concurrent proposes across cohorts share
+// group-commit forces.
 //
 // A cumulative ack of X asserts that this replica's durable log holds every
 // (non-truncated) write of the cohort at or below X, so the log must never
@@ -645,7 +674,7 @@ func (r *replica) tryCommit() {
 //spinnaker:hotpath
 func (r *replica) onProposeBatch(m transport.Message) {
 	b, err := decodeProposeBatch(m.Payload)
-	if err != nil || len(b.Recs) == 0 {
+	if err != nil || len(b.Writes) == 0 {
 		return
 	}
 	r.mu.Lock()
@@ -663,7 +692,7 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		// but has not bumped its epoch would otherwise lend the old
 		// leader acks — letting it commit writes the new leader's
 		// history will truncate.
-		if b.Recs[0].LSN.Epoch() <= r.epoch {
+		if b.Writes[0].lsn.Epoch() <= r.epoch {
 			r.mu.Unlock()
 			return
 		}
@@ -672,16 +701,13 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		end int64
 		gap bool
 	)
-	// The batch's pending writes share one array, sized to the batch: in
-	// steady state every record is new (re-proposals and gaps only shrink
-	// the count). The log records go into the replica's scratch list.
-	pending := make([]pendingWrite, len(b.Recs))
-	added := 0
+	// The batch's writes were decoded into their pending entries; the log
+	// records go into the replica's scratch list.
 	toLog := r.logScratch[:0]
 	last := r.lastLSN
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if e := rec.LSN.Epoch(); e > r.epoch {
+	for i := range b.Writes {
+		w := &b.Writes[i]
+		if e := w.lsn.Epoch(); e > r.epoch {
 			if r.role == RoleLeader {
 				// A higher-epoch proposal stream proves we were deposed;
 				// step down rather than silently adopting the epoch (our
@@ -691,7 +717,7 @@ func (r *replica) onProposeBatch(m transport.Message) {
 			}
 			r.epoch = e
 		}
-		if rec.LSN <= r.lastCommitted || r.queue.has(rec.LSN) {
+		if w.lsn <= r.lastCommitted || r.queue.has(w.lsn) {
 			// Already committed or already logged and pending (a
 			// re-proposal, Fig 6 line 5: "these can be detected and
 			// ignored"); the force below still covers it before the
@@ -707,7 +733,7 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		// first write is seq 1 (which passes), and an empty-log follower
 		// that accepted a mid-stream propose would ack a prefix it never
 		// received.
-		if rec.LSN.Seq() > last.Seq()+1 {
+		if w.lsn.Seq() > last.Seq()+1 {
 			gap = true
 			break
 		}
@@ -723,20 +749,14 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		// no longer gather a quorum stalls every write behind it, and
 		// with it the drain the split pull is waiting on.
 		//
-		// Zero-copy hand-off: Raw slices the message payload (see
+		// Zero-copy hand-off: raw slices the message payload (see
 		// decodeProposeBatch), so the WAL gets the already-encoded op
 		// without a re-encode and the memtable shares the payload's
-		// value bytes.
-		payload := rec.Raw
-		if payload == nil {
-			payload = EncodeWriteOp(nil, rec.Op)
-		}
+		// bytes.
 		toLog = append(toLog, wal.Record{Cohort: r.rangeID, Type: wal.RecWrite,
-			LSN: rec.LSN, Payload: payload})
-		pending[added].lsn, pending[added].op = rec.LSN, rec.Op
-		added++
-		if rec.LSN > last {
-			last = rec.LSN
+			LSN: w.lsn, Payload: w.raw})
+		if w.lsn > last {
+			last = w.lsn
 		}
 	}
 	if len(toLog) > 0 {
@@ -748,48 +768,115 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		if e, err := r.n.log.AppendBatch(toLog); err == nil {
 			end = e
 			r.lastLSN = last
-			for i := range pending[:added] {
-				r.queue.add(&pending[i])
+			// The logged writes are the batch's writes with the LSNs of
+			// toLog, in the same (ascending) order.
+			j := 0
+			for i := range b.Writes {
+				if j < len(toLog) && b.Writes[i].lsn == toLog[j].LSN {
+					r.queue.add(&b.Writes[i])
+					j++
+				}
 			}
-		} else {
-			added = 0
 		}
 		clear(toLog) // pin no payloads
 		r.logScratch = toLog[:0]
 	}
-	pending = pending[:added]
 	if gap {
 		r.gapped = true
 	}
-	ackThrough := r.lastLSN
+	r.ack.add(end, r.lastLSN, m.From, b.CommittedThrough)
 	r.mu.Unlock()
-
-	go func() {
-		if end > 0 {
-			if err := r.n.log.ForceTo(end); err != nil {
-				return
-			}
-		} else if err := r.n.log.Force(); err != nil {
-			return
-		}
-		for i := range pending {
-			r.queue.markForced(pending[i].lsn)
-		}
-		if !ackThrough.IsZero() {
-			if ParanoidAckChecks {
-				r.verifyAckClaim(ackThrough)
-			}
-			r.n.send(m.From, transport.Message{Kind: MsgAckBatch, Cohort: r.rangeID,
-				Payload: encodeAck(ackThrough, r.engine.Checkpoint())})
-		}
-		if b.CommittedThrough > 0 {
-			r.applyCommitted(b.CommittedThrough, false)
-		}
-	}()
+	select {
+	case r.ackNudge <- struct{}{}:
+	default: // the loop is already due to run
+	}
 	if gap {
 		// We missed proposes (e.g. across a healed partition); ask the
 		// leader for the committed writes in between.
 		r.n.nudgeCatchup(r)
+	}
+}
+
+// ackDue is what a follower owes the leader for the proposes it logged since
+// its ack loop last ran: a force, one cumulative ack, and the piggybacked
+// commit to apply. Acks are cumulative, so any number of batches merge into
+// one.
+type ackDue struct {
+	due bool
+	// end is the highest log offset a batch appended through. A batch that
+	// appended nothing (all re-proposals) sets all instead: the records it
+	// re-acks may belong to an append whose force is still running, so the
+	// whole log is forced.
+	end       int64
+	all       bool
+	through   wal.LSN // the ack watermark: lastLSN after the latest batch
+	to        string  // the sender of the latest batch
+	committed wal.LSN // the highest piggybacked commit LSN
+}
+
+// add merges one logged batch into the debt.
+//
+//spinnaker:hotpath
+func (a *ackDue) add(end int64, through wal.LSN, to string, committed wal.LSN) {
+	a.due = true
+	if end == 0 {
+		a.all = true
+	} else if end > a.end {
+		a.end = end
+	}
+	a.through, a.to = through, to
+	if committed > a.committed {
+		a.committed = committed
+	}
+}
+
+// ackLoop forces and acks for the replica's follower side, one loop per
+// replica instead of a goroutine per batch: each round takes everything
+// onProposeBatch logged since the last one, forces through it, marks the
+// pending writes forced, sends one cumulative MsgAckBatch and applies the
+// piggybacked commit. It runs for the replica's life.
+func (r *replica) ackLoop() {
+	for {
+		select {
+		case <-r.ackNudge:
+		case <-r.stopCh:
+			return
+		case <-r.n.stopCh:
+			return
+		}
+		r.mu.Lock()
+		a := r.ack
+		r.ack = ackDue{}
+		r.mu.Unlock()
+		if a.due {
+			r.payAck(a)
+		}
+	}
+}
+
+// payAck forces the log through a, marks the pending writes it covers
+// forced, sends the cumulative ack and applies the piggybacked commit. A
+// failed force sends no ack.
+func (r *replica) payAck(a ackDue) {
+	var err error
+	if a.all {
+		err = r.n.log.Force()
+	} else {
+		err = r.n.log.ForceTo(a.end)
+	}
+	if err != nil {
+		return
+	}
+	if !a.through.IsZero() {
+		r.queue.markForcedThrough(a.through)
+		if ParanoidAckChecks {
+			r.verifyAckClaim(a.through)
+		}
+		r.n.send(a.to, transport.Message{Kind: MsgAckBatch, Cohort: r.rangeID,
+			Payload: encodeAck(a.through, r.engine.Checkpoint())})
+	}
+	if a.committed > 0 {
+		r.applyCommitted(a.committed, false)
 	}
 }
 
@@ -976,7 +1063,9 @@ func (r *replica) sendCommitMessages() {
 // followers either hold them already (deduped by LSN) or hit them as the
 // contiguous continuation of their log.
 func (r *replica) reproposeRecs(recs []proposeRec) {
-	peers, _ := r.membership()
+	r.mu.Lock()
+	peers := r.proposalPeersLocked()
+	r.mu.Unlock()
 	r.sendProposals(peers, 0, recs)
 }
 

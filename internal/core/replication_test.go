@@ -15,11 +15,13 @@ import (
 
 // proposeCounter is an endpoint decorator that records, for every
 // MsgProposeBatch a node sends, how many records it carries, and counts the
-// MsgAckBatch messages sent.
+// MsgAckBatch messages sent and the watermark each sender acked through.
 type proposeCounter struct {
 	mu       sync.Mutex
 	proposes []int // record count of each propose message, all nodes
+	proposed wal.LSN
 	acks     int
+	acked    map[string]wal.LSN
 }
 
 type countingEndpoint struct {
@@ -30,28 +32,45 @@ type countingEndpoint struct {
 func (e countingEndpoint) Send(m transport.Message) error {
 	switch m.Kind {
 	case MsgProposeBatch:
-		if b, err := decodeProposeBatch(m.Payload); err == nil {
+		if b, err := decodeProposeBatch(m.Payload); err == nil && len(b.Writes) > 0 {
 			e.c.mu.Lock()
-			e.c.proposes = append(e.c.proposes, len(b.Recs))
+			e.c.proposes = append(e.c.proposes, len(b.Writes))
+			e.c.proposed = max(e.c.proposed, b.Writes[len(b.Writes)-1].lsn)
 			e.c.mu.Unlock()
 		}
 	case MsgAckBatch:
-		e.c.mu.Lock()
-		e.c.acks++
-		e.c.mu.Unlock()
+		if lsn, _, err := decodeAck(m.Payload); err == nil {
+			e.c.mu.Lock()
+			e.c.acks++
+			if e.c.acked == nil {
+				e.c.acked = make(map[string]wal.LSN)
+			}
+			e.c.acked[e.ID()] = max(e.c.acked[e.ID()], lsn)
+			e.c.mu.Unlock()
+		}
 	}
 	return e.Endpoint.Send(m)
 }
 
-func (c *proposeCounter) snapshot() (proposes []int, acks int) {
+// snapshot returns the propose sizes, the ack count, and whether at least
+// the given number of senders have acked through everything proposed.
+func (c *proposeCounter) snapshot(followers int) (proposes []int, acks int, covered bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.proposes...), c.acks
+	n := 0
+	for _, lsn := range c.acked {
+		if lsn >= c.proposed {
+			n++
+		}
+	}
+	return append([]int(nil), c.proposes...), c.acks, n >= followers
 }
 
 // TestProposalBatchingCap pins that concurrently sequenced writes share
-// propose messages on the one replication path, and that every propose
-// message draws exactly one cumulative ack.
+// propose messages on the one replication path, and that a propose message
+// draws at most one cumulative ack: a follower's ack loop merges the acks of
+// batches that arrive while it forces, and the acks still cover every
+// proposed write.
 func TestProposalBatchingCap(t *testing.T) {
 	const writes = 64
 	t.Run("batched", func(t *testing.T) {
@@ -84,12 +103,15 @@ func TestProposalBatchingCap(t *testing.T) {
 		}
 		// A write commits on the first follower's ack; let the second
 		// follower's acks arrive too.
-		var proposes []int
-		var acks int
+		var (
+			proposes []int
+			acks     int
+			covered  bool
+		)
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			proposes, acks = counter.snapshot()
-			if acks == len(proposes) || time.Now().After(deadline) {
+			proposes, acks, covered = counter.snapshot(2)
+			if covered || time.Now().After(deadline) {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -101,7 +123,10 @@ func TestProposalBatchingCap(t *testing.T) {
 		if most < 2 {
 			t.Fatalf("no propose message carried more than one record: %v", proposes)
 		}
-		if acks != len(proposes) {
+		if !covered {
+			t.Fatalf("the followers' acks never covered the last proposed write (%d acks for %d proposes)", acks, len(proposes))
+		}
+		if acks > len(proposes) {
 			t.Fatalf("%d propose messages drew %d acks", len(proposes), acks)
 		}
 	})
@@ -155,10 +180,13 @@ func TestPiggybackedCommitsAdvanceFollowers(t *testing.T) {
 }
 
 // waitFollowing waits until every follower of rangeID has left
-// RoleRecovering and follows the range's current leader, whose id it returns.
+// RoleRecovering and follows the range's current leader, whose id it
+// returns, and until the leader's takeover syncs are over, so that its
+// proposes reach every follower (proposalPeersLocked).
 func (tc *testCluster) waitFollowing(rangeID uint32) string {
 	tc.t.Helper()
-	leader := tc.leaderOf(rangeID).ID()
+	ln := tc.leaderOf(rangeID)
+	leader := ln.ID()
 	for _, name := range tc.layout.Cohort(rangeID) {
 		for name != leader {
 			st, _ := tc.nodes[name].ReplicaStats(rangeID)
@@ -168,7 +196,16 @@ func (tc *testCluster) waitFollowing(rangeID uint32) string {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	return leader
+	r := ln.getReplica(rangeID)
+	for {
+		r.mu.Lock()
+		syncing := len(r.syncing)
+		r.mu.Unlock()
+		if syncing == 0 {
+			return leader
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // forceHookStore is a wal.SegmentStore decorator whose devices run hook
@@ -447,7 +484,7 @@ func newWindowBed(t *testing.T, timeout, commitPeriod time.Duration) *windowBed 
 					}
 				case m.Kind == MsgProposeBatch && m.From == b.leader:
 					if pb, err := decodeProposeBatch(m.Payload); err == nil {
-						b.got[name] = append(b.got[name], len(pb.Recs))
+						b.got[name] = append(b.got[name], len(pb.Writes))
 					}
 				}
 			}

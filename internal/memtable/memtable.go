@@ -125,7 +125,10 @@ func (m *Memtable) Apply(key kv.Key, cell kv.Cell) {
 	if cand := x.next[0]; cand != nil && cand.entry.Key.Compare(key) == 0 {
 		if cell.Newer(cand.entry.Cell) {
 			m.bytes += int64(len(cell.Value) - len(cand.entry.Cell.Value))
-			cand.entry.Cell = cell
+			// The key is taken too: a caller's key and value may alias
+			// the buffer the write arrived in, and the old key would keep
+			// the old buffer alive beside the new one.
+			cand.entry = kv.Entry{Key: key, Cell: cell}
 			m.noteLSN(cell.LSN)
 		}
 		return

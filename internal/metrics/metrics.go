@@ -10,6 +10,7 @@ package metrics
 import (
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -216,11 +217,14 @@ func NewKeySampler(stride int64, capacity int) *KeySampler {
 	return &KeySampler{stride: stride, ring: make([]string, capacity)}
 }
 
-// Note records one occurrence of key, sampling it if its turn is up.
+// Note records one occurrence of key, sampling it if its turn is up. A
+// sampled key is cloned: the caller's key may alias a larger buffer (a
+// write's request payload), which the ring would otherwise keep alive.
 func (s *KeySampler) Note(key string) {
 	if s.n.Add(1)%s.stride != 0 {
 		return
 	}
+	key = strings.Clone(key)
 	s.mu.Lock()
 	s.ring[s.next] = key
 	s.next++

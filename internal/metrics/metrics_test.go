@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBucketLayout(t *testing.T) {
@@ -231,6 +232,19 @@ func TestKeySamplerConcurrent(t *testing.T) {
 	med, ok := s.MedianKey(8)
 	if !ok || med < "key-000" || med > "key-099" {
 		t.Fatalf("median %q ok=%v", med, ok)
+	}
+}
+
+// TestKeySamplerClonesKeys: a noted key may alias a buffer its caller reuses
+// or frees (a row decoded in place from a request payload); the sample must
+// keep the key as it was noted.
+func TestKeySamplerClonesKeys(t *testing.T) {
+	s := NewKeySampler(1, 4)
+	buf := []byte("row-00042")
+	s.Note(unsafe.String(&buf[0], len(buf)))
+	copy(buf, "XXXXXXXXX")
+	if keys := s.Keys(); len(keys) != 1 || keys[0] != "row-00042" {
+		t.Fatalf("Keys() = %q after the noted key's buffer changed, want [row-00042]", keys)
 	}
 }
 
