@@ -8,8 +8,9 @@ import (
 // aliascheck enforces the zero-copy contracts of PR 5's allocation-free
 // replication path:
 //
-//   - Callers of //spinnaker:aliases producers (decodeWriteOpShared,
-//     decodeProposeBatch) receive values that alias the input buffer.
+//   - Callers of //spinnaker:aliases producers (decodeWrite,
+//     decodeProposeBatch, decodeGetReq) receive values that alias the
+//     input buffer.
 //     Within the calling function, every value derived from such a call
 //     is read-only: storing through it (x.F = v, x[i] = v) or appending
 //     to a slice rooted at it is a finding. Passing the value onward is
