@@ -21,12 +21,18 @@ func TestWritesProceedDuringCatchupScan(t *testing.T) {
 	if _, err := c.Put(row0(1), "c", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	leader := tc.leaderOf(0)
+	// Both followers must be past their own catch-up before the hook is
+	// armed: the leader serves a catch-up request inline on the sender's
+	// link, so the hook would hold that follower's acks behind it.
+	leader := tc.nodes[tc.waitFollowing(0)]
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var enteredOnce sync.Once
-	hook := func() {
+	hook := func(from string) {
+		if from != "probe-scan" {
+			return
+		}
 		enteredOnce.Do(func() { close(entered) })
 		<-release
 	}
@@ -191,65 +197,72 @@ func TestSnapshotCatchupShipsTables(t *testing.T) {
 	}
 }
 
-// TestDisableSnapshotCatchupUsesEntryPath runs the same truncated-rejoin
-// scenario under the log-replay ablation: the follower must still catch up
-// (EntriesSince serves complete state from the engine) without ever taking
-// the snapshot path.
-func TestDisableSnapshotCatchupUsesEntryPath(t *testing.T) {
+// TestNoSnapCatchupServedFromEngine pins the fallback maxSnapshotRounds
+// forces: a NoSnap request from below the leader's truncation point is
+// served as entries, not a manifest, and the engine makes them complete
+// through the advertised commit point even though the log no longer can.
+func TestNoSnapCatchupServedFromEngine(t *testing.T) {
 	tc := newTestCluster(t, 3, func(cfg *Config) {
 		cfg.FlushBytes = 8 << 10
 		cfg.SegmentBytes = 16 << 10
 		cfg.FlushInterval = 5 * time.Millisecond
-		cfg.DisableSnapshotCatchup = true
 	})
 	tc.waitAllLeaders()
 	c := tc.client()
 
-	leader := tc.leaderOf(0).ID()
-	var follower string
-	for _, name := range tc.layout.Cohort(0) {
-		if name != leader {
-			follower = name
-			break
-		}
-	}
-
 	value := make([]byte, 512)
-	for i := 0; i < 30; i++ {
-		if _, err := c.Put(row0(i), "c", value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fst, _ := tc.nodes[follower].ReplicaStats(0)
-	tc.crashNode(follower)
-	for i := 30; i < 120; i++ {
+	for i := 0; i < 150; i++ {
 		if _, err := c.Put(row0(i), "c", value); err != nil {
 			t.Fatal(err)
 		}
 	}
 	leaderNode := tc.leaderOf(0)
 	deadline := time.Now().Add(5 * time.Second)
-	for leaderNode.LogTruncated(0) <= fst.LastCommitted {
+	for leaderNode.LogTruncated(0) == 0 {
 		if time.Now().After(deadline) {
-			t.Skip("log never truncated past the crashed follower's cmt")
+			t.Skip("log never truncated")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	n := tc.restartNode(follower)
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		st, ok := n.ReplicaStats(0)
-		if ok && st.Role == RoleFollower && st.LastCommitted >= wal.MakeLSN(1, 120) {
-			break
+	ep := tc.net.Join("probe-nosnap")
+	call := func(req catchupReq) transport.Message {
+		t.Helper()
+		resp, err := ep.Call(transport.Message{
+			To: leaderNode.ID(), Kind: MsgCatchupReq, Cohort: 0, Payload: encodeCatchupReq(req),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			st, _ := n.ReplicaStats(0)
-			t.Fatalf("follower never caught up under the ablation: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return resp
 	}
-	if st, _ := n.ReplicaStats(0); st.SnapshotCatchups != 0 {
-		t.Errorf("ablation still took %d snapshot catch-ups", st.SnapshotCatchups)
+	// Without the flag the same request is a snapshot round: the log
+	// cannot prove completeness from Cmt 0.
+	if resp := call(catchupReq{}); resp.Kind != MsgSnapManifest {
+		t.Fatalf("request below the truncation point answered with kind %d, want a manifest", resp.Kind)
+	}
+
+	resp := call(catchupReq{NoSnap: true})
+	if resp.Kind == MsgSnapManifest {
+		t.Fatal("NoSnap request answered with a manifest")
+	}
+	cr, err := decodeCatchupResp(resp.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Status != StatusOK {
+		t.Fatalf("NoSnap catch-up status %d", cr.Status)
+	}
+	if cr.Cmt < wal.MakeLSN(1, 150) {
+		t.Errorf("NoSnap catch-up advertises Cmt %s, want at least %s", cr.Cmt, wal.MakeLSN(1, 150))
+	}
+	rows := make(map[string]bool, len(cr.Entries))
+	for _, e := range cr.Entries {
+		rows[e.Key.Row] = true
+	}
+	for i := 0; i < 150; i++ {
+		if !rows[row0(i)] {
+			t.Fatalf("NoSnap catch-up (%d entries) is missing row %s", len(cr.Entries), row0(i))
+		}
 	}
 }

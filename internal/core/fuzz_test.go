@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spinnaker/internal/kv"
-	"spinnaker/internal/merkle"
 	"spinnaker/internal/wal"
 )
 
@@ -165,7 +164,7 @@ func FuzzDecodeCommitMsg(f *testing.F) {
 func FuzzDecodeCatchupReq(f *testing.F) {
 	f.Add(encodeCatchupReq(catchupReq{Cmt: 5, Ambiguous: []wal.LSN{6, 7}}))
 	f.Add(encodeCatchupReq(catchupReq{
-		Cmt: 5, SplitPull: true, FilterLow: "100", FilterHigh: "200", NoSnap: true, Empty: true,
+		Cmt: 5, SplitPull: true, FilterLow: "100", FilterHigh: "200", NoSnap: true,
 	}))
 	f.Add(forgeCount32(encodeCatchupReq(catchupReq{Cmt: 1}), 8)) // ambiguous-LSN count
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -247,10 +246,8 @@ func FuzzDecodeSnapManifest(f *testing.F) {
 		SnapCmt: 15,
 		Present: []wal.LSN{16},
 		Tables: []snapTableMeta{
-			{ID: 3, Size: 4096, CRC: 0xdeadbeef, MinLSN: 1, MaxLSN: 15, MinRow: "a", MaxRow: "m"},
+			{ID: 3, Size: 4096, CRC: 0xdeadbeef, MinLSN: 1, MaxLSN: 15},
 		},
-		Cuts:   []string{"", "h"},
-		Leaves: []merkle.Digest{{1, 2, 3}},
 	}
 	enc := encodeSnapManifest(m)
 	f.Add(enc)

@@ -146,12 +146,6 @@ type Config struct {
 	MaxTables  int
 	// SegmentBytes is the shared log's roll threshold.
 	SegmentBytes int64
-	// DisableSnapshotCatchup forces catch-up onto the entry-replay path
-	// even when the leader's log is truncated past the follower's f.cmt
-	// (the log-replay ablation the truncated-rejoin tests run). With the
-	// default (snapshot catch-up on), such a follower receives sealed
-	// SSTables directly and replays only the log tail beyond them.
-	DisableSnapshotCatchup bool
 }
 
 func (c *Config) fillDefaults() {

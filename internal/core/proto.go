@@ -52,7 +52,7 @@ const (
 	// truncated past the follower's f.cmt, the MsgCatchupReq reply comes
 	// back as a snapshot manifest instead of entries, and the follower
 	// fetches the listed table blobs chunk by chunk.
-	MsgSnapManifest  // reply to MsgCatchupReq: table list + Merkle digests
+	MsgSnapManifest  // reply to MsgCatchupReq: the tables to fetch
 	MsgTableChunkReq // follower → leader: one chunk of one manifest table
 	MsgTableChunk    // leader → follower: the chunk bytes + CRC
 )
@@ -608,13 +608,7 @@ type catchupReq struct {
 	// truncated past Cmt: after a snapshot round the follower's next
 	// request covers only (snapCmt, l.cmt], which the engine serves as
 	// entries, and the flag keeps a laggard from looping on manifests.
-	// It also backs the log-replay ablation (DisableSnapshotCatchup).
 	NoSnap bool
-	// Empty declares the follower holds no data at all (fresh join, or a
-	// disk-loss rejoin after Wipe). The leader then skips building the
-	// anti-entropy digest — with nothing local to compare, every leaf
-	// would differ and every offered table ships regardless.
-	Empty bool
 }
 
 func encodeCatchupReq(r catchupReq) []byte {
@@ -631,17 +625,12 @@ func encodeCatchupReq(r catchupReq) []byte {
 	binary.LittleEndian.PutUint16(s[:], uint16(len(r.FilterHigh)))
 	buf = append(buf, s[:]...)
 	buf = append(buf, r.FilterHigh...)
-	// Trailing flags byte (decoders tolerate its absence for req payloads
-	// encoded before bulk catch-up existed).
+	// Trailing flags byte: bit 0 is NoSnap.
 	var flags byte
 	if r.NoSnap {
 		flags |= 1
 	}
-	if r.Empty {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	return buf
+	return append(buf, flags)
 }
 
 func decodeCatchupReq(b []byte) (catchupReq, error) {
@@ -670,15 +659,12 @@ func decodeCatchupReq(b []byte) (catchupReq, error) {
 	off += ll
 	hl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
-	if len(b)-off < hl {
-		return r, fmt.Errorf("core: catchup req filter truncated")
+	if len(b)-off < hl+1 {
+		return r, fmt.Errorf("core: catchup req filter or flags truncated")
 	}
 	r.FilterHigh = string(b[off : off+hl])
 	off += hl
-	if len(b)-off >= 1 {
-		r.NoSnap = b[off]&1 != 0
-		r.Empty = b[off]&2 != 0
-	}
+	r.NoSnap = b[off]&1 != 0
 	return r, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"spinnaker/internal/kv"
-	"spinnaker/internal/merkle"
 	"spinnaker/internal/transport"
 	"spinnaker/internal/wal"
 )
@@ -22,17 +21,17 @@ const (
 	maxSnapshotRounds = 4
 	// catchupChunkBytes is the table-blob transfer chunk size.
 	catchupChunkBytes = 256 << 10
-	// merkleTargetLeaves sizes the anti-entropy tree the leader cuts over
-	// its resolved state.
-	merkleTargetLeaves = 64
 	// chunkRetryLimit bounds consecutive re-requests of one damaged chunk.
 	chunkRetryLimit = 4
 )
 
 // testCatchupScanHook, when set by a test, runs after onCatchupReq releases
 // r.mu and before the engine scan — the window in which writes must keep
-// flowing. Atomic because tests arm it while replica goroutines run.
-var testCatchupScanHook atomic.Pointer[func()]
+// flowing. It is passed the requester, so a test can park its own probe's
+// request without parking a replica's (whose link would then hold that
+// replica's acks behind it). Atomic because tests arm it while replica
+// goroutines run.
+var testCatchupScanHook atomic.Pointer[func(from string)]
 
 // localRecover rebuilds the replica's volatile state from its share of the
 // node's log (paper §6.1, local recovery phase). recs is the cohort's slice
@@ -166,8 +165,7 @@ func (r *replica) catchUp(leader string) error {
 		req := catchupReq{Cmt: r.lastCommitted}
 		r.mu.Unlock()
 		req.Ambiguous = r.ambiguousLSNs()
-		req.NoSnap = r.n.cfg.DisableSnapshotCatchup || round >= maxSnapshotRounds
-		req.Empty = r.engine.Empty()
+		req.NoSnap = round >= maxSnapshotRounds
 
 		resp, err := r.n.call(leader, transport.Message{
 			Kind: MsgCatchupReq, Cohort: r.rangeID, Payload: encodeCatchupReq(req),
@@ -209,28 +207,10 @@ func (r *replica) catchUp(leader string) error {
 // truncate dead-branch LSNs, durably log the received committed writes,
 // apply them, and advance f.cmt.
 func (r *replica) absorbCatchup(cr catchupResp, ambiguous []wal.LSN) error {
-	present := make(map[wal.LSN]bool, len(cr.Present))
-	for _, l := range cr.Present {
-		present[l] = true
-	}
-
 	r.mu.Lock()
-	// Logical truncation (§6.1.1): ambiguous LSNs absent from the
-	// leader's history were discarded by a leader change and must never
-	// be re-applied by future local recoveries.
-	truncated := false
-	for _, l := range ambiguous {
-		if !present[l] {
-			r.skipped.Add(l)
-			r.queue.remove(l)
-			truncated = true
-		}
-	}
-	if truncated {
-		if err := wal.SaveSkippedLSNs(r.n.meta, r.rangeID, r.skipped); err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("core: persist skipped LSNs: %w", err)
-		}
+	if err := r.truncateAbsentLocked(ambiguous, cr.Present); err != nil {
+		r.mu.Unlock()
+		return err
 	}
 
 	// Durably log the received committed state so a crash right after
@@ -271,21 +251,57 @@ func (r *replica) absorbCatchup(cr catchupResp, ambiguous []wal.LSN) error {
 	}
 	r.applyCommitted(cr.Cmt, true)
 	r.mu.Lock()
-	if cr.Cmt > r.lastLSN {
-		r.lastLSN = cr.Cmt
+	r.absorbedThroughLocked(cr.Cmt)
+	r.mu.Unlock()
+	r.m.entryCatchups.Inc()
+	return nil
+}
+
+// truncateAbsentLocked is logical truncation (§6.1.1): the ambiguous LSNs
+// absent from the leader's history (present) were discarded by a leader
+// change and must never be re-applied by future local recoveries, so they
+// leave the commit queue and join the durable skipped-LSN list. Callers
+// hold r.mu.
+//
+//spinnaker:locked(mu)
+func (r *replica) truncateAbsentLocked(ambiguous, present []wal.LSN) error {
+	inLeader := make(map[wal.LSN]bool, len(present))
+	for _, l := range present {
+		inLeader[l] = true
+	}
+	truncated := false
+	for _, l := range ambiguous {
+		if !inLeader[l] {
+			r.skipped.Add(l)
+			r.queue.remove(l)
+			truncated = true
+		}
+	}
+	if !truncated {
+		return nil
+	}
+	if err := wal.SaveSkippedLSNs(r.n.meta, r.rangeID, r.skipped); err != nil {
+		return fmt.Errorf("core: persist skipped LSNs: %w", err)
+	}
+	return nil
+}
+
+// absorbedThroughLocked records that the replica now holds the complete
+// committed state through cmt: the log position, epoch and next sequence
+// number move up to it. Every absorb source (range leader, takeover, split
+// pull, snapshot) delivers that state, so a split-created replica now holds
+// its range's data and may stand for election. Callers hold r.mu.
+//
+//spinnaker:locked(mu)
+func (r *replica) absorbedThroughLocked(cmt wal.LSN) {
+	if cmt > r.lastLSN {
+		r.lastLSN = cmt
 	}
 	if e := r.lastLSN.Epoch(); e > r.epoch {
 		r.epoch = e
 	}
 	r.nextSeq = r.lastLSN.Seq() + 1
-	// Every absorb source (range leader, takeover, split pull) delivers
-	// the complete committed state through the leader's cmt, so a
-	// split-created replica now holds its range's data and may stand for
-	// election.
 	r.mustPull = false
-	r.mu.Unlock()
-	r.m.entryCatchups.Inc()
-	return nil
 }
 
 // splitPull seeds a fresh replica of a split-created range. If the range
@@ -386,11 +402,11 @@ func (r *replica) serveSplitPull(low, high string) (catchupResp, bool) {
 // If part of (f.cmt, l.cmt] has been truncated from our log, entries served
 // from the engine are no longer the cheapest complete answer: the sealed
 // SSTables themselves are shipped instead (snapshot manifest + chunked
-// blob transfer), unless the follower opted out with NoSnap. EntriesSince
-// remains complete (deletes included) for any f.cmt at or above the
-// cohort's tombstone-GC watermark, and the watermark never exceeds a
-// member's durable commit floor, so a legitimate follower can never ask
-// below it.
+// blob transfer), unless the follower opted out with NoSnap. That is the
+// one place catch-up picks its mode. EntriesSince remains complete
+// (deletes included) for any f.cmt at or above the cohort's tombstone-GC
+// watermark, and the watermark never exceeds a member's durable commit
+// floor, so a legitimate follower can never ask below it.
 func (r *replica) onCatchupReq(m transport.Message) {
 	req, err := decodeCatchupReq(m.Payload)
 	if err != nil {
@@ -432,7 +448,7 @@ func (r *replica) onCatchupReq(m transport.Message) {
 	}
 
 	if hook := testCatchupScanHook.Load(); hook != nil {
-		(*hook)()
+		(*hook)(m.From)
 	}
 	entries := r.engine.EntriesSince(req.Cmt)
 
@@ -473,10 +489,10 @@ func (r *replica) onCatchupReq(m transport.Message) {
 }
 
 // serveSnapshot is the leader's SSTable-shipping path (§6.1): seal the
-// memtable so the tables cover a single LSN point, then offer the tables
-// tagged beyond the follower's f.cmt together with a Merkle tree over our
-// resolved state, so the follower fetches only the subranges it actually
-// differs in.
+// memtable so the tables cover a single LSN point, then offer every table
+// tagged beyond the follower's f.cmt, and the follower fetches them all. A
+// range's oldest table spans the whole range, so pruning the list by row
+// span would drop none of them.
 func (r *replica) serveSnapshot(m transport.Message, req catchupReq, present []wal.LSN) {
 	refuse := func() {
 		r.n.reply(m, transport.Message{Cohort: r.rangeID,
@@ -496,35 +512,10 @@ func (r *replica) serveSnapshot(m transport.Message, req catchupReq, present []w
 	for _, t := range tables {
 		blob := t.Blob()
 		minLSN, maxLSN := t.LSNRange()
-		meta := snapTableMeta{
+		metas = append(metas, snapTableMeta{
 			ID: t.ID(), Size: uint32(len(blob)), CRC: crc32.ChecksumIEEE(blob),
 			MinLSN: minLSN, MaxLSN: maxLSN,
-		}
-		if minKey, maxKey, ok := t.KeyRange(); ok {
-			meta.MinRow, meta.MaxRow = minKey.Row, maxKey.Row
-		}
-		metas = append(metas, meta)
-	}
-	// Digest the resolved state as of snapCmt. The engine keeps moving
-	// under this off-lock scan; filtering to LSN ≤ snapCmt pins the digest
-	// to the snapshot point. A key overwritten beyond snapCmt mid-scan
-	// drops out of the digest entirely — that can only make a leaf differ
-	// spuriously (an over-fetch), never hide a real difference.
-	//
-	// A follower that declared itself empty gets no digest at all: every
-	// leaf would differ against nothing, so the full-range resolved scan
-	// would be paid only to conclude "ship everything".
-	var cuts []string
-	var leaves []merkle.Digest
-	if !req.Empty {
-		var snapEntries []kv.Entry
-		for _, e := range r.engine.EntriesSince(0) {
-			if e.Cell.LSN <= snapCmt {
-				snapEntries = append(snapEntries, e)
-			}
-		}
-		tree := merkle.Build(snapEntries, merkleTargetLeaves)
-		cuts, leaves = tree.Cuts(), tree.Leaves()
+		})
 	}
 
 	r.mu.Lock()
@@ -533,7 +524,7 @@ func (r *replica) serveSnapshot(m transport.Message, req catchupReq, present []w
 	r.mu.Unlock()
 	man := snapManifest{
 		Status: StatusOK, Cmt: cmtNow, SnapCmt: snapCmt, Present: present,
-		Tables: metas, Cuts: cuts, Leaves: leaves,
+		Tables: metas,
 	}
 	r.n.reply(m, transport.Message{
 		Kind: MsgSnapManifest, Cohort: r.rangeID, Payload: encodeSnapManifest(man),
@@ -606,63 +597,20 @@ func (r *replica) fetchTable(leader string, meta snapTableMeta) ([]byte, error) 
 }
 
 // absorbSnapshot applies a snapshot manifest: logically truncate dead
-// branches, diff our state against the leader's Merkle tree, fetch only the
-// tables intersecting differing subranges, ingest them beneath our live
-// state, and advance f.cmt to the snapshot's coverage point. The caller
-// then loops: the next catch-up round asks for (snapCmt, l.cmt] as entries.
+// branches, fetch every offered table, ingest them beneath our live state,
+// and advance f.cmt to the snapshot's coverage point. The caller then
+// loops: the next catch-up round asks for (snapCmt, l.cmt] as entries.
 func (r *replica) absorbSnapshot(leader string, man snapManifest, ambiguous []wal.LSN) error {
-	present := make(map[wal.LSN]bool, len(man.Present))
-	for _, l := range man.Present {
-		present[l] = true
-	}
 	r.mu.Lock()
-	// Logical truncation (§6.1.1), exactly as the entry path: ambiguous
-	// LSNs absent from the leader's history must never be re-applied.
-	truncated := false
-	for _, l := range ambiguous {
-		if !present[l] {
-			r.skipped.Add(l)
-			r.queue.remove(l)
-			truncated = true
-		}
-	}
-	if truncated {
-		if err := wal.SaveSkippedLSNs(r.n.meta, r.rangeID, r.skipped); err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("core: persist skipped LSNs: %w", err)
-		}
-	}
+	err := r.truncateAbsentLocked(ambiguous, man.Present)
 	r.mu.Unlock()
-
-	// Anti-entropy: rebuild the leader's tree shape over our own resolved
-	// state and fetch only the tables whose row span intersects a
-	// differing subrange. Everything we hold is at or below our f.cmt ≤
-	// snapCmt, so the two trees digest the same coverage point. A manifest
-	// without a digest (the leader honored our Empty declaration, or a
-	// peer sent none) ships every offered table — the conservative answer,
-	// never an under-fetch.
-	var needed []snapTableMeta
-	if len(man.Leaves) == 0 {
-		needed = man.Tables
-	} else {
-		local := merkle.BuildWithCuts(man.Cuts, r.engine.EntriesSince(0))
-		remote := merkle.New(man.Cuts, man.Leaves)
-		if remote == nil {
-			return fmt.Errorf("core: snapshot manifest merkle tree malformed")
-		}
-		diffs := merkle.Diff(local, remote)
-		for _, meta := range man.Tables {
-			for _, d := range diffs {
-				if d.Intersects(meta.MinRow, meta.MaxRow) {
-					needed = append(needed, meta)
-					break
-				}
-			}
-		}
+	if err != nil {
+		return err
 	}
-	if len(needed) > 0 {
-		blobs := make([][]byte, 0, len(needed))
-		for _, meta := range needed {
+
+	if len(man.Tables) > 0 {
+		blobs := make([][]byte, 0, len(man.Tables))
+		for _, meta := range man.Tables {
 			blob, err := r.fetchTable(leader, meta)
 			if err != nil {
 				// The round is abandoned whole; the retry loop requests
@@ -675,8 +623,9 @@ func (r *replica) absorbSnapshot(leader string, man snapManifest, ambiguous []wa
 			return fmt.Errorf("core: ingest snapshot tables: %w", err)
 		}
 	} else {
-		// Our resolved state already matches the snapshot everywhere;
-		// seal it and claim the coverage point.
+		// No leader table holds a write past our f.cmt: what we hold
+		// already reflects the snapshot, so seal it and claim the
+		// coverage point.
 		if err := r.engine.Flush(); err != nil {
 			return err
 		}
@@ -694,14 +643,7 @@ func (r *replica) absorbSnapshot(leader string, man snapManifest, ambiguous []wa
 	if man.SnapCmt > r.lastCommitted {
 		r.lastCommitted = man.SnapCmt
 	}
-	if man.SnapCmt > r.lastLSN {
-		r.lastLSN = man.SnapCmt
-	}
-	if e := r.lastLSN.Epoch(); e > r.epoch {
-		r.epoch = e
-	}
-	r.nextSeq = r.lastLSN.Seq() + 1
-	r.mustPull = false
+	r.absorbedThroughLocked(man.SnapCmt)
 	r.snapshotCatchups++
 	r.mu.Unlock()
 	_, _ = r.n.log.Append(wal.Record{

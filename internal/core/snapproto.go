@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"spinnaker/internal/merkle"
 	"spinnaker/internal/wal"
 )
 
@@ -14,39 +13,30 @@ import (
 
 // snapTableMeta describes one SSTable the leader offers for shipping: its
 // id in the leader's engine (the chunk-fetch handle), full blob size and
-// CRC, the LSN tags from its footer, and its row span so the follower can
-// prune the fetch to tables intersecting differing Merkle subranges.
+// CRC, and the LSN tags from its footer.
 type snapTableMeta struct {
 	ID     uint64
 	Size   uint32
 	CRC    uint32
 	MinLSN wal.LSN
 	MaxLSN wal.LSN
-	MinRow string
-	MaxRow string
 }
+
+// snapTableMetaSize is one table's encoded size.
+const snapTableMetaSize = 8 + 4 + 4 + 8 + 8
 
 // snapManifest is the MsgSnapManifest reply payload: the snapshot's
 // coverage point (SnapCmt — every committed write at or below it is
 // reflected in the listed tables), the leader's current commit point, the
-// ambiguous-LSN intersection (as in catchupResp), the table list, and the
-// leader's Merkle tree (cuts + leaf digests) over its resolved state at
-// SnapCmt.
+// ambiguous-LSN intersection (as in catchupResp), and the tables the
+// follower fetches.
 type snapManifest struct {
 	Status  uint8
 	Cmt     wal.LSN
 	SnapCmt wal.LSN
 	Present []wal.LSN
 	Tables  []snapTableMeta
-	Cuts    []string
-	Leaves  []merkle.Digest
 }
-
-// Minimum encoded sizes for count validation.
-const (
-	minSnapTableMetaSize = 8 + 4 + 4 + 8 + 8 + 2 + 2 // empty row bounds
-	minCutSize           = 2                         // empty string
-)
 
 func encodeSnapManifest(m snapManifest) []byte {
 	buf := []byte{m.Status}
@@ -67,24 +57,6 @@ func encodeSnapManifest(m snapManifest) []byte {
 		buf = append(buf, s[:8]...)
 		binary.LittleEndian.PutUint64(s[:8], uint64(t.MaxLSN))
 		buf = append(buf, s[:8]...)
-		binary.LittleEndian.PutUint16(s[:2], uint16(len(t.MinRow)))
-		buf = append(buf, s[:2]...)
-		buf = append(buf, t.MinRow...)
-		binary.LittleEndian.PutUint16(s[:2], uint16(len(t.MaxRow)))
-		buf = append(buf, s[:2]...)
-		buf = append(buf, t.MaxRow...)
-	}
-	binary.LittleEndian.PutUint32(s[:4], uint32(len(m.Cuts)))
-	buf = append(buf, s[:4]...)
-	for _, c := range m.Cuts {
-		binary.LittleEndian.PutUint16(s[:2], uint16(len(c)))
-		buf = append(buf, s[:2]...)
-		buf = append(buf, c...)
-	}
-	binary.LittleEndian.PutUint32(s[:4], uint32(len(m.Leaves)))
-	buf = append(buf, s[:4]...)
-	for i := range m.Leaves {
-		buf = append(buf, m.Leaves[i][:]...)
 	}
 	return buf
 }
@@ -110,82 +82,20 @@ func decodeSnapManifest(b []byte) (snapManifest, error) {
 	}
 	nTables := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
-	if nTables > (len(b)-off)/minSnapTableMetaSize {
+	if nTables > (len(b)-off)/snapTableMetaSize {
 		return m, fmt.Errorf("core: snap manifest table count %d exceeds %d payload bytes", nTables, len(b)-off)
 	}
 	if nTables > 0 {
-		m.Tables = make([]snapTableMeta, 0, nTables)
+		m.Tables = make([]snapTableMeta, nTables)
 	}
-	for i := 0; i < nTables; i++ {
-		if len(b)-off < minSnapTableMetaSize {
-			return m, fmt.Errorf("core: snap manifest table %d truncated", i)
-		}
-		var t snapTableMeta
+	for i := range m.Tables {
+		t := &m.Tables[i]
 		t.ID = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		t.Size = binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		t.CRC = binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		t.MinLSN = wal.LSN(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		t.MaxLSN = wal.LSN(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		ml := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if len(b)-off < ml+2 {
-			return m, fmt.Errorf("core: snap manifest table %d row bounds truncated", i)
-		}
-		t.MinRow = string(b[off : off+ml])
-		off += ml
-		xl := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if len(b)-off < xl {
-			return m, fmt.Errorf("core: snap manifest table %d row bounds truncated", i)
-		}
-		t.MaxRow = string(b[off : off+xl])
-		off += xl
-		m.Tables = append(m.Tables, t)
-	}
-
-	if len(b)-off < 4 {
-		return m, fmt.Errorf("core: snap manifest cut count truncated")
-	}
-	nCuts := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if nCuts > (len(b)-off)/minCutSize {
-		return m, fmt.Errorf("core: snap manifest cut count %d exceeds %d payload bytes", nCuts, len(b)-off)
-	}
-	if nCuts > 0 {
-		m.Cuts = make([]string, 0, nCuts)
-	}
-	for i := 0; i < nCuts; i++ {
-		if len(b)-off < 2 {
-			return m, fmt.Errorf("core: snap manifest cut %d truncated", i)
-		}
-		cl := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if len(b)-off < cl {
-			return m, fmt.Errorf("core: snap manifest cut %d truncated", i)
-		}
-		m.Cuts = append(m.Cuts, string(b[off:off+cl]))
-		off += cl
-	}
-
-	if len(b)-off < 4 {
-		return m, fmt.Errorf("core: snap manifest leaf count truncated")
-	}
-	nLeaves := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if nLeaves > (len(b)-off)/merkle.DigestSize {
-		return m, fmt.Errorf("core: snap manifest leaf count %d exceeds %d payload bytes", nLeaves, len(b)-off)
-	}
-	if nLeaves > 0 {
-		m.Leaves = make([]merkle.Digest, nLeaves)
-	}
-	for i := 0; i < nLeaves; i++ {
-		copy(m.Leaves[i][:], b[off:off+merkle.DigestSize])
-		off += merkle.DigestSize
+		t.Size = binary.LittleEndian.Uint32(b[off+8:])
+		t.CRC = binary.LittleEndian.Uint32(b[off+12:])
+		t.MinLSN = wal.LSN(binary.LittleEndian.Uint64(b[off+16:]))
+		t.MaxLSN = wal.LSN(binary.LittleEndian.Uint64(b[off+24:]))
+		off += snapTableMetaSize
 	}
 	return m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spinnaker/internal/merkle"
 	"spinnaker/internal/wal"
 )
 
@@ -17,11 +16,9 @@ func TestSnapManifestRoundTrip(t *testing.T) {
 		Present: []wal.LSN{wal.MakeLSN(3, 71), wal.MakeLSN(3, 75)},
 		Tables: []snapTableMeta{
 			{ID: 9, Size: 4096, CRC: 0xDEADBEEF, MinLSN: wal.MakeLSN(1, 1),
-				MaxLSN: wal.MakeLSN(3, 70), MinRow: "aaa", MaxRow: "zz"},
+				MaxLSN: wal.MakeLSN(3, 70)},
 			{ID: 12, Size: 128, CRC: 7},
 		},
-		Cuts:   []string{"ggg", "ppp"},
-		Leaves: []merkle.Digest{{1}, {2}, {3}},
 	}
 	got, err := decodeSnapManifest(encodeSnapManifest(man))
 	if err != nil {
@@ -37,15 +34,14 @@ func TestSnapManifestRoundTrip(t *testing.T) {
 // bulk catch-up codecs).
 func TestSnapManifestRejectsForgedCounts(t *testing.T) {
 	base := encodeSnapManifest(snapManifest{Status: StatusOK})
-	// Layout with everything empty: status 1 + cmt 8 + snapCmt 8 +
-	// present count 4, then the three element counts.
+	// Layout with everything empty: status 1 + cmt 8 + snapCmt 8, then the
+	// present and table counts.
 	for _, tt := range []struct {
 		name string
 		off  int
 	}{
+		{"present", 17},
 		{"tables", 21},
-		{"cuts", 25},
-		{"leaves", 29},
 	} {
 		b := append([]byte(nil), base...)
 		binary.LittleEndian.PutUint32(b[tt.off:], 1<<30)
@@ -105,22 +101,24 @@ func TestProposeBatchRejectsForgedCount(t *testing.T) {
 }
 
 func TestCatchupReqNoSnapFlag(t *testing.T) {
-	got, err := decodeCatchupReq(encodeCatchupReq(catchupReq{Cmt: wal.MakeLSN(1, 5), NoSnap: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.NoSnap || got.Cmt != wal.MakeLSN(1, 5) {
-		t.Fatalf("NoSnap round trip = %+v", got)
-	}
-	// A payload encoded before the flags byte existed still decodes, with
-	// NoSnap defaulting to off.
-	legacy := encodeCatchupReq(catchupReq{Cmt: wal.MakeLSN(1, 3)})
-	legacy = legacy[:len(legacy)-1]
-	got, err = decodeCatchupReq(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NoSnap || got.Cmt != wal.MakeLSN(1, 3) {
-		t.Fatalf("legacy catchup req = %+v", got)
+	for _, want := range []catchupReq{
+		{Cmt: wal.MakeLSN(1, 5), NoSnap: true},
+		{Cmt: wal.MakeLSN(1, 3)},
+		{SplitPull: true, FilterLow: "100", FilterHigh: "200", NoSnap: true},
+	} {
+		got, err := decodeCatchupReq(encodeCatchupReq(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmt != want.Cmt || got.NoSnap != want.NoSnap || got.SplitPull != want.SplitPull ||
+			got.FilterLow != want.FilterLow || got.FilterHigh != want.FilterHigh {
+			t.Fatalf("catchup req round trip = %+v, want %+v", got, want)
+		}
+		// The trailing flags byte is required: a request cut short of it
+		// is refused, not read as NoSnap off.
+		enc := encodeCatchupReq(want)
+		if got, err := decodeCatchupReq(enc[:len(enc)-1]); err == nil {
+			t.Errorf("catchup req without its flags byte decoded as %+v", got)
+		}
 	}
 }

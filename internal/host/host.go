@@ -67,10 +67,6 @@ type Options struct {
 	KeyWidth int
 	// WriteTimeout bounds client writes.
 	WriteTimeout time.Duration
-	// DisableSnapshotCatchup is the log-replay ablation: rejoining
-	// followers always catch up by entry replay, never by SSTable
-	// shipping (the truncated-rejoin scenario runs both).
-	DisableSnapshotCatchup bool
 	// Storage knobs, passed through to the engines and the shared log;
 	// harness scenarios lower them so flushes, segment rolls and log
 	// truncation happen within a run. MaxTables is the table count that
@@ -173,15 +169,14 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	c.cfg = core.Config{
-		Layout:                 layout,
-		CommitPeriod:           opts.CommitPeriod,
-		PiggybackCommits:       opts.PiggybackCommits,
-		WriteTimeout:           opts.WriteTimeout,
-		DisableSnapshotCatchup: opts.DisableSnapshotCatchup,
-		FlushBytes:             opts.FlushBytes,
-		MaxTables:              opts.MaxTables,
-		SegmentBytes:           opts.SegmentBytes,
-		FlushInterval:          opts.FlushInterval,
+		Layout:           layout,
+		CommitPeriod:     opts.CommitPeriod,
+		PiggybackCommits: opts.PiggybackCommits,
+		WriteTimeout:     opts.WriteTimeout,
+		FlushBytes:       opts.FlushBytes,
+		MaxTables:        opts.MaxTables,
+		SegmentBytes:     opts.SegmentBytes,
+		FlushInterval:    opts.FlushInterval,
 	}
 	if opts.Dir == "" {
 		// Harness scale; a deployment keeps core's defaults.

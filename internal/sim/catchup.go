@@ -15,8 +15,7 @@ import (
 // RejoinOptions configure one truncated-log rejoin scenario: a follower
 // crashes, the survivors keep committing until the shared log is truncated
 // past the crashed replica's f.cmt, and the node rejoins — which must go
-// through the SSTable-shipping catch-up path (§6.1) unless the log-replay
-// ablation is set.
+// through the SSTable-shipping catch-up path (§6.1).
 type RejoinOptions struct {
 	// Seed drives the recorded workload.
 	Seed int64
@@ -34,8 +33,6 @@ type RejoinOptions struct {
 	// (§6.1 disk failure): the rejoin rebuilds the whole range, so
 	// recovery cost scales with the data held, not the downtime.
 	DiskLoss bool
-	// DisableSnapshot runs the log-replay ablation for comparison.
-	DisableSnapshot bool
 	// CheckTimeout bounds the linearizability search (default 60s).
 	CheckTimeout time.Duration
 }
@@ -66,7 +63,7 @@ type RejoinResult struct {
 	RejoinTime time.Duration
 	// SnapshotCatchups counts the victim's catch-ups that absorbed a
 	// snapshot manifest; SnapshotsServed counts manifests served by the
-	// surviving leaders. Both are zero under the ablation.
+	// surviving leaders.
 	SnapshotCatchups int64
 	SnapshotsServed  int64
 	Check            lin.CheckResult
@@ -89,11 +86,10 @@ func RunTruncatedRejoin(opts RejoinOptions) (*RejoinResult, error) {
 		WriteTimeout: 2 * time.Second,
 		// Tiny storage thresholds so flushes, segment rolls, and log
 		// truncation all happen within the scenario.
-		FlushBytes:             32 << 10,
-		SegmentBytes:           64 << 10,
-		MaxTables:              6,
-		FlushInterval:          2 * time.Millisecond,
-		DisableSnapshotCatchup: opts.DisableSnapshot,
+		FlushBytes:    32 << 10,
+		SegmentBytes:  64 << 10,
+		MaxTables:     6,
+		FlushInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

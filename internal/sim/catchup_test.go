@@ -45,19 +45,3 @@ func TestTruncatedRejoinDiskLoss(t *testing.T) {
 	t.Logf("victim %s rebuilt in %v (%d snapshot catch-ups, %d ops checked)",
 		res.Victim, res.RejoinTime, res.SnapshotCatchups, res.Ops)
 }
-
-// TestTruncatedRejoinLogReplayAblation pins the DisableSnapshotCatchup
-// ablation: the rejoin still converges and stays linearizable on the pure
-// entry-replay path, with zero snapshot catch-ups.
-func TestTruncatedRejoinLogReplayAblation(t *testing.T) {
-	res, err := RunTruncatedRejoin(RejoinOptions{Seed: 13, PreloadRows: 200, DisableSnapshot: true})
-	if errors.Is(err, ErrNeverTruncated) {
-		t.Skip(err)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SnapshotCatchups != 0 {
-		t.Errorf("ablation still took %d snapshot catch-ups", res.SnapshotCatchups)
-	}
-}

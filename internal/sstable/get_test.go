@@ -192,7 +192,7 @@ func TestOpenAllocs(t *testing.T) {
 	if perOpen := (after.TotalAlloc - before.TotalAlloc) / 10; perOpen >= valueSize {
 		t.Errorf("Open allocates %d bytes, at least one %d-byte value", perOpen, valueSize)
 	}
-	if min, max, ok := tbl.KeyRange(); !ok || min != entries[0].Key || max != entries[n-1].Key {
-		t.Errorf("KeyRange = %v, %v, %v; want %v, %v", min, max, ok, entries[0].Key, entries[n-1].Key)
+	if tbl.minKey != entries[0].Key || tbl.maxKey != entries[n-1].Key {
+		t.Errorf("key range = %v, %v; want %v, %v", tbl.minKey, tbl.maxKey, entries[0].Key, entries[n-1].Key)
 	}
 }

@@ -255,12 +255,6 @@ func (t *Table) Len() int { return t.count }
 // tagged with the min and max LSN of the writes that it contains").
 func (t *Table) LSNRange() (min, max wal.LSN) { return t.minLSN, t.maxLSN }
 
-// KeyRange returns the smallest and largest key in the table; ok is false
-// for an empty table.
-func (t *Table) KeyRange() (min, max kv.Key, ok bool) {
-	return t.minKey, t.maxKey, len(t.index) > 0
-}
-
 // Bytes returns the size of the data section — the encoded entries, without
 // the sparse index, bloom filter or footer (len(Blob()) is the whole table).
 func (t *Table) Bytes() int { return len(t.data) }

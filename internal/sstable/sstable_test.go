@@ -318,9 +318,8 @@ func TestTableKeyRangeAndMayContain(t *testing.T) {
 		entry("d", "2", "v", 2),
 		entry("f", "1", "v", 3),
 	)
-	min, max, ok := tbl.KeyRange()
-	if !ok || min.Row != "b" || max.Row != "f" {
-		t.Fatalf("KeyRange = %v..%v,%v", min, max, ok)
+	if tbl.minKey.Row != "b" || tbl.maxKey.Row != "f" {
+		t.Fatalf("key range = %v..%v", tbl.minKey, tbl.maxKey)
 	}
 	// Out-of-range keys are rejected without touching the bloom filter.
 	if tbl.MayContain(kv.Key{Row: "a", Col: "9"}) {
@@ -343,9 +342,6 @@ func TestTableKeyRangeAndMayContain(t *testing.T) {
 	}
 
 	empty := buildTable(t, 2)
-	if _, _, ok := empty.KeyRange(); ok {
-		t.Error("empty table reports a key range")
-	}
 	if empty.MayContain(kv.Key{Row: "b", Col: "1"}) || empty.SpansRow("b") {
 		t.Error("empty table admits keys")
 	}

@@ -30,8 +30,8 @@ func TestCompactionDroppingEveryEntryInstallsNothing(t *testing.T) {
 	if err := e.CompactAll(sstable.DropAllTombstones); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e.Tables()); n != 0 || !e.Empty() {
-		t.Fatalf("after a round that dropped every entry: %d tables, Empty() = %v", n, e.Empty())
+	if n, m := len(e.Tables()), len(e.EntriesSince(0)); n != 0 || m != 0 {
+		t.Fatalf("after a round that dropped every entry: %d tables, %d entries", n, m)
 	}
 	if _, compacts, _ := e.Stats(); compacts != 1 {
 		t.Errorf("compacts = %d, want the round counted", compacts)
@@ -46,8 +46,8 @@ func TestCompactionDroppingEveryEntryInstallsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e2.Tables()); n != 0 || !e2.Empty() {
-		t.Fatalf("after reopen: %d tables, Empty() = %v", n, e2.Empty())
+	if n, m := len(e2.Tables()), len(e2.EntriesSince(0)); n != 0 || m != 0 {
+		t.Fatalf("after reopen: %d tables, %d entries", n, m)
 	}
 }
 

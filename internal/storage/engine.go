@@ -584,8 +584,8 @@ func (e *Engine) compactRound(tombstoneGC wal.LSN, full, force bool) (bool, erro
 		return false, fmt.Errorf("storage: compact open: %w", err)
 	}
 	// When every winner was a collected tombstone the round installs
-	// nothing: an empty table would make Empty false and, as the oldest,
-	// would be outweighed by every later flush.
+	// nothing: a zero-entry table would still count as a live table and,
+	// as the oldest, would be outweighed by every later flush.
 	var out []*sstable.Table
 	if t.Len() > 0 {
 		if err := e.cfg.Tables.Put(id, blob); err != nil {
@@ -897,23 +897,6 @@ func (e *Engine) EntriesSince(after wal.LSN) []kv.Entry {
 	}
 	sortEntries(out)
 	return out
-}
-
-// Empty reports whether the engine holds no data in any layer. A replica
-// catching up from emptiness advertises it so the leader can skip building
-// an anti-entropy digest nothing will be compared against.
-func (e *Engine) Empty() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.mem.Len() > 0 || len(e.tables) > 0 {
-		return false
-	}
-	for _, s := range e.sealed {
-		if s.Len() > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats reports flush and compaction counts and the live table count.
