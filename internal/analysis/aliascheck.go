@@ -10,7 +10,9 @@ import (
 //
 //   - Callers of //spinnaker:aliases producers (decodeWrite,
 //     decodeProposeBatch, decodeGetReq) receive values that alias the
-//     input buffer.
+//     input buffer. decodeWrite's pending write also keeps the whole
+//     payload as its raw bytes, which the leader logs and proposes as
+//     received.
 //     Within the calling function, every value derived from such a call
 //     is read-only: storing through it (x.F = v, x[i] = v) or appending
 //     to a slice rooted at it is a finding. Passing the value onward is

@@ -195,6 +195,8 @@ func TestSnapshotCatchupShipsTables(t *testing.T) {
 			t.Fatalf("key %d at rejoined follower: status %d len %d", i, res.Status, len(res.Value))
 		}
 	}
+	// The shipped tables keep each cell's version equal to its LSN.
+	checkCellsVersionIsLSN(t, tc, 0)
 }
 
 // TestNoSnapCatchupServedFromEngine pins the fallback maxSnapshotRounds

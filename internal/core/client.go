@@ -288,19 +288,36 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 	}
 }
 
-// write routes a WriteOp to the range leader and returns the assigned
-// versions.
-func (c *Client) write(op WriteOp) ([]uint64, error) {
+// write routes a WriteOp to the range leader and returns the version it was
+// assigned, which is every written column's version (zero on error).
+func (c *Client) write(op WriteOp) (uint64, error) {
 	if len(op.Row) > maxKeyLen {
-		return nil, ErrKeyTooLong
+		return 0, ErrKeyTooLong
 	}
 	for i := range op.Cols {
 		if len(op.Cols[i].Col) > maxKeyLen {
-			return nil, ErrKeyTooLong
+			return 0, ErrKeyTooLong
 		}
 	}
 	res, err := route(c, op.Row, MsgWrite, EncodeWriteOp(nil, op), true, decodeWriteResult)
-	return res.Versions, err
+	if err != nil {
+		return 0, err
+	}
+	return res.Version, nil
+}
+
+// writeCols runs a multi-column write and reports its version once per
+// column.
+func (c *Client) writeCols(op WriteOp) ([]uint64, error) {
+	v, err := c.write(op)
+	if err != nil {
+		return nil, err
+	}
+	versions := make([]uint64, len(op.Cols))
+	for i := range versions {
+		versions[i] = v
+	}
+	return versions, nil
 }
 
 // maxAsyncInFlight bounds a client's concurrent asynchronous writes so a
@@ -308,18 +325,18 @@ func (c *Client) write(op WriteOp) ([]uint64, error) {
 const maxAsyncInFlight = 128
 
 // WriteFuture is the handle to an in-flight asynchronous write. Wait blocks
-// until the write commits (or fails) and returns the versions assigned to
-// its columns; it may be called multiple times and from any goroutine.
+// until the write commits (or fails) and returns the version assigned to it;
+// it may be called multiple times and from any goroutine.
 type WriteFuture struct {
-	done     chan struct{}
-	versions []uint64
-	err      error
+	done    chan struct{}
+	version uint64
+	err     error
 }
 
 // Wait blocks for the write's outcome.
-func (f *WriteFuture) Wait() ([]uint64, error) {
+func (f *WriteFuture) Wait() (uint64, error) {
 	<-f.done
-	return f.versions, f.err
+	return f.version, f.err
 }
 
 // writeAsync routes op to the range leader without blocking the caller,
@@ -332,7 +349,7 @@ func (c *Client) writeAsync(op WriteOp) *WriteFuture {
 	c.asyncSem <- struct{}{}
 	go func() {
 		defer func() { <-c.asyncSem }()
-		f.versions, f.err = c.write(op)
+		f.version, f.err = c.write(op)
 		close(f.done)
 	}()
 	return f
@@ -391,12 +408,9 @@ func (b *Batch) Run() ([]uint64, error) {
 	versions := make([]uint64, len(ops))
 	var firstErr error
 	for i, f := range futures {
-		vs, err := f.Wait()
-		if err != nil && firstErr == nil {
+		var err error
+		if versions[i], err = f.Wait(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		if len(vs) > 0 {
-			versions[i] = vs[0]
 		}
 	}
 	return versions, firstErr
@@ -405,11 +419,7 @@ func (b *Batch) Run() ([]uint64, error) {
 // Put inserts a column value into a row (§3) and returns the version
 // assigned to it.
 func (c *Client) Put(row, col string, value []byte) (uint64, error) {
-	vs, err := c.write(WriteOp{Row: row, Cols: []ColWrite{{Col: col, Value: value}}})
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
+	return c.write(WriteOp{Row: row, Cols: []ColWrite{{Col: col, Value: value}}})
 }
 
 // Delete removes a column from a row (§3).
@@ -422,13 +432,9 @@ func (c *Client) Delete(row, col string) error {
 // equals version; otherwise ErrVersionMismatch is returned (§3). A version
 // of 0 means "only if the column does not exist".
 func (c *Client) ConditionalPut(row, col string, value []byte, version uint64) (uint64, error) {
-	vs, err := c.write(WriteOp{Row: row, Cols: []ColWrite{{
+	return c.write(WriteOp{Row: row, Cols: []ColWrite{{
 		Col: col, Value: value, Cond: true, CondVersion: version,
 	}}})
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
 }
 
 // ConditionalDelete removes the column only if its current version equals
@@ -455,7 +461,7 @@ func (c *Client) MultiPut(row string, cols []Column) ([]uint64, error) {
 	for _, col := range cols {
 		op.Cols = append(op.Cols, ColWrite{Col: col.Col, Value: col.Value})
 	}
-	return c.write(op)
+	return c.writeCols(op)
 }
 
 // ConditionalMultiPut atomically puts several columns, each guarded by its
@@ -470,7 +476,7 @@ func (c *Client) ConditionalMultiPut(row string, cols []Column, versions []uint6
 			Col: col.Col, Value: col.Value, Cond: true, CondVersion: versions[i],
 		})
 	}
-	return c.write(op)
+	return c.writeCols(op)
 }
 
 // Get reads a column value and its version (§3). consistent=true routes to

@@ -21,8 +21,8 @@ type writeOutcome struct {
 // one outside tests.
 type writeReplier interface {
 	// replyWrite answers req with out; a sequenced write passes its LSN,
-	// which is the version of each of its cols columns.
-	replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, cols int)
+	// which is the version of each of its columns.
+	replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN)
 }
 
 // pendingWrite is one entry in the commit queue: a write that has been
@@ -35,9 +35,10 @@ type pendingWrite struct {
 	op  WriteOp
 	// cols holds a one-column write's column, so a write decoded in place
 	// (decodeWrite, decodeProposeBatch) needs no Cols slice: op.Cols points
-	// here. raw, on a follower, is op's encoding within the propose payload:
-	// what its WAL append writes, and what a re-proposal sends should this
-	// replica lead later.
+	// here. raw is op's encoding — the client's payload on the leader, the
+	// record's bytes within the propose payload on a follower, the log
+	// record's payload after local recovery: what the WAL append writes and
+	// what a propose or re-proposal sends.
 	cols       [1]ColWrite
 	raw        []byte
 	selfForced bool // the local log force for this write completed
@@ -85,7 +86,7 @@ func (p *pendingWrite) observe(f func(committed bool)) {
 func (p *pendingWrite) finish(out writeOutcome) {
 	p.doneOnce.Do(func() {
 		if p.client != nil {
-			p.client.replyWrite(p.req, out, p.lsn, len(p.op.Cols))
+			p.client.replyWrite(p.req, out, p.lsn)
 		}
 		p.obsMu.Lock()
 		p.obsDone = true
@@ -417,7 +418,7 @@ func (q *commitQueue) snapshotOrder() []wal.LSN {
 
 // stalePending returns re-proposal record snapshots, in LSN order, for
 // locally-forced pending writes whose last propose is older than age,
-// marking them as re-proposed now. Snapshots (LSN + op) are taken under the
+// marking them as re-proposed now. Snapshots (LSN + raw) are taken under the
 // lock so callers never touch pendingWrite fields concurrently with the ack
 // path.
 func (q *commitQueue) stalePending(age time.Duration) []proposeRec {
@@ -432,7 +433,7 @@ func (q *commitQueue) stalePending(age time.Duration) []proposeRec {
 		}
 		if p.lastPropose.IsZero() || now.Sub(p.lastPropose) >= age {
 			p.lastPropose = now
-			out = append(out, proposeRec{LSN: p.lsn, Op: p.op, Raw: p.raw})
+			out = append(out, proposeRec{LSN: p.lsn, Raw: p.raw})
 		}
 	}
 	return out

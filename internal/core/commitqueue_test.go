@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"time"
@@ -11,10 +12,8 @@ import (
 )
 
 func pw(seq uint64, row, col string) *pendingWrite {
-	return &pendingWrite{
-		lsn: wal.MakeLSN(1, seq),
-		op:  WriteOp{Row: row, Cols: []ColWrite{{Col: col, Version: seq}}},
-	}
+	op := WriteOp{Row: row, Cols: []ColWrite{{Col: col}}}
+	return &pendingWrite{lsn: wal.MakeLSN(1, seq), op: op, raw: EncodeWriteOp(nil, op)}
 }
 
 // TestMarkForcedThrough: a follower's force marks every pending write at or
@@ -233,7 +232,7 @@ func TestCommitQueueStalePending(t *testing.T) {
 	if len(stale) != 2 {
 		t.Fatalf("stale = %d, want 2", len(stale))
 	}
-	if stale[0].LSN != wal.MakeLSN(1, 1) || len(stale[0].Op.Cols) != 1 {
+	if stale[0].LSN != wal.MakeLSN(1, 1) || !bytes.Equal(stale[0].Raw, q.byLSN[stale[0].LSN].raw) {
 		t.Errorf("snapshot = %+v", stale[0])
 	}
 	// Just marked: nothing stale at a long threshold.
@@ -249,7 +248,7 @@ func TestCommitQueueStalePending(t *testing.T) {
 // replies is a writeReplier that records the outcomes it is asked to send.
 type replies []writeOutcome
 
-func (r *replies) replyWrite(_ transport.Message, out writeOutcome, _ wal.LSN, _ int) {
+func (r *replies) replyWrite(_ transport.Message, out writeOutcome, _ wal.LSN) {
 	*r = append(*r, out)
 }
 
@@ -269,7 +268,7 @@ func TestPendingWriteFinishOnce(t *testing.T) {
 func pwAt(epoch uint32, seq uint64, row, col string) *pendingWrite {
 	return &pendingWrite{
 		lsn: wal.MakeLSN(epoch, seq),
-		op:  WriteOp{Row: row, Cols: []ColWrite{{Col: col, Version: seq}}},
+		op:  WriteOp{Row: row, Cols: []ColWrite{{Col: col}}},
 	}
 }
 

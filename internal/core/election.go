@@ -412,13 +412,16 @@ func (r *replica) takeover() bool {
 			continue
 		}
 		r.queue.markForced(lsn) // it is in our durable log
-		reprops = append(reprops, proposeRec{LSN: lsn, Op: p.op, Raw: p.raw})
+		reprops = append(reprops, proposeRec{LSN: lsn, Raw: p.raw})
 	}
 	if len(reprops) > 0 {
 		r.reproposeRecs(reprops)
 	}
-	// Wait for the re-proposals to commit.
+	// Wait for the re-proposals to commit, or give up at the takeover
+	// timeout or when the node stops or the replica retires.
 	reproposeDeadline := time.Now().Add(r.n.cfg.TakeoverTimeout)
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
 	for {
 		r.tryCommit()
 		r.mu.Lock()
@@ -427,13 +430,21 @@ func (r *replica) takeover() bool {
 		if done {
 			break
 		}
-		if time.Now().After(reproposeDeadline) {
+		stop := false
+		select {
+		case <-poll.C:
+			stop = time.Now().After(reproposeDeadline)
+		case <-r.n.stopCh:
+			stop = true
+		case <-r.stopCh:
+			stop = true
+		}
+		if stop {
 			r.mu.Lock()
 			r.role = RoleCandidate
 			r.mu.Unlock()
 			return false
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	// Line 10: open the cohort for writes, with LSNs above anything

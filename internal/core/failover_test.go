@@ -311,7 +311,7 @@ func TestAppendixBScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphanLSN := wal.MakeLSN(1, committed+1)
-	orphanOp := WriteOp{Row: row0(999), Cols: []ColWrite{{Col: "c", Value: []byte("orphan"), Version: uint64(orphanLSN)}}}
+	orphanOp := WriteOp{Row: row0(999), Cols: []ColWrite{{Col: "c", Value: []byte("orphan")}}}
 	if err := log.AppendForce(wal.Record{
 		Cohort: 0, Type: wal.RecWrite, LSN: orphanLSN, Payload: EncodeWriteOp(nil, orphanOp),
 	}); err != nil {
@@ -800,5 +800,100 @@ func TestTakeoverSyncNotOvertakenByProposes(t *testing.T) {
 			st, _ := tc.nodes[victim].ReplicaStats(0)
 			t.Fatalf("follower %s never applied the write the leader committed during its sync: %+v", victim, st)
 		}
+	}
+}
+
+// TestStopDuringTakeoverReproposeWait: a new leader whose re-proposals
+// (Fig 6 line 9) cannot commit waits for them until TakeoverTimeout;
+// Node.Stop must end that wait instead of sitting it out. Every ack of the
+// range is dropped, so a write the old leader proposed stays pending on both
+// followers; the old leader crashes, the winner syncs its peer, re-proposes
+// the write and waits for an ack that never comes.
+func TestStopDuringTakeoverReproposeWait(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		rangeID  uint32
+		dropAcks bool
+		leader   string // the new leader, once it claims the range
+		reached  = make(chan struct{})
+		once     sync.Once
+	)
+	tc := newHookedTestCluster(t, 3, func(cfg *Config) {
+		cfg.TakeoverTimeout = 30 * time.Second
+		cfg.WriteTimeout = 30 * time.Second
+	}, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		return inboundHook{ep, func(m transport.Message) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if m.Cohort != rangeID || !dropAcks {
+				return true
+			}
+			if m.Kind == MsgProposeBatch && leader != "" && m.From == leader {
+				once.Do(func() { close(reached) }) // a re-proposal is out
+			}
+			return m.Kind != MsgAckBatch
+		}}
+	}})
+	tc.waitAllLeaders()
+	r := tc.layout.RangeOf(row0(0))
+	old := tc.waitFollowing(r)
+	mu.Lock()
+	rangeID, dropAcks = r, true
+	mu.Unlock()
+
+	tc.client().PutAsync(row0(0), "c", []byte("pending")) // never acknowledged
+	var lsn wal.LSN
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never reached both followers' logs")
+		}
+		st, _ := tc.nodes[old].ReplicaStats(r)
+		if lsn = st.LastLSN; lsn.IsZero() {
+			continue
+		}
+		held := 0
+		for _, name := range tc.layout.Cohort(r) {
+			if st, _ := tc.nodes[name].ReplicaStats(r); name != old && st.LastLSN >= lsn {
+				held++
+			}
+		}
+		if held == 2 {
+			break
+		}
+	}
+	tc.crashNode(old)
+
+	sess := tc.coord.Connect()
+	defer sess.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no follower claimed the range")
+		}
+		if data, err := sess.Get(leaderPath(r)); err == nil && string(data) != old {
+			mu.Lock()
+			leader = string(data)
+			mu.Unlock()
+			break
+		}
+	}
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the new leader never re-proposed the pending write")
+	}
+	if st, _ := tc.nodes[leader].ReplicaStats(r); st.Open || st.LastCommitted >= lsn {
+		t.Fatalf("the new leader finished its takeover: %+v", st)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		tc.nodes[leader].Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		delete(tc.nodes, leader)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Node.Stop is still waiting for the takeover's re-proposals after 5 s")
 	}
 }

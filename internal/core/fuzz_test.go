@@ -35,16 +35,17 @@ func fixpoint[T any](t *testing.T, first T, enc func(T) []byte, dec func([]byte)
 
 func fuzzWriteOp() WriteOp {
 	return WriteOp{Row: "row-7", Cols: []ColWrite{
-		{Col: "a", Value: []byte("hello"), Version: 3},
-		{Col: "b", Delete: true, Version: 4},
-		{Col: "c", Cond: true, CondVersion: 9, Version: 10, Value: []byte{0, 1, 2}},
+		{Col: "a", Value: []byte("hello")},
+		{Col: "b", Delete: true},
+		{Col: "c", Cond: true, CondVersion: 9, Value: []byte{0, 1, 2}},
+		{Col: "d", Delete: true, Cond: true, CondVersion: 10},
 	}}
 }
 
 func fuzzEntries() []kv.Entry {
 	return []kv.Entry{
 		{Key: kv.Key{Row: "r1", Col: "c1"}, Cell: kv.Cell{Value: []byte("v"), Version: 2, LSN: 5}},
-		{Key: kv.Key{Row: "r2", Col: "c2"}, Cell: kv.Cell{Deleted: true, Version: 7, LSN: 6, Timestamp: 12}},
+		{Key: kv.Key{Row: "r2", Col: "c2"}, Cell: kv.Cell{Deleted: true, Version: 6, LSN: 6}},
 	}
 }
 
@@ -61,6 +62,10 @@ func FuzzDecodeWriteOp(f *testing.F) {
 	f.Add(EncodeWriteOp(nil, WriteOp{}))
 	f.Add([]byte{0, 0, 0xff, 0xff}) // empty row, forged column count
 	f.Add(EncodeWriteOp(nil, fuzzWriteOp())[:7])
+	f.Add(append(EncodeWriteOp(nil, fuzzWriteOp()), 0)) // a trailing byte
+	unknownFlag := EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}})
+	unknownFlag[2+1+2+2+1] |= 0x80 // the column's flags byte
+	f.Add(unknownFlag)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		op, n, err := DecodeWriteOp(b)
 		if err != nil {
@@ -80,11 +85,20 @@ func FuzzDecodeWriteOp(f *testing.F) {
 		if !reflect.DeepEqual(op, op2) {
 			t.Fatalf("decode/encode is not a fixpoint:\n first: %+v\nsecond: %+v", op, op2)
 		}
-		// The in-place variant must accept the same inputs and agree on
-		// everything but aliasing.
-		p, err := decodeWrite(b)
-		if err != nil || !reflect.DeepEqual(op, p.op) {
+		// The encoding is canonical: what the decoder admits is exactly
+		// what the encoder writes, so a leader that logs a client's bytes
+		// logs what it would have encoded.
+		if !bytes.Equal(enc, b[:n]) {
+			t.Fatalf("accepted bytes are not the canonical encoding:\n got: %x\nwant: %x", b[:n], enc)
+		}
+		// The in-place variant must accept the same op, keep its bytes as
+		// raw, agree on everything but aliasing, and refuse trailing bytes.
+		p, err := decodeWrite(b[:n])
+		if err != nil || !reflect.DeepEqual(op, p.op) || !bytes.Equal(p.raw, b[:n]) {
 			t.Fatalf("in-place decode disagrees: err=%v\n    copy: %+v\nin place: %+v", err, op, p)
+		}
+		if _, err := decodeWrite(b); (err == nil) != (n == len(b)) {
+			t.Fatalf("decodeWrite of %d bytes holding a %d-byte op: err=%v", len(b), n, err)
 		}
 	})
 }
@@ -94,15 +108,15 @@ func (p proposeBatch) payload() proposeBatchPayload {
 	out := proposeBatchPayload{CommittedThrough: p.CommittedThrough}
 	for i := range p.Writes {
 		w := &p.Writes[i]
-		out.Recs = append(out.Recs, proposeRec{LSN: w.lsn, Op: w.op, Raw: w.raw})
+		out.Recs = append(out.Recs, proposeRec{LSN: w.lsn, Raw: w.raw})
 	}
 	return out
 }
 
 func FuzzDecodeProposeBatch(f *testing.F) {
 	batch := proposeBatchPayload{CommittedThrough: 41, Recs: []proposeRec{
-		{LSN: 42, Op: fuzzWriteOp()},
-		{LSN: 43, Op: WriteOp{Row: "x"}},
+		{LSN: 42, Raw: EncodeWriteOp(nil, fuzzWriteOp())},
+		{LSN: 43, Raw: EncodeWriteOp(nil, WriteOp{Row: "x"})},
 	}}
 	enc := encodeProposeBatch(batch)
 	f.Add(enc)
@@ -191,7 +205,7 @@ func FuzzDecodeCatchupResp(f *testing.F) {
 }
 
 func FuzzDecodeWriteResult(f *testing.F) {
-	f.Add(encodeWriteResult(writeResult{Status: 2, Detail: "cond failed", Versions: []uint64{1, 2}}))
+	f.Add(encodeWriteResult(writeResult{Status: 2, Detail: "cond failed", Version: 12}))
 	f.Add([]byte{0, 0xff, 0xff, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeWriteResult(b)
@@ -246,13 +260,14 @@ func FuzzDecodeSnapManifest(f *testing.F) {
 		SnapCmt: 15,
 		Present: []wal.LSN{16},
 		Tables: []snapTableMeta{
-			{ID: 3, Size: 4096, CRC: 0xdeadbeef, MinLSN: 1, MaxLSN: 15},
+			{ID: 3, Size: 4096, CRC: 0xdeadbeef},
+			{ID: 4, Size: 512, CRC: 7},
 		},
 	}
 	enc := encodeSnapManifest(m)
 	f.Add(enc)
 	f.Add(forgeCount32(encodeSnapManifest(snapManifest{}), 21)) // table count
-	f.Add(enc[:30])
+	f.Add(enc[:len(enc)-snapTableMetaSize/2])                   // half a table short
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeSnapManifest(b)
 		if err != nil {

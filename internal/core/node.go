@@ -617,19 +617,12 @@ func (n *Node) handleGet(r *replica, m transport.Message) {
 }
 
 // replyWrite implements writeReplier: it answers the client write req with
-// out, reporting lsn as the version of each of the write's cols columns.
+// out, reporting lsn as the version of the write's columns.
 //
 //spinnaker:hotpath
-func (n *Node) replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, cols int) {
-	var buf [4]uint64
-	versions := buf[:0]
-	if !lsn.IsZero() {
-		for range cols {
-			versions = append(versions, uint64(lsn))
-		}
-	}
+func (n *Node) replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN) {
 	n.reply(req, transport.Message{Cohort: req.Cohort, Payload: encodeWriteResult(writeResult{
-		Status: out.status, Detail: out.detail, Versions: versions})})
+		Status: out.status, Detail: out.detail, Version: uint64(lsn)})})
 }
 
 // commitTimer drives the leader's periodic asynchronous commit messages

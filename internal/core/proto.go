@@ -134,28 +134,46 @@ var (
 // maxKeyLen is the longest row key or column name the formats can carry.
 const maxKeyLen = math.MaxUint16
 
-// ColWrite is one column mutation within a WriteOp.
+// ColWrite is one column mutation within a WriteOp. It carries no version:
+// a column's version is the LSN its write is sequenced at (§3's
+// datastore-assigned number, identical on every replica because the LSN is),
+// so the leader logs and proposes the client's bytes as they came.
 type ColWrite struct {
 	Col    string
 	Value  []byte
 	Delete bool
 	// CondVersion is the version the column must currently have for a
-	// conditional put/delete (checked by the leader, §5.1); ignored
-	// unless Cond is set.
+	// conditional put/delete (checked by the leader, §5.1); ignored, and
+	// not encoded, unless Cond is set.
 	Cond        bool
 	CondVersion uint64
-	// Version is assigned by the leader when the write is sequenced and
-	// is therefore identical on every replica.
-	Version uint64
 }
 
 // WriteOp is a single-operation transaction mutating one or more columns of
 // one row (§3: multi-column variants mutate several columns of the same row
-// in one call). It is the payload of both log records and propose messages.
+// in one call). Its encoding is the client's MsgWrite payload, the WAL
+// record payload and a propose record's body, byte for byte:
+//
+//	u16 rowLen | row | u16 nCols |
+//	nCols × ( u16 colLen | col | u8 flags | [u64 condVersion] | u32 valueLen | value )
+//
+// flags bit 0 is Delete, bit 1 is Cond; condVersion is present only with
+// Cond. Any other flag bit is refused.
 type WriteOp struct {
 	Row  string
 	Cols []ColWrite
 }
+
+// Column flag bits of the WriteOp encoding.
+const (
+	colDelete byte = 1 << iota
+	colCond
+	colFlags = colDelete | colCond
+)
+
+// minColEncodedSize is a column's smallest encoding: an empty name, the
+// flags byte and a zero value length.
+const minColEncodedSize = 2 + 1 + 4
 
 // WriteOpEncodedSize returns the number of bytes EncodeWriteOp will produce.
 //
@@ -163,7 +181,11 @@ type WriteOp struct {
 func WriteOpEncodedSize(op WriteOp) int {
 	n := 2 + len(op.Row) + 2
 	for i := range op.Cols {
-		n += 2 + len(op.Cols[i].Col) + 1 + 8 + 8 + 4 + len(op.Cols[i].Value)
+		c := &op.Cols[i]
+		n += minColEncodedSize + len(c.Col) + len(c.Value)
+		if c.Cond {
+			n += 8
+		}
 	}
 	return n
 }
@@ -176,6 +198,8 @@ func WriteOpEncodedSize(op WriteOp) int {
 // form makes the errors comparable with errors.Is.
 var (
 	errWriteOpTruncated      = errors.New("core: write op truncated")
+	errWriteOpFlags          = errors.New("core: write op has unknown column flags")
+	errWriteOpTrailing       = errors.New("core: write payload has trailing bytes")
 	errProposeBatchTruncated = errors.New("core: propose batch truncated")
 	errProposeBatchCount     = errors.New("core: propose batch count exceeds payload")
 	errAckTruncated          = errors.New("core: ack payload truncated")
@@ -217,17 +241,17 @@ func EncodeWriteOp(dst []byte, op WriteOp) []byte {
 		off += copy(b[off:], c.Col)
 		var flags byte
 		if c.Delete {
-			flags |= 1
+			flags |= colDelete
 		}
 		if c.Cond {
-			flags |= 2
+			flags |= colCond
 		}
 		b[off] = flags
 		off++
-		binary.LittleEndian.PutUint64(b[off:], c.CondVersion)
-		off += 8
-		binary.LittleEndian.PutUint64(b[off:], c.Version)
-		off += 8
+		if c.Cond {
+			binary.LittleEndian.PutUint64(b[off:], c.CondVersion)
+			off += 8
+		}
 		binary.LittleEndian.PutUint32(b[off:], uint32(len(c.Value)))
 		off += 4
 		off += copy(b[off:], c.Value)
@@ -294,7 +318,7 @@ func decodeWriteOp(b []byte, op *WriteOp, inline []ColWrite, shared bool) (int, 
 	if nCols > 0 {
 		// Every column is at least its fixed part: a forged count must not
 		// drive a huge make.
-		if err := need(nCols * (2 + 1 + 8 + 8 + 4)); err != nil {
+		if err := need(nCols * minColEncodedSize); err != nil {
 			return 0, err
 		}
 		if nCols <= len(inline) {
@@ -310,19 +334,28 @@ func decodeWriteOp(b []byte, op *WriteOp, inline []ColWrite, shared bool) (int, 
 		}
 		cl := int(binary.LittleEndian.Uint16(b[off:]))
 		off += 2
-		if err := need(cl + 1 + 8 + 8 + 4); err != nil {
+		if err := need(cl + 1); err != nil {
 			return 0, err
 		}
 		c.Col = bytesAt(cl)
 		off += cl
 		flags := b[off]
 		off++
-		c.Delete = flags&1 != 0
-		c.Cond = flags&2 != 0
-		c.CondVersion = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		c.Version = binary.LittleEndian.Uint64(b[off:])
-		off += 8
+		if flags&^colFlags != 0 {
+			return 0, errWriteOpFlags
+		}
+		c.Delete = flags&colDelete != 0
+		c.Cond = flags&colCond != 0
+		if c.Cond {
+			if err := need(8); err != nil {
+				return 0, err
+			}
+			c.CondVersion = binary.LittleEndian.Uint64(b[off:])
+			off += 8
+		}
+		if err := need(4); err != nil {
+			return 0, err
+		}
 		vl := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if err := need(vl); err != nil {
@@ -345,9 +378,9 @@ func decodeWriteOp(b []byte, op *WriteOp, inline []ColWrite, shared bool) (int, 
 type entrySink interface{ Apply(kv.Entry) }
 
 // applyOp hands each column of op, sequenced at lsn, to dst as a storage
-// entry. It is the one conversion from a committed write to cells: the
-// leader's commit, a follower's apply, local recovery and catch-up all go
-// through it.
+// entry whose version is lsn. It is the one conversion from a committed
+// write to cells: the leader's commit, a follower's apply, local recovery
+// and catch-up all go through it.
 //
 //spinnaker:hotpath
 func applyOp(dst entrySink, op WriteOp, lsn wal.LSN) {
@@ -355,7 +388,7 @@ func applyOp(dst entrySink, op WriteOp, lsn wal.LSN) {
 		c := &op.Cols[i]
 		dst.Apply(kv.Entry{
 			Key:  kv.Key{Row: op.Row, Col: c.Col},
-			Cell: kv.Cell{Value: c.Value, Version: c.Version, LSN: lsn, Deleted: c.Delete},
+			Cell: kv.Cell{Value: c.Value, Version: uint64(lsn), LSN: lsn, Deleted: c.Delete},
 		})
 	}
 }
@@ -367,23 +400,21 @@ type entryList []kv.Entry
 func (l *entryList) Apply(e kv.Entry) { *l = append(*l, e) }
 
 // proposeRec is one sequenced write the leader sends in a propose message:
-// the LSN plus the op, Fig 4's per-write protocol state. Raw, when non-nil,
-// is Op's encoding: the leader fills it when sequencing (the same bytes
-// become the WAL record payload) so batch encoding copies instead of
-// re-encoding. Raw and Op must describe the same write. The follower decodes
-// a batch into pending writes instead (decodeProposeBatch).
+// the LSN plus the op's encoding, Fig 4's per-write protocol state. Raw is
+// the bytes the write was logged with (a pending write's raw), so batch
+// encoding copies them. The follower decodes a batch into pending writes
+// (decodeProposeBatch).
 type proposeRec struct {
 	LSN wal.LSN
-	Op  WriteOp
 	Raw []byte
 }
 
 // Minimum encoded sizes, used to validate decoded element counts against
 // the payload length before allocating.
 const (
-	// kv.EncodeEntry: two u16 key lengths + version + lsn + timestamp +
-	// deleted byte + u32 value length.
-	minEntryEncodedSize = 2 + 2 + 8 + 8 + 8 + 1 + 4
+	// kv.EncodeEntry: two u16 key lengths + version + lsn + deleted byte +
+	// u32 value length.
+	minEntryEncodedSize = 2 + 2 + 8 + 8 + 1 + 4
 	// proposeRec: u64 LSN + an empty WriteOp (u16 row length + u16 count).
 	minProposeRecEncodedSize = 8 + 2 + 2
 )
@@ -403,11 +434,7 @@ type proposeBatchPayload struct {
 func encodeProposeBatch(p proposeBatchPayload) []byte {
 	size := 12
 	for i := range p.Recs {
-		if raw := p.Recs[i].Raw; raw != nil {
-			size += 8 + len(raw)
-		} else {
-			size += 8 + WriteOpEncodedSize(p.Recs[i].Op)
-		}
+		size += 8 + len(p.Recs[i].Raw)
 	}
 	// One exact-size allocation. The buffer is intentionally NOT pooled:
 	// the transport holds the payload asynchronously (one send per peer,
@@ -421,11 +448,7 @@ func encodeProposeBatch(p proposeBatchPayload) []byte {
 		rec := &p.Recs[i]
 		binary.LittleEndian.PutUint64(s[:], uint64(rec.LSN))
 		buf = append(buf, s[:]...)
-		if rec.Raw != nil {
-			buf = append(buf, rec.Raw...)
-		} else {
-			buf = EncodeWriteOp(buf, rec.Op)
-		}
+		buf = append(buf, rec.Raw...)
 	}
 	return buf
 }
@@ -486,15 +509,23 @@ func decodeProposeBatch(b []byte) (proposeBatch, error) {
 // commits. The row, column names and values alias the payload, which nothing
 // writes once received (`LocalEndpoint` hands over the client's fresh encode,
 // the TCP reader gives each frame its own body), so the bytes flow into the
-// commit queue and memtable without a copy.
+// commit queue and memtable without a copy. The write's raw is the payload
+// itself: the leader logs and proposes it as received, so a payload with
+// bytes past the op, or with unknown column flags, is refused rather than
+// carried into every replica's log.
 //
 //spinnaker:aliases
 //spinnaker:hotpath
 func decodeWrite(b []byte) (*pendingWrite, error) {
 	p := new(pendingWrite)
-	if _, err := decodeWriteOp(b, &p.op, p.cols[:], true); err != nil {
+	n, err := decodeWriteOp(b, &p.op, p.cols[:], true)
+	if err != nil {
 		return nil, err
 	}
+	if n != len(b) {
+		return nil, errWriteOpTrailing
+	}
+	p.raw = b[:n:n]
 	return p, nil
 }
 
@@ -738,27 +769,22 @@ func decodeCatchupResp(b []byte) (catchupResp, error) {
 	return r, nil
 }
 
-// writeResult is the reply to MsgWrite: status + the versions assigned to
-// each column (returned so read-modify-write loops can chain).
+// writeResult is the reply to MsgWrite: status + the version the write was
+// sequenced at, its LSN, which is every written column's version (returned
+// so read-modify-write loops can chain). Version is zero when the write was
+// never sequenced.
 type writeResult struct {
-	Status   uint8
-	Detail   string
-	Versions []uint64
+	Status  uint8
+	Detail  string
+	Version uint64
 }
 
 func encodeWriteResult(r writeResult) []byte {
-	buf := make([]byte, 0, 1+2+len(r.Detail)+2+8*len(r.Versions))
-	buf = append(buf, r.Status)
-	var s [8]byte
-	binary.LittleEndian.PutUint16(s[:2], uint16(len(r.Detail)))
-	buf = append(buf, s[:2]...)
-	buf = append(buf, r.Detail...)
-	binary.LittleEndian.PutUint16(s[:2], uint16(len(r.Versions)))
-	buf = append(buf, s[:2]...)
-	for _, v := range r.Versions {
-		binary.LittleEndian.PutUint64(s[:8], v)
-		buf = append(buf, s[:8]...)
-	}
+	buf := make([]byte, 1+2+len(r.Detail)+8)
+	buf[0] = r.Status
+	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(r.Detail)))
+	off := 3 + copy(buf[3:], r.Detail)
+	binary.LittleEndian.PutUint64(buf[off:], r.Version)
 	return buf
 }
 
@@ -770,22 +796,11 @@ func decodeWriteResult(b []byte) (writeResult, error) {
 	r.Status = b[0]
 	dl := int(binary.LittleEndian.Uint16(b[1:3]))
 	off := 3
-	if len(b) < off+dl+2 {
-		return r, fmt.Errorf("core: write result detail truncated")
+	if len(b) < off+dl+8 {
+		return r, fmt.Errorf("core: write result detail or version truncated")
 	}
 	r.Detail = string(b[off : off+dl])
-	off += dl
-	nv := int(binary.LittleEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+8*nv {
-		return r, fmt.Errorf("core: write result versions truncated")
-	}
-	if nv > 0 {
-		r.Versions = make([]uint64, 0, nv)
-	}
-	for i := 0; i < nv; i++ {
-		r.Versions = append(r.Versions, binary.LittleEndian.Uint64(b[off+8*i:]))
-	}
+	r.Version = binary.LittleEndian.Uint64(b[off+dl:])
 	return r, nil
 }
 

@@ -48,8 +48,8 @@ func TestWriteOpRoundTrip(t *testing.T) {
 	op := WriteOp{
 		Row: "user:42",
 		Cols: []ColWrite{
-			{Col: "email", Value: []byte("x@example.com"), Version: 7},
-			{Col: "old", Delete: true, Cond: true, CondVersion: 3, Version: 8},
+			{Col: "email", Value: []byte("x@example.com")},
+			{Col: "old", Delete: true, Cond: true, CondVersion: 3},
 		},
 	}
 	got, n, err := DecodeWriteOp(EncodeWriteOp(nil, op))
@@ -60,11 +60,87 @@ func TestWriteOpRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %+v", got)
 	}
 	c0, c1 := got.Cols[0], got.Cols[1]
-	if c0.Col != "email" || !bytes.Equal(c0.Value, op.Cols[0].Value) || c0.Version != 7 || c0.Cond || c0.Delete {
+	if c0.Col != "email" || !bytes.Equal(c0.Value, op.Cols[0].Value) || c0.Cond || c0.Delete {
 		t.Errorf("col 0 = %+v", c0)
 	}
-	if c1.Col != "old" || !c1.Delete || !c1.Cond || c1.CondVersion != 3 || c1.Version != 8 {
+	if c1.Col != "old" || !c1.Delete || !c1.Cond || c1.CondVersion != 3 {
 		t.Errorf("col 1 = %+v", c1)
+	}
+}
+
+// TestWriteOpCondVersionOnlyWhenCond: a conditional column carries its
+// expected version, a plain one encodes without it — a CondVersion set
+// without Cond is not sent and decodes as zero.
+func TestWriteOpCondVersionOnlyWhenCond(t *testing.T) {
+	plain := WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v"), CondVersion: 99}}}
+	cond := WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v"), Cond: true, CondVersion: 1 << 40}}}
+	// u16 row length + row + u16 count, then u16 name length + name +
+	// flags + u32 value length + value.
+	const plainSize = 2 + 1 + 2 + 2 + 1 + 1 + 4 + 1
+	for _, tc := range []struct {
+		op       WriteOp
+		size     int
+		wantCond uint64
+	}{{plain, plainSize, 0}, {cond, plainSize + 8, 1 << 40}} {
+		enc := EncodeWriteOp(nil, tc.op)
+		if len(enc) != tc.size || WriteOpEncodedSize(tc.op) != tc.size {
+			t.Errorf("cond=%v: encoded %d bytes (size says %d), want %d", tc.op.Cols[0].Cond, len(enc), WriteOpEncodedSize(tc.op), tc.size)
+		}
+		got, n, err := DecodeWriteOp(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("cond=%v: decode = %d, %v", tc.op.Cols[0].Cond, n, err)
+		}
+		if c := got.Cols[0]; c.Cond != tc.op.Cols[0].Cond || c.CondVersion != tc.wantCond || string(c.Value) != "v" {
+			t.Errorf("cond=%v: column = %+v, want CondVersion %d", tc.op.Cols[0].Cond, c, tc.wantCond)
+		}
+	}
+}
+
+// TestWriteOpRefusesUnknownFlags: a column flag byte with any bit but
+// Delete and Cond set is refused by every decoder, since the leader logs and
+// proposes a client's bytes as received.
+func TestWriteOpRefusesUnknownFlags(t *testing.T) {
+	op := WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v")}}}
+	enc := EncodeWriteOp(nil, op)
+	flagsAt := 2 + 1 + 2 + 2 + 1 // row length, row, count, name length, name
+	for bit := 2; bit < 8; bit++ {
+		forged := append([]byte(nil), enc...)
+		forged[flagsAt] |= 1 << bit
+		if _, _, err := DecodeWriteOp(forged); !errors.Is(err, errWriteOpFlags) {
+			t.Errorf("flag bit %d: DecodeWriteOp err = %v, want errWriteOpFlags", bit, err)
+		}
+		if _, err := decodeWrite(forged); !errors.Is(err, errWriteOpFlags) {
+			t.Errorf("flag bit %d: decodeWrite err = %v, want errWriteOpFlags", bit, err)
+		}
+		batch := encodeProposeBatch(proposeBatchPayload{Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: forged}}})
+		if _, err := decodeProposeBatch(batch); !errors.Is(err, errWriteOpFlags) {
+			t.Errorf("flag bit %d: decodeProposeBatch err = %v, want errWriteOpFlags", bit, err)
+		}
+	}
+	for _, flags := range []byte{0, colDelete, colCond, colDelete | colCond} {
+		ok := append([]byte(nil), enc...)
+		ok[flagsAt] = flags
+		if flags&colCond != 0 {
+			ok = append(ok[:flagsAt+1], append(make([]byte, 8), ok[flagsAt+1:]...)...)
+		}
+		if _, err := decodeWrite(ok); err != nil {
+			t.Errorf("flags %#x refused: %v", flags, err)
+		}
+	}
+}
+
+// TestDecodeWriteRefusesTrailingBytes: a client's payload must be exactly
+// one op; its bytes become the write's raw, which the leader logs.
+func TestDecodeWriteRefusesTrailingBytes(t *testing.T) {
+	payload := EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v")}}})
+	p, err := decodeWrite(payload)
+	if err != nil || !bytes.Equal(p.raw, payload) || &p.raw[0] != &payload[0] || cap(p.raw) != len(payload) {
+		t.Fatalf("decodeWrite = %+v, %v; want raw aliasing the whole payload", p, err)
+	}
+	for _, extra := range [][]byte{{0}, {1, 2, 3}, payload} {
+		if _, err := decodeWrite(append(append([]byte(nil), payload...), extra...)); !errors.Is(err, errWriteOpTrailing) {
+			t.Errorf("%d trailing bytes: err = %v, want errWriteOpTrailing", len(extra), err)
+		}
 	}
 }
 
@@ -79,12 +155,15 @@ func TestWriteOpTruncation(t *testing.T) {
 }
 
 func TestWriteOpProperty(t *testing.T) {
-	f := func(row, col string, value []byte, del, cond bool, cv, v uint64) bool {
+	f := func(row, col string, value []byte, del, cond bool, cv uint64) bool {
 		if len(row) > 1<<15 || len(col) > 1<<15 {
 			return true
 		}
+		if !cond {
+			cv = 0 // not encoded without Cond
+		}
 		op := WriteOp{Row: row, Cols: []ColWrite{{
-			Col: col, Value: value, Delete: del, Cond: cond, CondVersion: cv, Version: v,
+			Col: col, Value: value, Delete: del, Cond: cond, CondVersion: cv,
 		}}}
 		got, _, err := DecodeWriteOp(EncodeWriteOp(nil, op))
 		if err != nil || got.Row != row || len(got.Cols) != 1 {
@@ -92,7 +171,7 @@ func TestWriteOpProperty(t *testing.T) {
 		}
 		c := got.Cols[0]
 		return c.Col == col && bytes.Equal(c.Value, value) && c.Delete == del &&
-			c.Cond == cond && c.CondVersion == cv && c.Version == v
+			c.Cond == cond && c.CondVersion == cv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -101,8 +180,8 @@ func TestWriteOpProperty(t *testing.T) {
 
 func TestWriteOpEntries(t *testing.T) {
 	op := WriteOp{Row: "r", Cols: []ColWrite{
-		{Col: "a", Value: []byte("1"), Version: 9},
-		{Col: "b", Delete: true, Version: 9},
+		{Col: "a", Value: []byte("1")},
+		{Col: "b", Delete: true},
 	}}
 	lsn := wal.MakeLSN(2, 5)
 	var entries entryList
@@ -112,6 +191,11 @@ func TestWriteOpEntries(t *testing.T) {
 	}
 	if entries[0].Key != (kv.Key{Row: "r", Col: "a"}) || entries[0].Cell.LSN != lsn {
 		t.Errorf("entry 0 = %+v", entries[0])
+	}
+	for i, e := range entries {
+		if e.Cell.Version != uint64(lsn) {
+			t.Errorf("entry %d version %d, want the LSN %d", i, e.Cell.Version, uint64(lsn))
+		}
 	}
 	if !entries[1].Cell.Deleted {
 		t.Error("tombstone lost")
@@ -137,7 +221,7 @@ func TestCatchupCodecs(t *testing.T) {
 		Present: []wal.LSN{wal.MakeLSN(1, 11)},
 		Entries: []kv.Entry{
 			{Key: kv.Key{Row: "r", Col: "c"},
-				Cell: kv.Cell{Value: []byte("v"), Version: 5, LSN: wal.MakeLSN(1, 11)}},
+				Cell: kv.Cell{Value: []byte("v"), Version: uint64(wal.MakeLSN(1, 11)), LSN: wal.MakeLSN(1, 11)}},
 		},
 	}
 	gotResp, err := decodeCatchupResp(encodeCatchupResp(resp))
@@ -153,13 +237,21 @@ func TestCatchupCodecs(t *testing.T) {
 }
 
 func TestResultCodecs(t *testing.T) {
-	wr := writeResult{Status: StatusVersionMismatch, Detail: "column c at 5", Versions: []uint64{1, 2}}
-	gotWR, err := decodeWriteResult(encodeWriteResult(wr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotWR.Status != wr.Status || gotWR.Detail != wr.Detail || len(gotWR.Versions) != 2 {
-		t.Fatalf("writeResult = %+v", gotWR)
+	for _, wr := range []writeResult{
+		{Status: StatusVersionMismatch, Detail: "column c at 5"},
+		{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))},
+	} {
+		enc := encodeWriteResult(wr)
+		gotWR, err := decodeWriteResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotWR != wr {
+			t.Fatalf("writeResult = %+v, want %+v", gotWR, wr)
+		}
+		if _, err := decodeWriteResult(enc[:len(enc)-1]); err == nil {
+			t.Errorf("%+v: truncated result accepted", wr)
+		}
 	}
 
 	gr := getResp{Status: StatusOK, Value: []byte("value"), Version: 42}
@@ -229,8 +321,8 @@ func TestProposeBatchRoundTrip(t *testing.T) {
 	p := proposeBatchPayload{
 		CommittedThrough: wal.MakeLSN(1, 40),
 		Recs: []proposeRec{
-			{LSN: wal.MakeLSN(1, 41), Op: WriteOp{Row: "a", Cols: []ColWrite{{Col: "c", Value: []byte("x"), Version: 41}}}},
-			{LSN: wal.MakeLSN(1, 42), Op: WriteOp{Row: "b", Cols: []ColWrite{{Col: "d", Delete: true, Version: 42}}}},
+			{LSN: wal.MakeLSN(1, 41), Raw: EncodeWriteOp(nil, WriteOp{Row: "a", Cols: []ColWrite{{Col: "c", Value: []byte("x")}}})},
+			{LSN: wal.MakeLSN(1, 42), Raw: EncodeWriteOp(nil, WriteOp{Row: "b", Cols: []ColWrite{{Col: "d", Delete: true}}})},
 		},
 	}
 	got, err := decodeProposeBatch(encodeProposeBatch(p))
@@ -248,9 +340,9 @@ func TestProposeBatchRoundTrip(t *testing.T) {
 	if w1.lsn != p.Recs[1].LSN || !w1.op.Cols[0].Delete {
 		t.Errorf("rec 1 = %+v", w1)
 	}
-	// Each write's raw is its op's encoding, what the follower logs.
+	// Each write's raw is the leader's record bytes, what the follower logs.
 	for i := range got.Writes {
-		if w := &got.Writes[i]; !bytes.Equal(w.raw, EncodeWriteOp(nil, p.Recs[i].Op)) {
+		if w := &got.Writes[i]; !bytes.Equal(w.raw, p.Recs[i].Raw) {
 			t.Errorf("rec %d raw = %x", i, w.raw)
 		}
 	}
@@ -265,7 +357,7 @@ func TestProposeBatchEmpty(t *testing.T) {
 
 func TestProposeBatchTruncation(t *testing.T) {
 	buf := encodeProposeBatch(proposeBatchPayload{
-		Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Op: WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}}}},
+		Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}})}},
 	})
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeProposeBatch(buf[:cut]); err == nil {
@@ -280,7 +372,7 @@ func allocsOp(i, cols int) WriteOp {
 	op := WriteOp{Row: fmt.Sprintf("row-allocs-%012d", i)}
 	for c := 0; c < cols; c++ {
 		op.Cols = append(op.Cols, ColWrite{Col: fmt.Sprintf("column-name-%04d", c),
-			Value: bytes.Repeat([]byte("v"), 128), Version: uint64(i)})
+			Value: bytes.Repeat([]byte("v"), 128)})
 	}
 	return op
 }
@@ -298,8 +390,10 @@ func TestProposeDecodeAllocs(t *testing.T) {
 		max  float64
 	}{{1, 1}, {16, 2}} {
 		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(2, 7)}
+		var ops []WriteOp
 		for i := 0; i < tc.recs; i++ {
-			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Op: allocsOp(i, 1)})
+			ops = append(ops, allocsOp(i, 1))
+			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Raw: EncodeWriteOp(nil, ops[i])})
 		}
 		payload := encodeProposeBatch(p)
 		var (
@@ -311,8 +405,8 @@ func TestProposeDecodeAllocs(t *testing.T) {
 			t.Fatalf("%d records: decoded %d, %v", tc.recs, len(got.Writes), err)
 		}
 		for i := range got.Writes {
-			if w := &got.Writes[i]; !reflect.DeepEqual(w.op, p.Recs[i].Op) || w.lsn != p.Recs[i].LSN {
-				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", tc.recs, i, w.lsn, w.op, p.Recs[i].LSN, p.Recs[i].Op)
+			if w := &got.Writes[i]; !reflect.DeepEqual(w.op, ops[i]) || w.lsn != p.Recs[i].LSN {
+				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", tc.recs, i, w.lsn, w.op, p.Recs[i].LSN, ops[i])
 			}
 		}
 		if n > tc.max {
@@ -348,24 +442,42 @@ func TestWriteDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteResultAllocs: a write result's round trip (the
+// codec-write-result-roundtrip hook) is its one encode buffer; decoding the
+// version allocates nothing (a slice of per-column versions was a second
+// object).
+func TestWriteResultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	wr := writeResult{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))}
+	var (
+		got writeResult
+		err error
+	)
+	n := testing.AllocsPerRun(500, func() { got, err = decodeWriteResult(encodeWriteResult(wr)) })
+	if err != nil || got != wr {
+		t.Fatalf("round trip = %+v, %v", got, err)
+	}
+	if n > 1 {
+		t.Errorf("a write result round trip allocates %v objects, want ≤ 1", n)
+	}
+}
+
 // --- Codec microbenchmarks ---------------------------------------------------
 //
 // Every codec pair on the replication hot path gets a -benchmem round-trip
 // benchmark so per-message allocation cost is pinned (allocs/op is exact and
 // repeats).
 
-// benchOp builds a representative 256-byte single-column write.
-func benchOp(lsn wal.LSN) WriteOp {
-	return WriteOp{Row: "user:0042134077", Cols: []ColWrite{{
-		Col: "c", Value: bytes.Repeat([]byte("v"), 256), Version: uint64(lsn),
-	}}}
-}
-
+// benchBatch builds n representative 256-byte single-column writes.
 func benchBatch(n int) proposeBatchPayload {
+	raw := EncodeWriteOp(nil, WriteOp{Row: "user:0042134077", Cols: []ColWrite{{
+		Col: "c", Value: bytes.Repeat([]byte("v"), 256),
+	}}})
 	p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(3, 100)}
 	for i := 0; i < n; i++ {
-		lsn := wal.MakeLSN(3, uint64(101+i))
-		p.Recs = append(p.Recs, proposeRec{LSN: lsn, Op: benchOp(lsn)})
+		p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(3, uint64(101+i)), Raw: raw})
 	}
 	return p
 }
@@ -406,7 +518,7 @@ func BenchmarkCommitMsgRoundTrip(b *testing.B) {
 }
 
 func BenchmarkWriteResultRoundTrip(b *testing.B) {
-	wr := writeResult{Status: StatusOK, Versions: []uint64{uint64(wal.MakeLSN(3, 9))}}
+	wr := writeResult{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := decodeWriteResult(encodeWriteResult(wr)); err != nil {

@@ -50,18 +50,20 @@ func (r *replica) localRecover(recs []wal.Record) error {
 	}
 
 	var cmt, lst wal.LSN
-	writes := make(map[wal.LSN]WriteOp)
+	writes := make(map[wal.LSN]*pendingWrite)
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.RecWrite:
 			if skipped.Contains(rec.LSN) {
 				continue
 			}
-			op, _, err := DecodeWriteOp(rec.Payload)
-			if err != nil {
+			// The scan hands each record its own payload, so the write
+			// decodes in place and keeps the bytes as its raw.
+			p := &pendingWrite{lsn: rec.LSN, raw: rec.Payload, selfForced: true}
+			if _, err := decodeWriteOp(rec.Payload, &p.op, p.cols[:], true); err != nil {
 				return fmt.Errorf("core: corrupt write at %s: %w", rec.LSN, err)
 			}
-			writes[rec.LSN] = op
+			writes[rec.LSN] = p
 			if rec.LSN > lst {
 				lst = rec.LSN
 			}
@@ -74,7 +76,7 @@ func (r *replica) localRecover(recs []wal.Record) error {
 			// departure: everything logged before this point belongs
 			// to the stale pre-departure era (the engine was wiped
 			// when the marker was written) and must not be replayed.
-			writes = make(map[wal.LSN]WriteOp)
+			writes = make(map[wal.LSN]*pendingWrite)
 			cmt, lst = 0, 0
 		}
 	}
@@ -108,11 +110,11 @@ func (r *replica) localRecover(recs []wal.Record) error {
 			continue
 		}
 		if l <= cmt {
-			applyOp(r.engine, writes[l], l)
+			applyOp(r.engine, writes[l].op, l)
 			continue
 		}
 		// Ambiguous suffix (f.cmt, f.lst]: pending until catch-up.
-		r.queue.add(&pendingWrite{lsn: l, op: writes[l], selfForced: true})
+		r.queue.add(writes[l])
 	}
 
 	r.mu.Lock()
@@ -223,8 +225,7 @@ func (r *replica) absorbCatchup(cr catchupResp, ambiguous []wal.LSN) error {
 		recs := make([]wal.Record, 0, len(cr.Entries))
 		for _, e := range cr.Entries {
 			op := WriteOp{Row: e.Key.Row, Cols: []ColWrite{{
-				Col: e.Key.Col, Value: e.Cell.Value,
-				Delete: e.Cell.Deleted, Version: e.Cell.Version,
+				Col: e.Key.Col, Value: e.Cell.Value, Delete: e.Cell.Deleted,
 			}}}
 			recs = append(recs, wal.Record{
 				Cohort: r.rangeID, Type: wal.RecWrite, LSN: e.Cell.LSN,
@@ -511,11 +512,7 @@ func (r *replica) serveSnapshot(m transport.Message, req catchupReq, present []w
 	metas := make([]snapTableMeta, 0, len(tables))
 	for _, t := range tables {
 		blob := t.Blob()
-		minLSN, maxLSN := t.LSNRange()
-		metas = append(metas, snapTableMeta{
-			ID: t.ID(), Size: uint32(len(blob)), CRC: crc32.ChecksumIEEE(blob),
-			MinLSN: minLSN, MaxLSN: maxLSN,
-		})
+		metas = append(metas, snapTableMeta{ID: t.ID(), Size: uint32(len(blob)), CRC: crc32.ChecksumIEEE(blob)})
 	}
 
 	r.mu.Lock()

@@ -313,17 +313,17 @@ func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
 	r.mu.Lock()
 	if !r.inBoundsLocked(op.Row) {
 		r.mu.Unlock()
-		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0, 0)
+		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0)
 		return
 	}
 	if r.role != RoleLeader || !r.open {
 		leader := r.leaderID
 		r.mu.Unlock()
 		if leader != "" && leader != r.n.cfg.ID {
-			r.n.replyWrite(req, writeOutcome{status: StatusNotLeader, detail: leader}, 0, 0)
+			r.n.replyWrite(req, writeOutcome{status: StatusNotLeader, detail: leader}, 0)
 			return
 		}
-		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: "no leader for range"}, 0, 0)
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: "no leader for range"}, 0)
 		return
 	}
 	// Conditional checks run before sequencing (§5.1), against the
@@ -332,7 +332,7 @@ func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
 	if out, dep := r.checkCondsLocked(*op); out != nil {
 		r.mu.Unlock()
 		if dep == nil {
-			r.n.replyWrite(req, *out, 0, 0)
+			r.n.replyWrite(req, *out, 0)
 			return
 		}
 		// Hold the reply until the observed uncommitted write resolves;
@@ -342,31 +342,25 @@ func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
 		return
 	}
 
-	// Every column's version is the write's LSN; the reply reports it once
-	// per column (Node.replyWrite).
+	// The LSN is every column's version, so nothing in the op changes: the
+	// client's payload (p.raw) is the WAL record payload here and the
+	// batch-payload body in encodeProposeBatch, with no re-encode.
 	lsn := wal.MakeLSN(r.epoch, r.nextSeq)
 	r.nextSeq++
-	for i := range op.Cols {
-		op.Cols[i].Version = uint64(lsn)
-	}
 	p.lsn, p.client, p.req, p.enqueuedAt = lsn, r.n, req, time.Now()
 	r.queue.add(p)
 	r.m.keys.Note(op.Row)
-	// One encode per sequenced write, and the write's only copy of its
-	// value: the same bytes are the WAL record payload here and the
-	// batch-payload body in encodeProposeBatch (via proposeRec.Raw).
-	enc := EncodeWriteOp(nil, *op)
 	rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: lsn,
-		Payload: enc}
+		Payload: p.raw}
 	end, err := r.n.log.Append(rec)
 	if err != nil {
 		r.queue.remove(lsn)
 		r.mu.Unlock()
-		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: err.Error()}, 0, 0)
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: err.Error()}, 0)
 		return
 	}
 	r.lastLSN = lsn
-	r.enqueueProposalLocked(proposeRec{LSN: lsn, Op: *op, Raw: enc})
+	r.enqueueProposalLocked(proposeRec{LSN: lsn, Raw: p.raw})
 	if end > r.batchEnd {
 		r.batchEnd = end
 	}
@@ -390,17 +384,13 @@ func (r *replica) wrongLayoutOutcome() writeOutcome {
 
 // effectiveVersionLocked returns the version a read-your-own-sequenced-
 // writes observer would see for key and, when that version comes from a
-// sequenced-but-uncommitted write, the pending write carrying it; callers
-// hold r.mu.
+// sequenced-but-uncommitted write, the pending write carrying it (its LSN is
+// the version); callers hold r.mu.
 //
 //spinnaker:locked(mu)
 func (r *replica) effectiveVersionLocked(key kv.Key) (uint64, *pendingWrite) {
 	if p, ok := r.queue.latestPending(key); ok {
-		for _, c := range p.op.Cols {
-			if c.Col == key.Col {
-				return c.Version, p
-			}
-		}
+		return uint64(p.lsn), p
 	}
 	return r.committedVersionLocked(key), nil
 }
@@ -461,7 +451,7 @@ func deferMismatch(dep *pendingWrite, out writeOutcome, n *Node, req transport.M
 			out = writeOutcome{status: StatusUnavailable,
 				detail: "conditional check raced an uncommitted write; retry"}
 		}
-		n.replyWrite(req, out, 0, 0)
+		n.replyWrite(req, out, 0)
 	})
 }
 

@@ -12,18 +12,16 @@ import (
 // allocating, matching the manifest hardening in internal/storage.
 
 // snapTableMeta describes one SSTable the leader offers for shipping: its
-// id in the leader's engine (the chunk-fetch handle), full blob size and
-// CRC, and the LSN tags from its footer.
+// id in the leader's engine (the chunk-fetch handle) and its full blob size
+// and CRC. The table's LSN tags travel inside the blob, in its footer.
 type snapTableMeta struct {
-	ID     uint64
-	Size   uint32
-	CRC    uint32
-	MinLSN wal.LSN
-	MaxLSN wal.LSN
+	ID   uint64
+	Size uint32
+	CRC  uint32
 }
 
 // snapTableMetaSize is one table's encoded size.
-const snapTableMetaSize = 8 + 4 + 4 + 8 + 8
+const snapTableMetaSize = 8 + 4 + 4
 
 // snapManifest is the MsgSnapManifest reply payload: the snapshot's
 // coverage point (SnapCmt — every committed write at or below it is
@@ -53,10 +51,6 @@ func encodeSnapManifest(m snapManifest) []byte {
 		buf = append(buf, s[:4]...)
 		binary.LittleEndian.PutUint32(s[:4], t.CRC)
 		buf = append(buf, s[:4]...)
-		binary.LittleEndian.PutUint64(s[:8], uint64(t.MinLSN))
-		buf = append(buf, s[:8]...)
-		binary.LittleEndian.PutUint64(s[:8], uint64(t.MaxLSN))
-		buf = append(buf, s[:8]...)
 	}
 	return buf
 }
@@ -93,8 +87,6 @@ func decodeSnapManifest(b []byte) (snapManifest, error) {
 		t.ID = binary.LittleEndian.Uint64(b[off:])
 		t.Size = binary.LittleEndian.Uint32(b[off+8:])
 		t.CRC = binary.LittleEndian.Uint32(b[off+12:])
-		t.MinLSN = wal.LSN(binary.LittleEndian.Uint64(b[off+16:]))
-		t.MaxLSN = wal.LSN(binary.LittleEndian.Uint64(b[off+24:]))
 		off += snapTableMetaSize
 	}
 	return m, nil

@@ -15,8 +15,7 @@ func TestSnapManifestRoundTrip(t *testing.T) {
 		SnapCmt: wal.MakeLSN(3, 70),
 		Present: []wal.LSN{wal.MakeLSN(3, 71), wal.MakeLSN(3, 75)},
 		Tables: []snapTableMeta{
-			{ID: 9, Size: 4096, CRC: 0xDEADBEEF, MinLSN: wal.MakeLSN(1, 1),
-				MaxLSN: wal.MakeLSN(3, 70)},
+			{ID: 9, Size: 4096, CRC: 0xDEADBEEF},
 			{ID: 12, Size: 128, CRC: 7},
 		},
 	}
@@ -48,6 +47,21 @@ func TestSnapManifestRejectsForgedCounts(t *testing.T) {
 		if _, err := decodeSnapManifest(b); err == nil {
 			t.Errorf("%s count forged to 1<<30 decoded without error", tt.name)
 		}
+	}
+	// Each offered table is 16 bytes (id, size, CRC): a count one past
+	// the tables present, or a payload cut inside the last table, is
+	// refused.
+	two := encodeSnapManifest(snapManifest{Status: StatusOK, Tables: []snapTableMeta{{ID: 1}, {ID: 2}}})
+	if len(two) != 21+4+2*16 {
+		t.Fatalf("two-table manifest is %d bytes, want %d", len(two), 21+4+2*16)
+	}
+	forged := append([]byte(nil), two...)
+	binary.LittleEndian.PutUint32(forged[21:], 3)
+	if _, err := decodeSnapManifest(forged); err == nil {
+		t.Error("table count forged one past the payload decoded without error")
+	}
+	if _, err := decodeSnapManifest(two[:len(two)-1]); err == nil {
+		t.Error("manifest cut inside its last table decoded without error")
 	}
 }
 

@@ -36,16 +36,13 @@ func (k Key) String() string { return fmt.Sprintf("%s:%s", k.Row, k.Col) }
 // Cell is one versioned column value. Version numbers are monotonically
 // increasing integers managed by the datastore and exposed through its get
 // API (paper §3); they drive the optimistic concurrency control of
-// conditional put/delete. Deleted marks a tombstone. Nothing sets
-// Timestamp, a last-writer-wins clock (paper §9: "conflicts are resolved
-// using timestamps"): Spinnaker's cells carry zero. It stays because the
-// entry format has eight bytes for it.
+// conditional put/delete. The replication layer sets a cell's version to
+// the LSN of the write that produced it. Deleted marks a tombstone.
 type Cell struct {
-	Value     []byte
-	Version   uint64
-	LSN       wal.LSN
-	Timestamp int64
-	Deleted   bool
+	Value   []byte
+	Version uint64
+	LSN     wal.LSN
+	Deleted bool
 }
 
 // Entry pairs a key with its cell, the unit that memtables and SSTables
@@ -56,13 +53,9 @@ type Entry struct {
 }
 
 // Newer reports whether c should supersede o when both describe the same
-// key: by timestamp (Spinnaker's cells carry zero, making the comparison a
-// tie), then by LSN — Spinnaker's writes execute in LSN order within a
-// cohort, so the LSN decides — and finally by version number.
+// key: by LSN — Spinnaker's writes execute in LSN order within a cohort, so
+// the LSN decides — and then by version number.
 func (c Cell) Newer(o Cell) bool {
-	if c.Timestamp != o.Timestamp {
-		return c.Timestamp > o.Timestamp
-	}
 	if c.LSN != o.LSN {
 		return c.LSN > o.LSN
 	}
@@ -72,8 +65,7 @@ func (c Cell) Newer(o Cell) bool {
 // EncodeEntry serializes an entry, appending to dst:
 //
 //	u16 rowLen | row | u16 colLen | col |
-//	u64 version | u64 lsn | i64 timestamp | u8 deleted |
-//	u32 valueLen | value
+//	u64 version | u64 lsn | u8 deleted | u32 valueLen | value
 func EncodeEntry(dst []byte, e Entry) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Key.Row)))
 	dst = append(dst, e.Key.Row...)
@@ -81,7 +73,6 @@ func EncodeEntry(dst []byte, e Entry) []byte {
 	dst = append(dst, e.Key.Col...)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Cell.Version)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Cell.LSN))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Cell.Timestamp))
 	var deleted byte
 	if e.Cell.Deleted {
 		deleted = 1
@@ -91,8 +82,8 @@ func EncodeEntry(dst []byte, e Entry) []byte {
 }
 
 // entryFixedSize is the encoded cell's fixed-width part: version, lsn,
-// timestamp, deleted byte and value length.
-const entryFixedSize = 8 + 8 + 8 + 1 + 4
+// deleted byte and value length.
+const entryFixedSize = 8 + 8 + 1 + 4
 
 // EncodedSize returns the number of bytes EncodeEntry appends for e.
 func EncodedSize(e Entry) int {
@@ -185,10 +176,9 @@ func compareBytesString(b []byte, s string) int {
 //spinnaker:hotpath
 func (v EntryView) Cell() Cell {
 	c := Cell{
-		Version:   binary.LittleEndian.Uint64(v.cell[0:]),
-		LSN:       wal.LSN(binary.LittleEndian.Uint64(v.cell[8:])),
-		Timestamp: int64(binary.LittleEndian.Uint64(v.cell[16:])),
-		Deleted:   v.cell[24] == 1,
+		Version: binary.LittleEndian.Uint64(v.cell[0:]),
+		LSN:     wal.LSN(binary.LittleEndian.Uint64(v.cell[8:])),
+		Deleted: v.cell[16] == 1,
 	}
 	if len(v.cell) > entryFixedSize {
 		c.Value = v.cell[entryFixedSize:]
@@ -227,14 +217,12 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 	}
 	e.Key.Col = string(b[off : off+cl])
 	off += cl
-	if err := need(8 + 8 + 8 + 1 + 4); err != nil {
+	if err := need(entryFixedSize); err != nil {
 		return e, 0, err
 	}
 	e.Cell.Version = binary.LittleEndian.Uint64(b[off:])
 	off += 8
 	e.Cell.LSN = wal.LSN(binary.LittleEndian.Uint64(b[off:]))
-	off += 8
-	e.Cell.Timestamp = int64(binary.LittleEndian.Uint64(b[off:]))
 	off += 8
 	e.Cell.Deleted = b[off] == 1
 	off++

@@ -55,11 +55,9 @@ func TestCellNewer(t *testing.T) {
 	if !e2.Newer(Cell{LSN: wal.MakeLSN(1, 99)}) {
 		t.Error("epoch must dominate")
 	}
-	// Timestamp tie-break when LSNs equal (baseline store).
-	t1 := Cell{Timestamp: 10}
-	t2 := Cell{Timestamp: 20}
-	if !t2.Newer(t1) || t1.Newer(t2) {
-		t.Error("timestamp ordering broken")
+	// The LSN decides before the version does.
+	if !(Cell{LSN: 2, Version: 1}).Newer(Cell{LSN: 1, Version: 9}) {
+		t.Error("a higher version overrode a higher LSN")
 	}
 	// Version as final tie-break.
 	v1 := Cell{Version: 1}
@@ -78,10 +76,15 @@ func TestEntryRoundTrip(t *testing.T) {
 		Key: Key{Row: "user:42", Col: "email"},
 		Cell: Cell{
 			Value: []byte("x@example.com"), Version: 7,
-			LSN: wal.MakeLSN(1, 21), Timestamp: 12345, Deleted: false,
+			LSN: wal.MakeLSN(1, 21), Deleted: false,
 		},
 	}
 	buf := EncodeEntry(nil, e)
+	// u16 + row + u16 + col, then version, LSN, deleted byte, u32 value
+	// length and the value.
+	if want := 2 + 7 + 2 + 5 + 8 + 8 + 1 + 4 + 13; len(buf) != want || EncodedSize(e) != want {
+		t.Errorf("encoded %d bytes (EncodedSize %d), want %d", len(buf), EncodedSize(e), want)
+	}
 	got, n, err := DecodeEntry(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +93,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		t.Errorf("consumed %d of %d", n, len(buf))
 	}
 	if got.Key != e.Key || got.Cell.Version != 7 || got.Cell.LSN != e.Cell.LSN ||
-		got.Cell.Timestamp != 12345 || got.Cell.Deleted ||
+		got.Cell.Deleted ||
 		!bytes.Equal(got.Cell.Value, e.Cell.Value) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
@@ -124,14 +127,14 @@ func TestEntryDecodeTruncated(t *testing.T) {
 }
 
 func TestEntryPropertyRoundTrip(t *testing.T) {
-	f := func(row, col string, value []byte, version uint64, ts int64, del bool, seq uint32) bool {
+	f := func(row, col string, value []byte, version uint64, del bool, seq uint32) bool {
 		if len(row) > 1<<15 || len(col) > 1<<15 {
 			return true // lengths beyond the u16 framing are out of scope
 		}
 		e := Entry{
 			Key: Key{Row: row, Col: col},
 			Cell: Cell{
-				Value: value, Version: version, Timestamp: ts,
+				Value: value, Version: version,
 				Deleted: del, LSN: wal.MakeLSN(1, uint64(seq)),
 			},
 		}
@@ -146,7 +149,7 @@ func TestEntryPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		return n > 0 && got.Key == e.Key && got.Cell.Version == version &&
-			got.Cell.Timestamp == ts && got.Cell.Deleted == del &&
+			got.Cell.Deleted == del &&
 			bytes.Equal(got.Cell.Value, value) && got.Cell.LSN == e.Cell.LSN
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

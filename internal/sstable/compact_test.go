@@ -167,9 +167,9 @@ func (h *refHeap) Pop() any {
 }
 
 // randomEntries draws from a small key space so a builder sees duplicate
-// keys and the tables of one merge overlap, with small LSN, version and
-// timestamp ranges so cells tie on age, and with tombstones, empty values
-// and zero LSNs among them.
+// keys and the tables of one merge overlap, with small LSN and version
+// ranges so cells tie on age, and with tombstones, empty values and zero
+// LSNs among them.
 func randomEntries(rng *rand.Rand, n int) []kv.Entry {
 	out := make([]kv.Entry, n)
 	for i := range out {
@@ -178,9 +178,6 @@ func randomEntries(rng *rand.Rand, n int) []kv.Entry {
 			e.Cell.LSN = wal.MakeLSN(1, seq)
 		}
 		e.Cell.Version = uint64(rng.Intn(3))
-		if rng.Intn(8) == 0 {
-			e.Cell.Timestamp = rng.Int63n(3)
-		}
 		if e.Cell.Deleted = rng.Intn(4) == 0; !e.Cell.Deleted {
 			e.Cell.Value = bytes.Repeat([]byte{byte('a' + i%26)}, rng.Intn(24))
 		}

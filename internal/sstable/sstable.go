@@ -20,7 +20,7 @@ import (
 )
 
 const (
-	magic        = 0x55AB1E01 // "SSTABLE", format 1 (the pre-bloom format 0 is no longer opened)
+	magic        = 0x55AB1E02 // "SSTABLE", format 2: entries without a timestamp (formats 0 and 1 are no longer opened)
 	footerSize   = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 	indexEvery   = 16 // sparse index: one entry per indexEvery records
 	formatErrMsg = "sstable: malformed table"

@@ -438,6 +438,15 @@ func TestOpenLegacyFormatTable(t *testing.T) {
 	if _, err := Open(7, padded); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("Open(padded format-0 blob) = %v, want ErrMalformed", err)
 	}
+	// Format 1 entries carried an eight-byte timestamp; its magic is
+	// refused rather than its entries misread.
+	b := NewBuilder()
+	b.Add(entry("a", "1", "va", 1))
+	v1 := b.Finish()
+	binary.LittleEndian.PutUint32(v1[len(v1)-4:], 0x55AB1E01)
+	if _, err := Open(7, v1); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Open(format-1 blob) = %v, want ErrMalformed", err)
+	}
 }
 
 func TestTableStoreImplementations(t *testing.T) {

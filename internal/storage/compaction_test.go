@@ -227,7 +227,10 @@ func TestCompactionMatchesModel(t *testing.T) {
 			case op < 12:
 				seq++
 				key := kv.Key{Row: fmt.Sprintf("r%d", rng.Intn(rows)), Col: fmt.Sprintf("c%d", rng.Intn(cols))}
-				cell := kv.Cell{LSN: wal.MakeLSN(1, seq), Version: seq}
+				// A cell's version is its write's LSN, as the
+				// replication layer sets it (checkModel asserts every
+				// served cell keeps the pair).
+				cell := kv.Cell{LSN: wal.MakeLSN(1, seq), Version: uint64(wal.MakeLSN(1, seq))}
 				if rng.Intn(3) == 0 {
 					cell.Deleted = true
 				} else {
@@ -267,10 +270,18 @@ func checkModel(t *testing.T, e *Engine, model map[kv.Key]kv.Cell, gc wal.LSN, w
 	same := func(a, b kv.Cell) bool {
 		return a.Deleted == b.Deleted && a.Version == b.Version && a.LSN == b.LSN && bytes.Equal(a.Value, b.Value)
 	}
+	paired := func(what string, c kv.Cell) {
+		if c.Version != uint64(c.LSN) {
+			t.Fatalf("%s: %s served version %d at LSN %s", where, what, c.Version, c.LSN)
+		}
+	}
 	liveCols := make(map[string][]kv.Entry) // every written row → its live columns
 	above := 0                              // cells newer than the watermark
 	for key, want := range model {
 		got, ok := e.Get(key)
+		if ok {
+			paired("Get", got)
+		}
 		switch {
 		case !want.Deleted && (!ok || !same(got, want)):
 			t.Fatalf("%s: Get(%v) = %+v,%v, want %+v", where, key, got, ok, want)
@@ -295,6 +306,7 @@ func checkModel(t *testing.T, e *Engine, model map[kv.Key]kv.Cell, gc wal.LSN, w
 			t.Fatalf("%s: GetRow(%s) = %d columns, want %d", where, row, len(got), len(want))
 		}
 		for i := range got {
+			paired("GetRow", got[i].Cell)
 			if got[i].Key != want[i].Key || !same(got[i].Cell, want[i].Cell) {
 				t.Fatalf("%s: GetRow(%s)[%d] = %+v, want %+v", where, row, i, got[i], want[i])
 			}
@@ -305,6 +317,7 @@ func checkModel(t *testing.T, e *Engine, model map[kv.Key]kv.Cell, gc wal.LSN, w
 		t.Fatalf("%s: EntriesSince(%s) = %d entries, want %d", where, gc, len(since), above)
 	}
 	for _, ent := range since {
+		paired("EntriesSince", ent.Cell)
 		if want, ok := model[ent.Key]; !ok || want.LSN <= gc || !same(ent.Cell, want) {
 			t.Fatalf("%s: EntriesSince(%s) yields %+v, want %+v", where, gc, ent, want)
 		}

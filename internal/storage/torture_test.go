@@ -54,6 +54,9 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 		return p >> 2, p&2 != 0, p&1 != 0
 	}
 	keyOf := func(k int) kv.Key { return kv.Key{Row: fmt.Sprintf("k%03d", k), Col: "c"} }
+	// A cell's version is its write's LSN, as the replication layer sets
+	// it; every cell read back must still pair the two.
+	versionOf := func(seq uint64) uint64 { return uint64(wal.MakeLSN(1, seq)) }
 
 	stopBG := make(chan struct{}) // applier + maintenance
 	stop := make(chan struct{})   // readers
@@ -76,7 +79,7 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 		del := seq%3 == 0
 		state[k].Store(pack(seq, del) | 1)
 		lastSeq.Store(seq)
-		cell := kv.Cell{Version: seq, LSN: wal.MakeLSN(1, seq), Deleted: del}
+		cell := kv.Cell{Version: versionOf(seq), LSN: wal.MakeLSN(1, seq), Deleted: del}
 		if !del {
 			cell.Value = value
 		}
@@ -149,10 +152,14 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 				case 0:
 					c, ok := e.Get(keyOf(k))
 					after := state[k].Load()
+					if ok && c.Version != uint64(c.LSN) {
+						report("key %d: Get = version %d at LSN %s", k, c.Version, c.LSN)
+					}
 					if busyB || after != before || verB == 0 {
 						continue // unstable around the read: inconclusive
 					}
 					conclusive.Add(1)
+					verB = versionOf(verB)
 					switch {
 					case delB && ok && !c.Deleted:
 						report("key %d: deleted at v%d but Get returned live v%d (resurrection)", k, verB, c.Version)
@@ -166,10 +173,16 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 				case 1:
 					row := e.GetRow(keyOf(k).Row)
 					after := state[k].Load()
+					for _, ent := range row {
+						if ent.Cell.Version != uint64(ent.Cell.LSN) {
+							report("key %d: GetRow = version %d at LSN %s", k, ent.Cell.Version, ent.Cell.LSN)
+						}
+					}
 					if busyB || after != before || verB == 0 {
 						continue
 					}
 					conclusive.Add(1)
+					verB = versionOf(verB)
 					switch {
 					case delB && len(row) != 0:
 						report("key %d: deleted at v%d but GetRow returned %d entries (resurrection)", k, verB, len(row))
@@ -195,6 +208,9 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 					for _, ent := range ents {
 						if ent.Cell.LSN > bound {
 							report("EntriesSince yielded unissued LSN %s > %s", ent.Cell.LSN, bound)
+						}
+						if ent.Cell.Version != uint64(ent.Cell.LSN) {
+							report("EntriesSince yielded version %d at LSN %s", ent.Cell.Version, ent.Cell.LSN)
 						}
 					}
 				}
@@ -246,6 +262,7 @@ func TestEngineConcurrentMaintenanceTorture(t *testing.T) {
 			if ver == 0 {
 				continue
 			}
+			ver = versionOf(ver)
 			c, ok := e.Get(keyOf(k))
 			if del {
 				if ok && !c.Deleted {

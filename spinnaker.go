@@ -324,11 +324,7 @@ type WriteFuture struct {
 // Wait blocks until the write commits (or fails) and returns the version
 // assigned to it. It may be called multiple times and from any goroutine.
 func (w *WriteFuture) Wait() (uint64, error) {
-	vs, err := w.f.Wait()
-	if err != nil || len(vs) == 0 {
-		return 0, err
-	}
-	return vs[0], nil
+	return w.f.Wait()
 }
 
 // PutAsync starts a put without waiting for it to commit. Issuing several
