@@ -211,9 +211,14 @@ func (r rowResp) outcome() (uint8, string)     { return r.Status, "" }
 // StatusAmbiguous reply, or a transport error that is not NeverLeft (the
 // request may have reached the leader and been sequenced; a retry could
 // execute it twice).
-func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader bool, decode func([]byte) (R, error)) (R, error) {
+//
+// The bool result, replied, reports whether every Call made with payload
+// got a reply. Only then may the caller reuse payload: after a timeout or a
+// transport error an in-process copy of the request may still be queued.
+func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader bool, decode func([]byte) (R, error)) (R, bool, error) {
 	var (
 		zero     R
+		replied  = true
 		strict   = c.strictWrites && kind == MsgWrite
 		deadline time.Time // armed at the first miss: a hit reads no clock
 		backoff  = minRetryBackoff
@@ -237,17 +242,18 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 			var resp transport.Message
 			resp, err = c.ep.Call(transport.Message{To: target, Kind: kind, Cohort: rangeID, Payload: payload})
 			if err != nil {
+				replied = false
 				if strict && !transport.NeverLeft(err) {
-					return zero, fmt.Errorf("%w: %v", ErrAmbiguous, err)
+					return zero, false, fmt.Errorf("%w: %v", ErrAmbiguous, err)
 				}
 			} else {
 				res, derr := decode(resp.Payload)
 				if derr != nil {
-					return zero, derr
+					return zero, replied, derr
 				}
 				status, detail := res.outcome()
 				if status == StatusOK {
-					return res, nil
+					return res, replied, nil
 				}
 				err = StatusError(status, detail)
 				switch status {
@@ -258,10 +264,10 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 					c.refreshLayout()
 				case StatusAmbiguous:
 					if strict {
-						return res, err
+						return res, replied, err
 					}
 				default:
-					return res, err
+					return res, replied, err
 				}
 			}
 			if toLeader {
@@ -274,7 +280,7 @@ func route[R reply](c *Client, row string, kind uint8, payload []byte, toLeader 
 			deadline = now.Add(routeDeadline)
 		} else if !now.Before(deadline) {
 			c.session().Unwatch(watch)
-			return zero, err
+			return zero, replied, err
 		}
 		t := time.NewTimer(backoff)
 		select {
@@ -299,7 +305,7 @@ func (c *Client) write(op WriteOp) (uint64, error) {
 			return 0, ErrKeyTooLong
 		}
 	}
-	res, err := route(c, op.Row, MsgWrite, EncodeWriteOp(nil, op), true, decodeWriteResult)
+	res, _, err := route(c, op.Row, MsgWrite, EncodeWriteOp(nil, op), true, decodeWriteResult)
 	if err != nil {
 		return 0, err
 	}
@@ -487,8 +493,7 @@ func (c *Client) Get(row, col string, consistent bool) ([]byte, uint64, error) {
 	if len(row) > maxKeyLen || len(col) > maxKeyLen {
 		return nil, 0, ErrKeyTooLong
 	}
-	req := encodeGetReq(getReq{Row: row, Col: col, Consistent: consistent})
-	res, err := route(c, row, MsgGet, req, consistent, decodeGetResp)
+	res, err := readRoute(c, MsgGet, getReq{Row: row, Col: col, Consistent: consistent}, decodeGetResp)
 	if err != nil {
 		return nil, res.Version, err // ErrNotFound carries the tombstone's version
 	}
@@ -500,10 +505,29 @@ func (c *Client) GetRow(row string, consistent bool) ([]kv.Entry, error) {
 	if len(row) > maxKeyLen {
 		return nil, ErrKeyTooLong
 	}
-	req := encodeGetReq(getReq{Row: row, Consistent: consistent})
-	res, err := route(c, row, MsgGetRow, req, consistent, decodeRowResp)
+	res, err := readRoute(c, MsgGetRow, getReq{Row: row, Consistent: consistent}, decodeRowResp)
 	if err != nil {
 		return nil, err
 	}
 	return res.Entries, nil
+}
+
+// getReqPool holds the buffers gets encode their requests into. A request
+// is 20-odd bytes that nothing keeps once its reply is back (decodeGetReq).
+var getReqPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readRoute routes a get request of the given kind, encoded into a pooled
+// buffer, to req.Row's leader (Consistent) or any replica. The buffer goes
+// back to the pool only when every Call made with it got a reply (route's
+// replied); otherwise it is left to the collector.
+//
+//spinnaker:hotpath
+func readRoute[R reply](c *Client, kind uint8, req getReq, decode func([]byte) (R, error)) (R, error) {
+	buf := getReqPool.Get().(*[]byte)
+	*buf = appendGetReq((*buf)[:0], req)
+	res, replied, err := route(c, req.Row, kind, *buf, req.Consistent, decode)
+	if replied {
+		getReqPool.Put(buf)
+	}
+	return res, err
 }

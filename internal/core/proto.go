@@ -811,9 +811,16 @@ type getReq struct {
 	Consistent bool
 }
 
+// encodeGetReq encodes r into a fresh exact-size buffer.
+func encodeGetReq(r getReq) []byte { return appendGetReq(nil, r) }
+
+// appendGetReq encodes r onto dst, growing it at most once; the client
+// encodes into a pooled buffer (readRoute).
+//
 //spinnaker:hotpath
-func encodeGetReq(r getReq) []byte {
-	buf := make([]byte, 1+2+len(r.Row)+2+len(r.Col))
+func appendGetReq(dst []byte, r getReq) []byte {
+	dst, buf := growBuf(dst, 1+2+len(r.Row)+2+len(r.Col))
+	buf[0] = 0
 	if r.Consistent {
 		buf[0] = 1
 	}
@@ -821,11 +828,13 @@ func encodeGetReq(r getReq) []byte {
 	off := 3 + copy(buf[3:], r.Row)
 	binary.LittleEndian.PutUint16(buf[off:], uint16(len(r.Col)))
 	copy(buf[off+2:], r.Col)
-	return buf
+	return dst
 }
 
 // decodeGetReq parses a get request without copying: Row and Col alias b.
-// The read path only looks keys up with them and keeps neither.
+// The read path only looks keys up with them and keeps neither, and replies
+// with a fresh buffer, so the client reuses its request buffer once the
+// reply is back (readRoute).
 //
 //spinnaker:aliases
 //spinnaker:hotpath
@@ -876,9 +885,10 @@ func encodeGetResp(r getResp) []byte {
 
 // decodeGetResp parses a get reply without copying: Value aliases b. A reply
 // payload is private to the call that received it on both transports (the
-// in-process one hands over the server's fresh buffer, the TCP one a copy
-// out of the frame, the duplication fault a clone), so the client returns
-// Value to its caller as is.
+// in-process one hands over the server's fresh buffer, the duplication fault
+// a clone, and the TCP reader an exact-size copy out of its chunk, which it
+// makes for replies only), so the client returns Value to its caller as is:
+// it is the one object a get allocates.
 //
 //spinnaker:aliases
 //spinnaker:hotpath

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spinnaker/internal/cluster"
@@ -100,6 +101,10 @@ type Balancer struct {
 	mu      sync.Mutex
 	actions []BalancerAction
 
+	// idle is the number of rounds in a row, up to the last finished one,
+	// that took no action; 0 while a round runs (IdleRounds).
+	idle atomic.Int64
+
 	// Per-round state (loop-local use only).
 	lastWrites map[uint32]int64
 	hotStreak  map[uint32]int
@@ -130,6 +135,12 @@ func (b *Balancer) Stop() {
 	<-b.doneCh
 }
 
+// IdleRounds returns how many rounds in a row, up to the last finished one,
+// took no action; it reads 0 while a round runs, so an action in progress
+// never reads as idle. Once it reaches CooldownRounds, the placements of the
+// last action have had the cooldown to settle.
+func (b *Balancer) IdleRounds() int { return int(b.idle.Load()) }
+
 // Actions returns the actions taken so far.
 func (b *Balancer) Actions() []BalancerAction {
 	b.mu.Lock()
@@ -156,7 +167,11 @@ func (b *Balancer) loop() {
 			return
 		case <-t.C:
 			b.round++
-			b.tick()
+			idle := b.idle.Swap(0) + 1
+			if b.tick() {
+				idle = 0
+			}
+			b.idle.Store(idle)
 		}
 	}
 }
@@ -201,16 +216,17 @@ func (b *Balancer) sampleLoad() (map[uint32]rangeLoad, int64) {
 	return loads, total
 }
 
-func (b *Balancer) tick() {
+// tick runs one round and reports whether it took an action.
+func (b *Balancer) tick() bool {
 	loads, total := b.sampleLoad()
 	if b.cooldown > 0 {
 		b.cooldown--
-		return
+		return false
 	}
 	if total < b.opts.MinWritesPerRound {
 		b.hotStreak = make(map[uint32]int)
 		b.nodeStreak = make(map[string]int)
-		return
+		return false
 	}
 
 	// Hot-range detection with hysteresis.
@@ -255,16 +271,16 @@ func (b *Balancer) tick() {
 	if hotFound && b.c.CurrentLayout().NumRanges() < b.opts.MaxRanges {
 		if b.splitHot(hotRange, hotLeader, perNode) {
 			b.afterAction()
-			return
+			return true
 		}
 		// Unsplittable (e.g. a single hot key): fall through to node
 		// offload, which can still move the whole range elsewhere.
 	}
-	if hotNode != "" {
-		if b.offloadNode(hotNode, ledBy[hotNode], loads, perNode) {
-			b.afterAction()
-		}
+	if hotNode != "" && b.offloadNode(hotNode, ledBy[hotNode], loads, perNode) {
+		b.afterAction()
+		return true
 	}
+	return false
 }
 
 func (b *Balancer) afterAction() {

@@ -50,10 +50,11 @@ func leaderWrites(sc *SpinnakerCluster) map[replicaKey]int64 {
 }
 
 // loadWindow is how one window's committed writes divided over leader
-// nodes.
+// nodes, and over the ranges each led.
 type loadWindow struct {
-	total   int64
-	perNode map[string]int64
+	total    int64
+	perNode  map[string]int64
+	perRange map[replicaKey]int64
 }
 
 func (w loadWindow) share(n int64) float64 { return float64(n) / float64(w.total) }
@@ -77,10 +78,11 @@ func commitWindow(t *testing.T, sc *SpinnakerCluster, n int64) loadWindow {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		time.Sleep(10 * time.Millisecond)
-		w := loadWindow{perNode: make(map[string]int64)}
+		w := loadWindow{perNode: make(map[string]int64), perRange: make(map[replicaKey]int64)}
 		for k, c := range leaderWrites(sc) {
 			if d := c - before[k]; d > 0 {
 				w.perNode[k.node] += d
+				w.perRange[k] = d
 				w.total += d
 			}
 		}
@@ -280,6 +282,20 @@ func TestZipfianSkewBalancer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// Measure once balancing has settled: the balancer has taken no action
+	// for CooldownRounds + HotRounds rounds (its cooldown ran out, then it
+	// had HotRounds rounds to find a hot range or node and found none), and
+	// every range of the current layout has an open leader. Until then,
+	// writers whose keys sit in a range that is electing or moving retry,
+	// and a leadership transfer that did not take (TransferLeadership
+	// accepts whoever leads) still leaves one node leading both halves.
+	for bal.IdleRounds() < opts.CooldownRounds+opts.HotRounds || sc.WaitReady(0) != nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("balancing never settled: idle for %d rounds; actions: %+v", bal.IdleRounds(), bal.Actions())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
 	// No leader node carries the share the balancer would act on.
 	post := commitWindow(t, sc, skewWindow)
 	busiest, most := post.busiest()
@@ -289,8 +305,8 @@ func TestZipfianSkewBalancer(t *testing.T) {
 		post.total, busiest, post.share(most), post.perNode,
 		initialRanges, sc.CurrentLayout().NumRanges(), bal.Actions())
 	if s := post.share(most); s >= opts.NodeHotShare {
-		t.Fatalf("after balancing, %s committed %.3f of %d writes, want < %.2f (per node %v)",
-			busiest, s, post.total, opts.NodeHotShare, post.perNode)
+		t.Fatalf("after balancing, %s committed %.3f of %d writes, want < %.2f (per node %v; per {node range} %v)",
+			busiest, s, post.total, opts.NodeHotShare, post.perNode, post.perRange)
 	}
 
 	check := rec.Check(60 * time.Second)

@@ -241,22 +241,26 @@ func (n *Network) deliver(to string, tm timedMsg, jitter time.Duration, dup bool
 		return
 	}
 	n.msgs.Add(1)
-	// Fast path: the payload slice is handed to the receiver as-is, no
-	// defensive copy. Receivers decode zero-copy (payload bytes flow into
-	// the commit queue and memtable), which is safe because a payload is
-	// never written after encode — the sender builds a fresh buffer per
-	// message and every consumer treats it as immutable.
-	ep.calls.dispatch(tm.m, &ep.handler)
+	// Duplication fault only (never on the clean path): the second dispatch
+	// gets its own payload, as a real network duplicates bytes, not
+	// buffers. It is cloned before the first dispatch, whose reply may let
+	// the caller reuse its request buffer.
+	var d Message
 	if dup {
-		// Duplication fault only (never on the clean path): give the
-		// second dispatch its own payload so the two deliveries cannot
-		// alias each other through zero-copy decode — a real network
-		// duplicates bytes, not buffers.
-		n.msgs.Add(1)
-		d := tm.m
+		d = tm.m
 		if len(d.Payload) > 0 {
 			d.Payload = append([]byte(nil), d.Payload...)
 		}
+	}
+	// The payload slice is handed to the receiver as-is, no defensive copy.
+	// Receivers decode zero-copy (payload bytes flow into the commit queue
+	// and memtable), which is safe because a request body is never rewritten
+	// while a receiver can see it: a sender builds a fresh buffer per
+	// message, and a Call's request buffer is reused only once its reply has
+	// arrived, which is after this dispatch has read the request.
+	ep.calls.dispatch(tm.m, &ep.handler)
+	if dup {
+		n.msgs.Add(1)
 		ep.calls.dispatch(d, &ep.handler)
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,9 +12,11 @@ import (
 )
 
 // maxFrame bounds a frame's body; the reader drops a connection announcing
-// more, so Send refuses such a frame (NeverLeft). readBufSize is an accepted
-// connection's read buffer; maxSpare, the largest write buffer kept for reuse
-// and the queued bytes past which a sender waits for the write in progress.
+// more, so Send refuses such a frame (NeverLeft). readBufSize is the size of
+// the chunks an accepted connection's reader reads into and hands request
+// payloads out of (a larger frame gets a chunk of its own size): the most a
+// kept payload pins. maxSpare is the largest write buffer kept for reuse and
+// the queued bytes past which a sender waits for the write in progress.
 const (
 	maxFrame    = 64 << 20
 	readBufSize = 64 << 10
@@ -103,39 +104,71 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
+// readLoop parses an accepted connection's frames out of chunks of
+// readBufSize bytes: the socket is read straight into the current chunk, and
+// every complete frame is dispatched before the next read, or before a read
+// error ends the loop. A request's payload is a capped sub-slice of its
+// chunk, which the reader never writes again, so a handler may keep it (and
+// pins the chunk while it does). A reply's payload is copied out
+// (decodeMessage), so the bytes past the last request payload handed out
+// are free: the unparsed rest moves down over them, and a connection that
+// carries replies only reads into one chunk for good. When the next frame
+// does not fit in what is left of the chunk, the part of it already read
+// moves to a new chunk, a frame long if the frame is larger than
+// readBufSize.
+//
+//spinnaker:hotpath
 func (e *TCPEndpoint) readLoop(c net.Conn) {
-	defer func() {
-		c.Close()
-		e.mu.Lock()
-		delete(e.accepted, c)
-		e.mu.Unlock()
-	}()
+	defer e.forgetAccepted(c)
 	var (
-		r      = bufio.NewReaderSize(c, readBufSize) // one read, many frames
-		lenBuf [4]byte
-		peer   string // the last frame's From: one connection, one sender
+		buf        = make([]byte, readBufSize)
+		kept       int    // buf[:kept] may hold payloads handed out
+		start, end int    // buf[start:end] is read and not yet parsed
+		peer       string // the last frame's From: one connection, one sender
 	)
 	for {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		n, rerr := c.Read(buf[end:])
+		end += n
+		need := 4 // bytes from start to the end of the next frame, once known
+		for end-start >= 4 {
+			size := binary.LittleEndian.Uint32(buf[start:])
+			if size > maxFrame {
+				return // refuse absurd frames
+			}
+			if need = 4 + int(size); end-start < need {
+				break
+			}
+			m, err := decodeMessage(buf[start+4:start+need], peer, e.id, true)
+			if err != nil {
+				return
+			}
+			start, need, peer = start+need, 4, m.From
+			if !m.Reply && len(m.Payload) > 0 {
+				kept = start // a payload ends its frame
+			}
+			e.calls.dispatch(m, &e.handler)
+		}
+		if rerr != nil {
 			return
 		}
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > maxFrame {
-			return // refuse absurd frames
+		if start > kept {
+			end = kept + copy(buf[kept:], buf[start:end])
+			start = kept
 		}
-		// The handler keeps the payload, so it aliases a body of its own,
-		// never r's reused buffer.
-		body := make([]byte, size)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return
+		if len(buf)-start < need {
+			next := make([]byte, max(readBufSize, need))
+			end = copy(next, buf[start:end])
+			buf, kept, start = next, 0, 0
 		}
-		m, err := decodeMessage(body, peer, e.id, true)
-		if err != nil {
-			return
-		}
-		peer = m.From
-		e.calls.dispatch(m, &e.handler)
 	}
+}
+
+// forgetAccepted closes an accepted connection whose reader has returned.
+func (e *TCPEndpoint) forgetAccepted(c net.Conn) {
+	c.Close()
+	e.mu.Lock()
+	delete(e.accepted, c)
+	e.mu.Unlock()
 }
 
 // ID implements Endpoint.

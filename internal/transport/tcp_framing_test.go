@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,9 +130,10 @@ func framePayload(s, i int) []byte {
 }
 
 // TestTCPCallAllocs: a loopback Call→Reply round trip with 8-byte payloads
-// allocates the two frame bodies the readers fill, which the payloads alias,
-// and nothing else. Each frame is encoded into its connection's reused write
-// buffer, and the wait slot is recycled.
+// allocates one object, the reply payload the caller's reader copies out of
+// its chunk. The request's payload is a sub-slice of the callee's chunk, each
+// frame is encoded into its connection's reused write buffer, and the wait
+// slot is recycled.
 func TestTCPCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -140,8 +142,45 @@ func TestTCPCallAllocs(t *testing.T) {
 	b.SetHandler(func(m transport.Message) { _ = b.Reply(m, transport.Message{Payload: m.Payload}) })
 	req := transport.Message{To: "b", Payload: []byte("8 bytes!")}
 	var err error
-	if n := testing.AllocsPerRun(1000, func() { _, err = a.Call(req) }); n > 2 || err != nil {
-		t.Errorf("Call→Reply over TCP: %v allocs/op (want ≤ 2), err %v", n, err)
+	if n := testing.AllocsPerRun(1000, func() { _, err = a.Call(req) }); n > 1 || err != nil {
+		t.Errorf("Call→Reply over TCP: %v allocs/op (want ≤ 1), err %v", n, err)
+	}
+}
+
+// TestTCPReceiveAllocs: request frames handled over loopback cost the
+// receiving reader no allocation each. It reads them into 64 KiB chunks and
+// hands each payload out as a sub-slice, so 5 000 frames of 36 bytes cost
+// about three chunks; the sender encodes into its reused write buffers.
+func TestTCPReceiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const frames = 5000
+	a, b := listenPair(t)
+	var (
+		handled atomic.Int64
+		want    atomic.Int64
+		done    = make(chan struct{}, 1)
+	)
+	b.SetHandler(func(transport.Message) {
+		if handled.Add(1) == want.Load() {
+			done <- struct{}{}
+		}
+	})
+	m := transport.Message{To: "b", Kind: 3, Payload: []byte("8 bytes!")}
+	var err error
+	n := testing.AllocsPerRun(3, func() {
+		want.Add(frames)
+		for i := 0; i < frames && err == nil; i++ {
+			err = a.Send(m)
+		}
+		<-done
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := float64(frames/100 + 10); n > limit {
+		t.Errorf("%d request frames: %v allocs (want ≤ %v)", frames, n, limit)
 	}
 }
 

@@ -17,6 +17,14 @@
 // and crash injection via endpoint replacement. Fault decisions derive
 // from per-link RNGs seeded from a single run seed, so a failing schedule
 // replays exactly.
+//
+// Payloads are handed over, not copied: a handler may keep a request's
+// payload (core decodes writes and proposes in place), so a request body is
+// never rewritten once sent, with one exception. A Call's request buffer may
+// be reused once its reply has arrived, never after an error, since an
+// in-process copy may still be queued; a handler therefore keeps nothing of
+// a request whose caller reuses its buffer (core's gets). A reply's payload
+// belongs to the Call that received it.
 package transport
 
 import (
@@ -293,7 +301,9 @@ func DecodeMessage(b []byte) (Message, error) { return decodeMessage(b, "", "", 
 
 // decodeMessage is DecodeMessage for a connection's reader, which knows who
 // it is and, after the first frame, who the peer is: a From or To matching
-// the given string reuses it, and with own set the payload aliases b.
+// the given string reuses it. With own set a request's payload aliases b; a
+// reply's is always copied, because a Call's result belongs to its caller
+// (Client.Get returns it as the value) and must not pin the reader's chunk.
 func decodeMessage(b []byte, from, to string, own bool) (Message, error) {
 	var (
 		m  Message
@@ -314,7 +324,7 @@ func decodeMessage(b []byte, from, to string, own bool) (Message, error) {
 		return m, errTruncated
 	}
 	if n > 0 {
-		if m.Payload = b[:n:n]; !own {
+		if m.Payload = b[:n:n]; !own || m.Reply {
 			m.Payload = append([]byte(nil), m.Payload...)
 		}
 	}
