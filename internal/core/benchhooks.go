@@ -23,12 +23,16 @@ func CodecBenchmarks() map[string]func(b *testing.B) {
 		}
 		return p
 	}
+	// The round trips use the write path's destinations: the drain loop's
+	// propose chunk, a replica's pending chunk, a pending write's reply.
 	batchBench := func(n int) func(b *testing.B) {
 		return func(b *testing.B) {
 			p := batch(n)
+			props := chunk[byte]{size: proposeBlock}
+			pending := chunk[pendingWrite]{size: pendingBlock}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeProposeBatch(encodeProposeBatch(p)); err != nil {
+				if _, err := decodeProposeBatch(encodeProposeBatch(&props, p), &pending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -39,9 +43,10 @@ func CodecBenchmarks() map[string]func(b *testing.B) {
 		"codec-propose-batch-roundtrip-64": batchBench(64),
 		"codec-write-result-roundtrip": func(b *testing.B) {
 			wr := writeResult{Status: StatusOK, Version: 7}
+			var reply [writeResultSize]byte
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeWriteResult(encodeWriteResult(wr)); err != nil {
+				if _, err := decodeWriteResult(encodeWriteResult(reply[:0], wr)); err != nil {
 					b.Fatal(err)
 				}
 			}

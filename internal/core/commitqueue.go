@@ -21,8 +21,9 @@ type writeOutcome struct {
 // one outside tests.
 type writeReplier interface {
 	// replyWrite answers req with out; a sequenced write passes its LSN,
-	// which is the version of each of its columns.
-	replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN)
+	// which is the version of each of its columns. The reply is encoded
+	// onto dst (encodeWriteResult; nil allocates it).
+	replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, dst []byte)
 }
 
 // pendingWrite is one entry in the commit queue: a write that has been
@@ -47,9 +48,12 @@ type pendingWrite struct {
 	// header), on commit: the leader replies then instead of holding a
 	// goroutine per write. Nil on followers, whose pendings have no waiting
 	// client. enqueuedAt bounds the wait via the leader's WriteTimeout sweep.
+	// A reply without a detail is encoded into reply, which finish writes
+	// once (doneOnce) and the transport may hold after it returns.
 	client     writeReplier
 	req        transport.Message
 	enqueuedAt time.Time
+	reply      [writeResultSize]byte
 	// lastPropose is when the leader last sent (or re-sent) the propose
 	// message, for retransmission of writes whose proposes were lost.
 	// The paper gets retransmission from TCP; across reconnects we must
@@ -86,7 +90,7 @@ func (p *pendingWrite) observe(f func(committed bool)) {
 func (p *pendingWrite) finish(out writeOutcome) {
 	p.doneOnce.Do(func() {
 		if p.client != nil {
-			p.client.replyWrite(p.req, out, p.lsn)
+			p.client.replyWrite(p.req, out, p.lsn, p.reply[:0])
 		}
 		p.obsMu.Lock()
 		p.obsDone = true

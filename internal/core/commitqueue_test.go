@@ -248,7 +248,7 @@ func TestCommitQueueStalePending(t *testing.T) {
 // replies is a writeReplier that records the outcomes it is asked to send.
 type replies []writeOutcome
 
-func (r *replies) replyWrite(_ transport.Message, out writeOutcome, _ wal.LSN) {
+func (r *replies) replyWrite(_ transport.Message, out writeOutcome, _ wal.LSN, _ []byte) {
 	*r = append(*r, out)
 }
 

@@ -93,11 +93,11 @@ func FuzzDecodeWriteOp(f *testing.F) {
 		}
 		// The in-place variant must accept the same op, keep its bytes as
 		// raw, agree on everything but aliasing, and refuse trailing bytes.
-		p, err := decodeWrite(b[:n])
+		p, err := decodeWrite(b[:n], nil)
 		if err != nil || !reflect.DeepEqual(op, p.op) || !bytes.Equal(p.raw, b[:n]) {
 			t.Fatalf("in-place decode disagrees: err=%v\n    copy: %+v\nin place: %+v", err, op, p)
 		}
-		if _, err := decodeWrite(b); (err == nil) != (n == len(b)) {
+		if _, err := decodeWrite(b, nil); (err == nil) != (n == len(b)) {
 			t.Fatalf("decodeWrite of %d bytes holding a %d-byte op: err=%v", len(b), n, err)
 		}
 	})
@@ -118,17 +118,17 @@ func FuzzDecodeProposeBatch(f *testing.F) {
 		{LSN: 42, Raw: EncodeWriteOp(nil, fuzzWriteOp())},
 		{LSN: 43, Raw: EncodeWriteOp(nil, WriteOp{Row: "x"})},
 	}}
-	enc := encodeProposeBatch(batch)
+	enc := encodeProposeBatch(nil, batch)
 	f.Add(enc)
 	f.Add(forgeCount32(enc, 8)) // record count far beyond the payload
 	f.Add(enc[:len(enc)-3])
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := decodeProposeBatch(b)
+		p, err := decodeProposeBatch(b, nil)
 		if err != nil {
 			return
 		}
-		b2 := encodeProposeBatch(p.payload())
-		p2, err := decodeProposeBatch(b2)
+		b2 := encodeProposeBatch(nil, p.payload())
+		p2, err := decodeProposeBatch(b2, nil)
 		if err != nil {
 			t.Fatalf("decoder rejected its own encoder's output: %v", err)
 		}
@@ -145,15 +145,15 @@ func FuzzDecodeProposeBatch(f *testing.F) {
 }
 
 func FuzzDecodeAck(f *testing.F) {
-	f.Add(encodeAck(7, 3))
-	f.Add(encodeAck(7, 3)[:8]) // pre-floor ack, still accepted
+	f.Add(encodeAck(nil, 7, 3))
+	f.Add(encodeAck(nil, 7, 3)[:8]) // pre-floor ack, still accepted
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		lsn, floor, err := decodeAck(b)
 		if err != nil {
 			return
 		}
-		lsn2, floor2, err := decodeAck(encodeAck(lsn, floor))
+		lsn2, floor2, err := decodeAck(encodeAck(nil, lsn, floor))
 		if err != nil || lsn2 != lsn || floor2 != floor {
 			t.Fatalf("ack not a fixpoint: (%d,%d) vs (%d,%d), err %v", lsn, floor, lsn2, floor2, err)
 		}
@@ -205,14 +205,14 @@ func FuzzDecodeCatchupResp(f *testing.F) {
 }
 
 func FuzzDecodeWriteResult(f *testing.F) {
-	f.Add(encodeWriteResult(writeResult{Status: 2, Detail: "cond failed", Version: 12}))
+	f.Add(encodeWriteResult(nil, writeResult{Status: 2, Detail: "cond failed", Version: 12}))
 	f.Add([]byte{0, 0xff, 0xff, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := decodeWriteResult(b)
 		if err != nil {
 			return
 		}
-		fixpoint(t, r, encodeWriteResult, decodeWriteResult)
+		fixpoint(t, r, func(r writeResult) []byte { return encodeWriteResult(nil, r) }, decodeWriteResult)
 	})
 }
 

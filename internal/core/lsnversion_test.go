@@ -184,7 +184,7 @@ func TestLeaderLogsAndProposesClientBytes(t *testing.T) {
 			if m.Kind != MsgProposeBatch {
 				return
 			}
-			b, err := decodeProposeBatch(m.Payload)
+			b, err := decodeProposeBatch(m.Payload, nil)
 			if err != nil {
 				t.Errorf("leader sent an undecodable propose: %v", err)
 				return

@@ -355,6 +355,8 @@ func (n *Node) buildReplica(l *cluster.Layout, rangeID uint32) (*replica, error)
 		peerFloors:    make(map[string]wal.LSN),
 		electionNudge: make(chan struct{}, 1),
 		ackNudge:      make(chan struct{}, 1),
+		drainNudge:    make(chan struct{}, 1),
+		pending:       chunk[pendingWrite]{size: pendingBlock},
 		stopCh:        make(chan struct{}),
 		m:             newRangeMetrics(),
 	}
@@ -524,10 +526,11 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// startReplica starts a replica's loops: its election loop and its
-// follower-side ack loop.
+// startReplica starts a replica's loops: its election loop, its leader-side
+// drain loop and its follower-side ack loop.
 func (n *Node) startReplica(r *replica) {
 	n.goLoop(r.electionLoop)
+	n.goLoop(r.drainLoop)
 	n.goLoop(r.ackLoop)
 }
 
@@ -555,7 +558,7 @@ func (n *Node) handle(m transport.Message) {
 		case MsgGetRow:
 			n.reply(m, transport.Message{Payload: encodeRowResp(rowResp{Status: StatusWrongLayout})})
 		case MsgWrite:
-			n.reply(m, transport.Message{Payload: encodeWriteResult(writeResult{
+			n.reply(m, transport.Message{Payload: encodeWriteResult(nil, writeResult{
 				Status: StatusWrongLayout, Detail: detail})})
 		case MsgCatchupReq:
 			n.reply(m, transport.Message{Payload: encodeCatchupResp(catchupResp{Status: StatusNotLeader})})
@@ -577,16 +580,8 @@ func (n *Node) handle(m transport.Message) {
 	case MsgWrite:
 		// Sequence now, reply on commit. The link goroutine is freed
 		// immediately, so one client's pipelined writes coalesce into
-		// shared batches instead of running in lockstep. The write is
-		// decoded in place into its commit-queue entry and aliases the
-		// request payload, which nothing writes once received; the reply
-		// needs only the request's header.
-		p, err := decodeWrite(m.Payload)
-		if err != nil {
-			return
-		}
-		m.Payload = nil
-		r.submitWriteAsync(p, m)
+		// shared batches instead of running in lockstep.
+		r.submitWriteAsync(m)
 	case MsgProposeBatch:
 		r.onProposeBatch(m)
 	case MsgAckBatch:
@@ -617,11 +612,11 @@ func (n *Node) handleGet(r *replica, m transport.Message) {
 }
 
 // replyWrite implements writeReplier: it answers the client write req with
-// out, reporting lsn as the version of the write's columns.
+// out, reporting lsn as the version of the write's columns, encoded onto dst.
 //
 //spinnaker:hotpath
-func (n *Node) replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN) {
-	n.reply(req, transport.Message{Cohort: req.Cohort, Payload: encodeWriteResult(writeResult{
+func (n *Node) replyWrite(req transport.Message, out writeOutcome, lsn wal.LSN, dst []byte) {
+	n.reply(req, transport.Message{Cohort: req.Cohort, Payload: encodeWriteResult(dst, writeResult{
 		Status: out.status, Detail: out.detail, Version: uint64(lsn)})})
 }
 

@@ -224,6 +224,44 @@ func growBuf(dst []byte, n int) ([]byte, []byte) {
 	return dst, dst[l : l+n]
 }
 
+// Block sizes of the write path's chunks (see chunk): pending writes come
+// from one chunk per replica, propose payloads from the drain loop's, acks
+// from the ack loop's. A block of 64 pending writes is about 22 KiB.
+const (
+	pendingBlock = 64       // pendingWrite slots
+	proposeBlock = 64 << 10 // bytes
+	ackBlock     = 4 << 10  // bytes, 256 acks
+)
+
+// chunk hands out capped sub-slices of blocks of T, so that the write path's
+// small per-message objects cost one allocation per block instead of one
+// each. An element is handed out once and never written by the chunk again:
+// a receiver may keep what it takes (and pins the block while it does), and
+// the collector frees a block once nothing refers to it. A take larger than
+// a block gets a block of its own, and a nil chunk allocates every take
+// exactly. A chunk has one owner — a lock or a loop — and no lock of its own.
+type chunk[T any] struct {
+	size  int // elements per block
+	block []T
+	next  int // block[next:] has not been handed out
+}
+
+// take returns n zero elements, capped so that an append cannot reach the
+// elements handed out next.
+//
+//spinnaker:hotpath
+func (c *chunk[T]) take(n int) []T {
+	if c == nil || n > c.size {
+		return make([]T, n)
+	}
+	if len(c.block)-c.next < n {
+		c.block, c.next = make([]T, c.size), 0
+	}
+	s := c.block[c.next : c.next+n : c.next+n]
+	c.next += n
+	return s
+}
+
 // EncodeWriteOp serializes op, appending to dst. The destination grows at
 // most once (pre-size with WriteOpEncodedSize for zero growth).
 //
@@ -430,25 +468,27 @@ type proposeBatchPayload struct {
 	Recs             []proposeRec
 }
 
+// encodeProposeBatch encodes p into bytes taken from c. The drain loop
+// passes its propose chunk: the transport holds a payload asynchronously
+// (one send per peer, and the in-process transport hands the same slice to
+// every receiver, whose pending writes and memtables alias it), which is
+// safe because a chunk never hands the bytes out again. Retransmissions pass
+// nil and get an exact allocation.
+//
 //spinnaker:hotpath
-func encodeProposeBatch(p proposeBatchPayload) []byte {
+func encodeProposeBatch(c *chunk[byte], p proposeBatchPayload) []byte {
 	size := 12
 	for i := range p.Recs {
 		size += 8 + len(p.Recs[i].Raw)
 	}
-	// One exact-size allocation. The buffer is intentionally NOT pooled:
-	// the transport holds the payload asynchronously (one send per peer,
-	// and the in-process transport hands the same slice to every receiver),
-	// so its lifetime is unbounded from the encoder's point of view.
-	buf := make([]byte, 12, size)
+	buf := c.take(size)
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(p.CommittedThrough))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(p.Recs)))
-	var s [8]byte
+	off := 12
 	for i := range p.Recs {
 		rec := &p.Recs[i]
-		binary.LittleEndian.PutUint64(s[:], uint64(rec.LSN))
-		buf = append(buf, s[:]...)
-		buf = append(buf, rec.Raw...)
+		binary.LittleEndian.PutUint64(buf[off:], uint64(rec.LSN))
+		off += 8 + copy(buf[off+8:], rec.Raw)
 	}
 	return buf
 }
@@ -461,16 +501,17 @@ type proposeBatch struct {
 	Writes           []pendingWrite
 }
 
-// decodeProposeBatch parses a batched propose into one array of pending
-// writes, with no other allocation for a batch of single-column writes. Each
-// write's row, column names and values alias the payload, and its raw slices
-// the payload's encoded-op bytes: payloads are immutable after encode, so the
+// decodeProposeBatch parses a batched propose into pending writes taken
+// together from c (the replica's pending chunk; nil allocates them), with no
+// other allocation for a batch of single-column writes. Each write's row,
+// column names and values alias the payload, and its raw slices the
+// payload's encoded-op bytes: payloads are immutable after encode, so the
 // follower appends raw to its WAL and applies op to its memtable with no
 // per-record re-encode or copy.
 //
 //spinnaker:aliases
 //spinnaker:hotpath
-func decodeProposeBatch(b []byte) (proposeBatch, error) {
+func decodeProposeBatch(b []byte, c *chunk[pendingWrite]) (proposeBatch, error) {
 	var p proposeBatch
 	if len(b) < 12 {
 		return p, errProposeBatchTruncated
@@ -485,7 +526,7 @@ func decodeProposeBatch(b []byte) (proposeBatch, error) {
 		return p, errProposeBatchCount
 	}
 	if count > 0 {
-		p.Writes = make([]pendingWrite, count)
+		p.Writes = c.take(count)
 	}
 	for i := range p.Writes {
 		w := &p.Writes[i]
@@ -504,20 +545,21 @@ func decodeProposeBatch(b []byte) (proposeBatch, error) {
 	return p, nil
 }
 
-// decodeWrite parses a client's MsgWrite payload in place into a fresh
-// pending write, the one object the leader keeps for the write until it
-// commits. The row, column names and values alias the payload, which nothing
-// writes once received (`LocalEndpoint` hands over the client's fresh encode,
-// the TCP reader gives each frame its own body), so the bytes flow into the
-// commit queue and memtable without a copy. The write's raw is the payload
+// decodeWrite parses a client's MsgWrite payload in place into a pending
+// write taken from c (the replica's pending chunk; nil allocates it), the
+// one object the leader keeps for the write until it commits. The row,
+// column names and values alias the payload, which nothing writes once
+// received (`LocalEndpoint` hands over the client's fresh encode, the TCP
+// reader gives each frame its own body), so the bytes flow into the commit
+// queue and memtable without a copy. The write's raw is the payload
 // itself: the leader logs and proposes it as received, so a payload with
 // bytes past the op, or with unknown column flags, is refused rather than
 // carried into every replica's log.
 //
 //spinnaker:aliases
 //spinnaker:hotpath
-func decodeWrite(b []byte) (*pendingWrite, error) {
-	p := new(pendingWrite)
+func decodeWrite(b []byte, c *chunk[pendingWrite]) (*pendingWrite, error) {
+	p := &c.take(1)[0]
 	n, err := decodeWriteOp(b, &p.op, p.cols[:], true)
 	if err != nil {
 		return nil, err
@@ -537,12 +579,15 @@ func decodeWrite(b []byte) (*pendingWrite, error) {
 // member can never advertise a catch-up f.cmt below its own floor (local
 // recovery raises f.cmt to the checkpoint), so EntriesSince stays complete.
 //
+// encodeAck takes its 16 bytes from c, the ack loop's chunk (nil allocates
+// them).
+//
 //spinnaker:hotpath
-func encodeAck(lsn, floor wal.LSN) []byte {
-	var buf [16]byte
+func encodeAck(c *chunk[byte], lsn, floor wal.LSN) []byte {
+	buf := c.take(16)
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(lsn))
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(floor))
-	return buf[:]
+	return buf
 }
 
 //spinnaker:hotpath
@@ -779,13 +824,23 @@ type writeResult struct {
 	Version uint64
 }
 
-func encodeWriteResult(r writeResult) []byte {
-	buf := make([]byte, 1+2+len(r.Detail)+8)
+// writeResultSize is the encoded size of a write result without a detail,
+// what a committed write replies: a pending write holds that many bytes to
+// encode its reply into.
+const writeResultSize = 1 + 2 + 8
+
+// encodeWriteResult encodes r onto dst, growing it at most once: a committed
+// write's result fits its pending write's reply array, a result with a
+// detail string allocates.
+//
+//spinnaker:hotpath
+func encodeWriteResult(dst []byte, r writeResult) []byte {
+	dst, buf := growBuf(dst, writeResultSize+len(r.Detail))
 	buf[0] = r.Status
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(r.Detail)))
 	off := 3 + copy(buf[3:], r.Detail)
 	binary.LittleEndian.PutUint64(buf[off:], r.Version)
-	return buf
+	return dst
 }
 
 func decodeWriteResult(b []byte) (writeResult, error) {

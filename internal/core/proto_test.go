@@ -14,7 +14,7 @@ import (
 
 func TestAckPayloadRoundTrip(t *testing.T) {
 	lsn, floor := wal.MakeLSN(3, 77), wal.MakeLSN(3, 41)
-	gotLSN, gotFloor, err := decodeAck(encodeAck(lsn, floor))
+	gotLSN, gotFloor, err := decodeAck(encodeAck(nil, lsn, floor))
 	if err != nil || gotLSN != lsn || gotFloor != floor {
 		t.Fatalf("decodeAck = %s,%s,%v want %s,%s", gotLSN, gotFloor, err, lsn, floor)
 	}
@@ -109,11 +109,11 @@ func TestWriteOpRefusesUnknownFlags(t *testing.T) {
 		if _, _, err := DecodeWriteOp(forged); !errors.Is(err, errWriteOpFlags) {
 			t.Errorf("flag bit %d: DecodeWriteOp err = %v, want errWriteOpFlags", bit, err)
 		}
-		if _, err := decodeWrite(forged); !errors.Is(err, errWriteOpFlags) {
+		if _, err := decodeWrite(forged, nil); !errors.Is(err, errWriteOpFlags) {
 			t.Errorf("flag bit %d: decodeWrite err = %v, want errWriteOpFlags", bit, err)
 		}
-		batch := encodeProposeBatch(proposeBatchPayload{Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: forged}}})
-		if _, err := decodeProposeBatch(batch); !errors.Is(err, errWriteOpFlags) {
+		batch := encodeProposeBatch(nil, proposeBatchPayload{Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: forged}}})
+		if _, err := decodeProposeBatch(batch, nil); !errors.Is(err, errWriteOpFlags) {
 			t.Errorf("flag bit %d: decodeProposeBatch err = %v, want errWriteOpFlags", bit, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestWriteOpRefusesUnknownFlags(t *testing.T) {
 		if flags&colCond != 0 {
 			ok = append(ok[:flagsAt+1], append(make([]byte, 8), ok[flagsAt+1:]...)...)
 		}
-		if _, err := decodeWrite(ok); err != nil {
+		if _, err := decodeWrite(ok, nil); err != nil {
 			t.Errorf("flags %#x refused: %v", flags, err)
 		}
 	}
@@ -133,12 +133,12 @@ func TestWriteOpRefusesUnknownFlags(t *testing.T) {
 // one op; its bytes become the write's raw, which the leader logs.
 func TestDecodeWriteRefusesTrailingBytes(t *testing.T) {
 	payload := EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c", Value: []byte("v")}}})
-	p, err := decodeWrite(payload)
+	p, err := decodeWrite(payload, nil)
 	if err != nil || !bytes.Equal(p.raw, payload) || &p.raw[0] != &payload[0] || cap(p.raw) != len(payload) {
 		t.Fatalf("decodeWrite = %+v, %v; want raw aliasing the whole payload", p, err)
 	}
 	for _, extra := range [][]byte{{0}, {1, 2, 3}, payload} {
-		if _, err := decodeWrite(append(append([]byte(nil), payload...), extra...)); !errors.Is(err, errWriteOpTrailing) {
+		if _, err := decodeWrite(append(append([]byte(nil), payload...), extra...), nil); !errors.Is(err, errWriteOpTrailing) {
 			t.Errorf("%d trailing bytes: err = %v, want errWriteOpTrailing", len(extra), err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestResultCodecs(t *testing.T) {
 		{Status: StatusVersionMismatch, Detail: "column c at 5"},
 		{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))},
 	} {
-		enc := encodeWriteResult(wr)
+		enc := encodeWriteResult(nil, wr)
 		gotWR, err := decodeWriteResult(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -325,7 +325,7 @@ func TestProposeBatchRoundTrip(t *testing.T) {
 			{LSN: wal.MakeLSN(1, 42), Raw: EncodeWriteOp(nil, WriteOp{Row: "b", Cols: []ColWrite{{Col: "d", Delete: true}}})},
 		},
 	}
-	got, err := decodeProposeBatch(encodeProposeBatch(p))
+	got, err := decodeProposeBatch(encodeProposeBatch(nil, p), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,18 +349,18 @@ func TestProposeBatchRoundTrip(t *testing.T) {
 }
 
 func TestProposeBatchEmpty(t *testing.T) {
-	got, err := decodeProposeBatch(encodeProposeBatch(proposeBatchPayload{}))
+	got, err := decodeProposeBatch(encodeProposeBatch(nil, proposeBatchPayload{}), nil)
 	if err != nil || len(got.Writes) != 0 {
 		t.Fatalf("empty batch: %+v, %v", got, err)
 	}
 }
 
 func TestProposeBatchTruncation(t *testing.T) {
-	buf := encodeProposeBatch(proposeBatchPayload{
+	buf := encodeProposeBatch(nil, proposeBatchPayload{
 		Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}})}},
 	})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := decodeProposeBatch(buf[:cut]); err == nil {
+		if _, err := decodeProposeBatch(buf[:cut], nil); err == nil {
 			t.Fatalf("cut %d decoded", cut)
 		}
 	}
@@ -378,46 +378,48 @@ func allocsOp(i, cols int) WriteOp {
 }
 
 // TestProposeDecodeAllocs: a follower decodes a propose batch in place into
-// one array of pending writes. Each write's row, column names and values
-// alias the payload, and a single-column write's column lives inside its
-// pending write, so a batch is one object whatever its size.
+// pending writes taken from its replica's chunk. Each write's row, column
+// names and values alias the payload, and a single-column write's column
+// lives inside its pending write, so a batch costs no object of its own: one
+// block of pendingBlock writes serves many batches (1 000 batches of 16
+// writes take 250 blocks, which AllocsPerRun's per-run average rounds down
+// to 0; an exact array per batch reads 1).
 func TestProposeDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	for _, tc := range []struct {
-		recs int
-		max  float64
-	}{{1, 1}, {16, 2}} {
+	for _, recs := range []int{1, 16} {
 		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(2, 7)}
 		var ops []WriteOp
-		for i := 0; i < tc.recs; i++ {
+		for i := 0; i < recs; i++ {
 			ops = append(ops, allocsOp(i, 1))
 			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Raw: EncodeWriteOp(nil, ops[i])})
 		}
-		payload := encodeProposeBatch(p)
+		payload := encodeProposeBatch(nil, p)
+		pending := chunk[pendingWrite]{size: pendingBlock}
 		var (
 			got proposeBatch
 			err error
 		)
-		n := testing.AllocsPerRun(200, func() { got, err = decodeProposeBatch(payload) })
-		if err != nil || len(got.Writes) != tc.recs {
-			t.Fatalf("%d records: decoded %d, %v", tc.recs, len(got.Writes), err)
+		n := testing.AllocsPerRun(1000, func() { got, err = decodeProposeBatch(payload, &pending) })
+		if err != nil || len(got.Writes) != recs {
+			t.Fatalf("%d records: decoded %d, %v", recs, len(got.Writes), err)
 		}
 		for i := range got.Writes {
 			if w := &got.Writes[i]; !reflect.DeepEqual(w.op, ops[i]) || w.lsn != p.Recs[i].LSN {
-				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", tc.recs, i, w.lsn, w.op, p.Recs[i].LSN, ops[i])
+				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", recs, i, w.lsn, w.op, p.Recs[i].LSN, ops[i])
 			}
 		}
-		if n > tc.max {
-			t.Errorf("decoding a %d-record batch allocates %v objects, want ≤ %v", tc.recs, n, tc.max)
+		if n > 0 {
+			t.Errorf("decoding a %d-record batch allocates %v objects, want 0 (its share of a block)", recs, n)
 		}
 	}
 }
 
 // TestWriteDecodeAllocs: the leader decodes a client's write in place into
-// the pending write that carries it to its commit. A single-column write is
-// that one object; more columns add their slice.
+// a pending write taken from its replica's chunk, the entry that carries it
+// to its commit. A single-column write costs no object of its own; more
+// columns add their slice.
 func TestWriteDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -425,14 +427,17 @@ func TestWriteDecodeAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		cols int
 		max  float64
-	}{{1, 1}, {3, 2}} {
+	}{{1, 0}, {3, 1}} {
 		op := allocsOp(1, tc.cols)
 		payload := EncodeWriteOp(nil, op)
+		pending := chunk[pendingWrite]{size: pendingBlock}
 		var (
 			p   *pendingWrite
 			err error
 		)
-		n := testing.AllocsPerRun(200, func() { p, err = decodeWrite(payload) })
+		// 200 writes take 4 blocks, which AllocsPerRun's per-run average
+		// rounds down to 0.
+		n := testing.AllocsPerRun(200, func() { p, err = decodeWrite(payload, &pending) })
 		if err != nil || !reflect.DeepEqual(p.op, op) {
 			t.Fatalf("%d columns: decoded %+v, %v; want %+v", tc.cols, p, err, op)
 		}
@@ -442,25 +447,143 @@ func TestWriteDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestWriteResultAllocs: a write result's round trip (the
-// codec-write-result-roundtrip hook) is its one encode buffer; decoding the
-// version allocates nothing (a slice of per-column versions was a second
-// object).
+// TestWriteResultAllocs: a committed write's reply is encoded into its
+// pending write's reply array, so the round trip (the
+// codec-write-result-roundtrip hook) allocates nothing. A reply with a
+// detail string does not fit: its encode is one object and the decoded
+// detail another.
 func TestWriteResultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	wr := writeResult{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))}
-	var (
-		got writeResult
-		err error
-	)
-	n := testing.AllocsPerRun(500, func() { got, err = decodeWriteResult(encodeWriteResult(wr)) })
-	if err != nil || got != wr {
-		t.Fatalf("round trip = %+v, %v", got, err)
+	var p pendingWrite
+	for _, tc := range []struct {
+		wr  writeResult
+		max float64
+	}{
+		{writeResult{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))}, 0},
+		{writeResult{Status: StatusNotLeader, Detail: "node-7"}, 2},
+	} {
+		var (
+			got writeResult
+			err error
+		)
+		n := testing.AllocsPerRun(500, func() { got, err = decodeWriteResult(encodeWriteResult(p.reply[:0], tc.wr)) })
+		if err != nil || got != tc.wr {
+			t.Fatalf("round trip = %+v, %v; want %+v", got, err, tc.wr)
+		}
+		if n > tc.max {
+			t.Errorf("a round trip of %+v allocates %v objects, want ≤ %v", tc.wr, n, tc.max)
+		}
 	}
-	if n > 1 {
-		t.Errorf("a write result round trip allocates %v objects, want ≤ 1", n)
+}
+
+// TestChunkHandsOutEachElementOnce: a chunk hands out capped, zero
+// sub-slices and never the same element twice, however the takes fall
+// against block boundaries — so a receiver may keep and write what it took.
+func TestChunkHandsOutEachElementOnce(t *testing.T) {
+	c := chunk[int]{size: 8}
+	seen := map[*int]bool{}
+	// 3+4 leave one element; 2 crosses into a new block mid-sequence; 8 is
+	// a whole block; 9 is larger than a block; 0 takes nothing.
+	for i, n := range []int{3, 4, 2, 8, 1, 9, 5, 5, 0, 7, 1, 1, 6} {
+		s := c.take(n)
+		if len(s) != n || cap(s) != n {
+			t.Fatalf("take %d (%d): len %d cap %d", i, n, len(s), cap(s))
+		}
+		for j := range s {
+			if s[j] != 0 {
+				t.Fatalf("take %d (%d): element %d = %d, want a zero element", i, n, j, s[j])
+			}
+			if seen[&s[j]] {
+				t.Fatalf("take %d (%d): element %d was handed out before", i, n, j)
+			}
+			seen[&s[j]] = true
+			s[j] = i + 1 // the receiver keeps and writes what it took
+		}
+	}
+}
+
+// TestChunkLargeTakeGetsItsOwnBlock: a take larger than a block is a block of
+// its own size, and the current block goes on serving the takes after it.
+func TestChunkLargeTakeGetsItsOwnBlock(t *testing.T) {
+	c := chunk[byte]{size: 16}
+	a := c.take(5)
+	block := c.block
+	big := c.take(40)
+	b := c.take(4)
+	if len(big) != 40 || cap(big) != 40 {
+		t.Fatalf("large take: len %d cap %d", len(big), cap(big))
+	}
+	if &a[0] != &block[0] || &b[0] != &block[5] {
+		t.Error("the take after a large one did not continue the current block")
+	}
+	for i := range block {
+		if &block[i] == &big[0] || &block[i] == &big[len(big)-1] {
+			t.Fatal("a large take shares the current block")
+		}
+	}
+}
+
+// TestChunkBlockBoundaryMidBatch: a propose batch's writes are taken together,
+// so a batch that does not fit in what is left of the pending block starts a
+// new one, and batches encoded into a shared byte chunk (the drain loop's)
+// decode, after later batches were encoded and decoded behind them, to what
+// they were.
+func TestChunkBlockBoundaryMidBatch(t *testing.T) {
+	props := chunk[byte]{size: 1 << 10}
+	pending := chunk[pendingWrite]{size: 8}
+	type kept struct {
+		b   proposeBatch
+		ops []WriteOp
+	}
+	var all []kept
+	seq := uint64(1)
+	for batch := 0; batch < 12; batch++ {
+		recs := 1 + batch%5 // 1..5 writes: the 8-write block ends mid-batch
+		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(1, seq-1)}
+		var ops []WriteOp
+		for i := 0; i < recs; i++ {
+			op := WriteOp{Row: fmt.Sprintf("row-%03d", seq), Cols: []ColWrite{{Col: "c",
+				Value: bytes.Repeat([]byte{byte(seq)}, 60+int(seq))}}}
+			ops = append(ops, op)
+			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(1, seq), Raw: EncodeWriteOp(nil, op)})
+			seq++
+		}
+		left := pending.size - pending.next
+		if pending.block == nil {
+			left = 0
+		}
+		b, err := decodeProposeBatch(encodeProposeBatch(&props, p), &pending)
+		if err != nil || len(b.Writes) != recs {
+			t.Fatalf("batch %d: %d writes, %v", batch, len(b.Writes), err)
+		}
+		if recs > left && &b.Writes[0] != &pending.block[0] {
+			t.Fatalf("batch %d: %d writes with %d slots left did not start a new block", batch, recs, left)
+		}
+		all = append(all, kept{b, ops})
+	}
+	for i, k := range all {
+		for j := range k.b.Writes {
+			if w := &k.b.Writes[j]; !reflect.DeepEqual(w.op, k.ops[j]) {
+				t.Fatalf("batch %d write %d = %+v, want %+v", i, j, w.op, k.ops[j])
+			}
+		}
+	}
+}
+
+// TestChunkNilAllocatesExactly: a nil chunk allocates every take on its own,
+// at exactly the size asked for (retransmissions and tests use it).
+func TestChunkNilAllocatesExactly(t *testing.T) {
+	var c *chunk[byte]
+	if s := c.take(13); len(s) != 13 || cap(s) != 13 {
+		t.Fatalf("nil take: len %d cap %d", len(s), cap(s))
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.take(100) }); n != 1 {
+		t.Errorf("a nil chunk's take allocates %v objects, want 1", n)
 	}
 }
 
@@ -486,7 +609,7 @@ func benchmarkProposeBatch(b *testing.B, n int) {
 	p := benchBatch(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		got, err := decodeProposeBatch(encodeProposeBatch(p))
+		got, err := decodeProposeBatch(encodeProposeBatch(nil, p), nil)
 		if err != nil || len(got.Writes) != n {
 			b.Fatalf("decoded %d recs, err %v", len(got.Writes), err)
 		}
@@ -501,7 +624,7 @@ func BenchmarkAckRoundTrip(b *testing.B) {
 	lsn, floor := wal.MakeLSN(3, 77), wal.MakeLSN(3, 41)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeAck(encodeAck(lsn, floor)); err != nil {
+		if _, _, err := decodeAck(encodeAck(nil, lsn, floor)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -521,7 +644,7 @@ func BenchmarkWriteResultRoundTrip(b *testing.B) {
 	wr := writeResult{Status: StatusOK, Version: uint64(wal.MakeLSN(3, 9))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeWriteResult(encodeWriteResult(wr)); err != nil {
+		if _, err := decodeWriteResult(encodeWriteResult(nil, wr)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,20 +101,27 @@ type replica struct {
 	peerFloors map[string]wal.LSN
 	gcFloor    wal.LSN
 
+	// pending is the chunk the replica's pending writes are decoded into,
+	// under mu: a client's MsgWrite on the leader (submitWriteAsync), a
+	// propose batch's writes on a follower (onProposeBatch).
+	pending chunk[pendingWrite]
+
 	// Leader-side proposal batcher: writes are sequenced into batchBuf
 	// under r.mu and leave as one batch per drain (sendProposals). At
 	// most one batch is outstanding: batchOut is the last LSN of the
 	// batch sent and not yet resolved (zero when none), and the writes
 	// sequenced meanwhile wait in batchBuf until it commits or its force
-	// fails (see claimDrainLocked). batchSending marks the active drainer.
-	// batchSpare is the buffer the drainer last sent, cleared, which
-	// becomes batchBuf at the next swap, so the two alternate instead of
-	// regrowing. All guarded by r.mu.
+	// fails (see claimDrainLocked). The replica's one drain loop sends them;
+	// batchSending marks a drain claimed for it or running on it, and
+	// drainNudge (one slot) wakes it. batchSpare is the buffer the drainer
+	// last sent, cleared, which becomes batchBuf at the next swap, so the
+	// two alternate instead of regrowing. All guarded by r.mu.
 	batchBuf     []proposeRec
 	batchSpare   []proposeRec
 	batchEnd     int64 // max log offset of buffered records (force target)
 	batchSending bool
 	batchOut     wal.LSN
+	drainNudge   chan struct{}
 	logScratch   []wal.Record // onProposeBatch's log append list (AppendBatch keeps none)
 	// syncing counts, per peer, the takeover messages (Fig 6 lines 5-6)
 	// in flight to it; see proposalPeersLocked. Guarded by mu.
@@ -299,40 +306,48 @@ func (r *replica) loggerPrefix() string {
 // --- Write path (paper §5, Figure 4) ---------------------------------------
 
 // submitWriteAsync runs the leader's side of the write protocol (Fig 4) for
-// one client write, decoded into p (decodeWrite), without blocking the
-// caller: the write is sequenced, logged, and handed to the cohort's proposal
-// drainer, and the request req is answered with the outcome when the write
-// commits (or fails). p is then the write's commit-queue entry. Not holding a
-// goroutine per in-flight write is what lets a single client pipeline many
-// writes through one leader link. The WriteTimeout bound is enforced by the
-// commit timer's sweep of staleResponders.
+// one client write, req, without blocking the caller: the write is decoded
+// in place into a pending write from the replica's chunk (decodeWrite),
+// sequenced, logged, and handed to the replica's drain loop, and req is
+// answered with the outcome when the write commits (or fails). The pending
+// write is then the write's commit-queue entry. Not holding a goroutine per
+// in-flight write is what lets a single client pipeline many writes through
+// one leader link. The WriteTimeout bound is enforced by the commit timer's
+// sweep of staleResponders.
 //
 //spinnaker:hotpath
-func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
-	op := &p.op
+func (r *replica) submitWriteAsync(req transport.Message) {
 	r.mu.Lock()
-	if !r.inBoundsLocked(op.Row) {
+	// The write aliases the request payload, which nothing writes once
+	// received; the reply needs only the request's header.
+	p, err := decodeWrite(req.Payload, &r.pending)
+	if err != nil {
 		r.mu.Unlock()
-		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0)
+		return
+	}
+	req.Payload = nil
+	if !r.inBoundsLocked(p.op.Row) {
+		r.mu.Unlock()
+		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0, nil)
 		return
 	}
 	if r.role != RoleLeader || !r.open {
 		leader := r.leaderID
 		r.mu.Unlock()
 		if leader != "" && leader != r.n.cfg.ID {
-			r.n.replyWrite(req, writeOutcome{status: StatusNotLeader, detail: leader}, 0)
+			r.n.replyWrite(req, writeOutcome{status: StatusNotLeader, detail: leader}, 0, nil)
 			return
 		}
-		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: "no leader for range"}, 0)
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: "no leader for range"}, 0, nil)
 		return
 	}
 	// Conditional checks run before sequencing (§5.1), against the
 	// effective state: the newest pending write for the column if one is
 	// queued (writes execute in LSN order), else the committed cell.
-	if out, dep := r.checkCondsLocked(*op); out != nil {
+	if out, dep := r.checkCondsLocked(p.op); out != nil {
 		r.mu.Unlock()
 		if dep == nil {
-			r.n.replyWrite(req, *out, 0)
+			r.n.replyWrite(req, *out, 0, nil)
 			return
 		}
 		// Hold the reply until the observed uncommitted write resolves;
@@ -341,7 +356,25 @@ func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
 		deferMismatch(dep, *out, r.n, req)
 		return
 	}
+	if err := r.sequenceLocked(p, req); err != nil {
+		r.mu.Unlock()
+		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: err.Error()}, 0, nil)
+		return
+	}
+	claimed := r.claimDrainLocked()
+	r.mu.Unlock()
+	if claimed {
+		r.nudgeDrain()
+	}
+}
 
+// sequenceLocked gives the admitted write p the cohort's next LSN, queues it
+// to answer req on commit, logs it and buffers it for the next propose
+// batch; callers hold r.mu. On a failed log append nothing is left queued.
+//
+//spinnaker:locked(mu)
+//spinnaker:hotpath
+func (r *replica) sequenceLocked(p *pendingWrite, req transport.Message) error {
 	// The LSN is every column's version, so nothing in the op changes: the
 	// client's payload (p.raw) is the WAL record payload here and the
 	// batch-payload body in encodeProposeBatch, with no re-encode.
@@ -349,28 +382,20 @@ func (r *replica) submitWriteAsync(p *pendingWrite, req transport.Message) {
 	r.nextSeq++
 	p.lsn, p.client, p.req, p.enqueuedAt = lsn, r.n, req, time.Now()
 	r.queue.add(p)
-	r.m.keys.Note(op.Row)
+	r.m.keys.Note(p.op.Row)
 	rec := wal.Record{Cohort: r.rangeID, Type: wal.RecWrite, LSN: lsn,
 		Payload: p.raw}
 	end, err := r.n.log.Append(rec)
 	if err != nil {
 		r.queue.remove(lsn)
-		r.mu.Unlock()
-		r.n.replyWrite(req, writeOutcome{status: StatusUnavailable, detail: err.Error()}, 0)
-		return
+		return err
 	}
 	r.lastLSN = lsn
 	r.enqueueProposalLocked(proposeRec{LSN: lsn, Raw: p.raw})
 	if end > r.batchEnd {
 		r.batchEnd = end
 	}
-	claimed := r.claimDrainLocked()
-	r.mu.Unlock()
-	if claimed {
-		// The drainer forces the leader's log, so it must not run on this
-		// (link) goroutine.
-		go r.drainProposals()
-	}
+	return nil
 }
 
 // wrongLayoutOutcome formats the out-of-bounds rejection. It is a separate,
@@ -451,7 +476,7 @@ func deferMismatch(dep *pendingWrite, out writeOutcome, n *Node, req transport.M
 			out = writeOutcome{status: StatusUnavailable,
 				detail: "conditional check raced an uncommitted write; retry"}
 		}
-		n.replyWrite(req, out, 0)
+		n.replyWrite(req, out, 0, nil)
 	})
 }
 
@@ -465,14 +490,16 @@ func (r *replica) enqueueProposalLocked(rec proposeRec) {
 	r.batchBuf = append(r.batchBuf, rec)
 }
 
-// claimDrainLocked makes the caller the cohort's proposal drainer if there
-// is something to send, no drain is in progress and no batch is
-// outstanding; callers hold r.mu and, on true, must call drainProposals
-// after releasing it. Two callers claim: the writer that sequences into an
-// idle batcher (a lone write leaves at once), and tryCommit when the commit
+// claimDrainLocked claims a drain for the replica's drain loop if there is
+// something to send, no drain is claimed or running and no batch is
+// outstanding; callers hold r.mu and, on true, must call nudgeDrain after
+// releasing it. Two callers claim: the writer that sequences into an idle
+// batcher (a lone write leaves at once), and tryCommit when the commit
 // point passes the outstanding batch (the writes that waited behind it
-// leave together). One drainer at a time, swapping the LSN-ordered buffer
-// under r.mu, keeps batches leaving in LSN order on the in-order links.
+// leave together). A running drain takes what is sequenced meanwhile
+// itself, so it is not woken again for it. One drain loop, swapping the
+// LSN-ordered buffer under r.mu, keeps batches leaving in LSN order on the
+// in-order links.
 //
 //spinnaker:locked(mu)
 func (r *replica) claimDrainLocked() bool {
@@ -495,17 +522,46 @@ func (r *replica) dropProposalsLocked() {
 	r.batchOut = 0
 }
 
+// nudgeDrain wakes the drain loop for a drain claimDrainLocked claimed. A
+// claim is only made while no drain is claimed or running, so the one slot
+// is free, and a nudge sent before the loop starts waits in it.
+func (r *replica) nudgeDrain() {
+	select {
+	case r.drainNudge <- struct{}{}:
+	default:
+	}
+}
+
+// drainLoop is the replica's one proposal drainer, for its life: each nudge
+// runs drainProposals, which forces the leader's log and so must not run on
+// the link goroutine that sequenced the write, and owns the chunk the
+// propose payloads are encoded into. It parks between drains.
+func (r *replica) drainLoop() {
+	props := chunk[byte]{size: proposeBlock}
+	for {
+		select {
+		case <-r.drainNudge:
+		case <-r.stopCh:
+			return
+		case <-r.n.stopCh:
+			return
+		}
+		r.drainProposals(&props)
+	}
+}
+
 // drainProposals sends the cohort's proposal buffer to the followers, one
-// batch at a time: it swaps out everything sequenced since the last swap,
-// sends it to every peer (sendProposals), forces the leader's log through
-// the batch in parallel (Fig 4's overlap, per batch instead of per write),
-// and commits what the acks allow. The batch is then outstanding until it
+// batch at a time, encoding the payloads into props: it swaps out
+// everything sequenced since the last swap, sends it to every peer
+// (sendProposals), forces the leader's log through the batch in parallel
+// (Fig 4's overlap, per batch instead of per write), and commits what the
+// acks allow. The batch is then outstanding until it
 // resolves: it commits (tryCommit, which claims the next drain) or its
 // force fails (the loop below goes on). Writes sequenced meanwhile wait and
 // leave together in the next batch, so batch size follows the commit
 // round trip — group commit's trick applied to the replication stream.
-// The drainer exits when the buffer is empty or a batch is outstanding.
-func (r *replica) drainProposals() {
+// The drain ends when the buffer is empty or a batch is outstanding.
+func (r *replica) drainProposals(props *chunk[byte]) {
 	r.mu.Lock()
 	for len(r.batchBuf) > 0 && r.batchOut.IsZero() {
 		recs := r.batchBuf
@@ -522,7 +578,7 @@ func (r *replica) drainProposals() {
 		// Send first, then force: the followers' round trip overlaps the
 		// leader's force (Fig 4).
 		sent := time.Now()
-		r.sendProposals(peers, committedThrough, recs)
+		r.sendProposals(props, peers, committedThrough, recs)
 		var forceErr error
 		if end > 0 {
 			forceErr = r.n.log.ForceTo(end)
@@ -582,12 +638,13 @@ func (r *replica) proposalPeersLocked() []string {
 }
 
 // sendProposals sends recs (ascending by LSN) to every peer as one
-// MsgProposeBatch, which counts once in ProposeBatches however many peers
-// it goes to. Each follower answers it with one cumulative MsgAckBatch.
+// MsgProposeBatch, encoded into props (nil allocates it), which counts once
+// in ProposeBatches however many peers it goes to. Each follower answers it
+// with one cumulative MsgAckBatch.
 //
 //spinnaker:hotpath
-func (r *replica) sendProposals(peers []string, committedThrough wal.LSN, recs []proposeRec) {
-	payload := encodeProposeBatch(proposeBatchPayload{
+func (r *replica) sendProposals(props *chunk[byte], peers []string, committedThrough wal.LSN, recs []proposeRec) {
+	payload := encodeProposeBatch(props, proposeBatchPayload{
 		CommittedThrough: committedThrough, Recs: recs,
 	})
 	r.m.proposes.Inc()
@@ -633,7 +690,7 @@ func (r *replica) tryCommit() {
 	}
 	r.mu.Unlock()
 	if claimed {
-		go r.drainProposals()
+		r.nudgeDrain()
 	}
 	for _, p := range committed {
 		r.m.writes.Inc()
@@ -663,14 +720,15 @@ func (r *replica) tryCommit() {
 //
 //spinnaker:hotpath
 func (r *replica) onProposeBatch(m transport.Message) {
-	b, err := decodeProposeBatch(m.Payload)
-	if err != nil || len(b.Writes) == 0 {
-		return
-	}
 	r.mu.Lock()
 	if r.role == RoleRecovering {
 		r.mu.Unlock()
 		return // catch-up will deliver these writes' effects
+	}
+	b, err := decodeProposeBatch(m.Payload, &r.pending)
+	if err != nil || len(b.Writes) == 0 {
+		r.mu.Unlock()
+		return
 	}
 	if m.From != r.leaderID && r.leaderID != "" {
 		// A propose from a node we do not believe leads the cohort.
@@ -691,8 +749,8 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		end int64
 		gap bool
 	)
-	// The batch's writes were decoded into their pending entries; the log
-	// records go into the replica's scratch list.
+	// The batch's writes were decoded into their pending entries, from the
+	// replica's chunk; the log records go into the replica's scratch list.
 	toLog := r.logScratch[:0]
 	last := r.lastLSN
 	for i := range b.Writes {
@@ -824,8 +882,10 @@ func (a *ackDue) add(end int64, through wal.LSN, to string, committed wal.LSN) {
 // replica instead of a goroutine per batch: each round takes everything
 // onProposeBatch logged since the last one, forces through it, marks the
 // pending writes forced, sends one cumulative MsgAckBatch and applies the
-// piggybacked commit. It runs for the replica's life.
+// piggybacked commit. It runs for the replica's life and owns the chunk the
+// ack payloads are encoded into.
 func (r *replica) ackLoop() {
+	acks := chunk[byte]{size: ackBlock}
 	for {
 		select {
 		case <-r.ackNudge:
@@ -839,15 +899,15 @@ func (r *replica) ackLoop() {
 		r.ack = ackDue{}
 		r.mu.Unlock()
 		if a.due {
-			r.payAck(a)
+			r.payAck(a, &acks)
 		}
 	}
 }
 
 // payAck forces the log through a, marks the pending writes it covers
-// forced, sends the cumulative ack and applies the piggybacked commit. A
-// failed force sends no ack.
-func (r *replica) payAck(a ackDue) {
+// forced, sends the cumulative ack, encoded into acks, and applies the
+// piggybacked commit. A failed force sends no ack.
+func (r *replica) payAck(a ackDue, acks *chunk[byte]) {
 	var err error
 	if a.all {
 		err = r.n.log.Force()
@@ -863,7 +923,7 @@ func (r *replica) payAck(a ackDue) {
 			r.verifyAckClaim(a.through)
 		}
 		r.n.send(a.to, transport.Message{Kind: MsgAckBatch, Cohort: r.rangeID,
-			Payload: encodeAck(a.through, r.engine.Checkpoint())})
+			Payload: encodeAck(acks, a.through, r.engine.Checkpoint())})
 	}
 	if a.committed > 0 {
 		r.applyCommitted(a.committed, false)
@@ -1056,7 +1116,7 @@ func (r *replica) reproposeRecs(recs []proposeRec) {
 	r.mu.Lock()
 	peers := r.proposalPeersLocked()
 	r.mu.Unlock()
-	r.sendProposals(peers, 0, recs)
+	r.sendProposals(nil, peers, 0, recs)
 }
 
 // --- Read path (§3, §5) -----------------------------------------------------

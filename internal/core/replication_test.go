@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,7 +34,7 @@ type countingEndpoint struct {
 func (e countingEndpoint) Send(m transport.Message) error {
 	switch m.Kind {
 	case MsgProposeBatch:
-		if b, err := decodeProposeBatch(m.Payload); err == nil && len(b.Writes) > 0 {
+		if b, err := decodeProposeBatch(m.Payload, nil); err == nil && len(b.Writes) > 0 {
 			e.c.mu.Lock()
 			e.c.proposes = append(e.c.proposes, len(b.Writes))
 			e.c.proposed = max(e.c.proposed, b.Writes[len(b.Writes)-1].lsn)
@@ -483,7 +485,7 @@ func newWindowBed(t *testing.T, timeout, commitPeriod time.Duration) *windowBed 
 						b.acks[m.From]++
 					}
 				case m.Kind == MsgProposeBatch && m.From == b.leader:
-					if pb, err := decodeProposeBatch(m.Payload); err == nil {
+					if pb, err := decodeProposeBatch(m.Payload, nil); err == nil {
 						b.got[name] = append(b.got[name], len(pb.Writes))
 					}
 				}
@@ -726,5 +728,81 @@ func TestProposalWindowReArmsAcrossTerms(t *testing.T) {
 	}
 	if n := ep.timeouts.Load(); n != 0 {
 		t.Fatalf("%d calls ended in ErrTimeout, want 0", n)
+	}
+}
+
+// TestProposeBlocksKeepEveryValue: a follower's pending writes and memtable
+// keep the values of the writes it applies as slices of the propose payloads
+// they arrived in, which the leader's drain loop encodes into 64 KiB blocks
+// it hands out once. Distinct values written through more than three blocks
+// per range must read back byte for byte from every replica, leader and
+// followers alike.
+func TestProposeBlocksKeepEveryValue(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	tc.waitAllLeaders()
+	for r := 0; r < tc.layout.NumRanges(); r++ {
+		tc.waitFollowing(uint32(r))
+	}
+	c := tc.client()
+	const (
+		rows     = 900
+		inFlight = 8 // several writes per batch, so batches vary in size
+	)
+	value := func(i int) []byte {
+		v := make([]byte, 700+i%600)
+		rand.New(rand.NewSource(int64(i))).Read(v)
+		return v
+	}
+	row := func(i int) string { return row0(i * (1000000 / rows)) }
+	proposed := make(map[uint32]int) // bytes of propose records per range
+	var futs []*WriteFuture
+	for i := 0; i < rows; i++ {
+		op := WriteOp{Row: row(i), Cols: []ColWrite{{Col: "c", Value: value(i)}}}
+		proposed[tc.layout.RangeOf(op.Row)] += 8 + WriteOpEncodedSize(op)
+		futs = append(futs, c.PutAsync(op.Row, "c", op.Cols[0].Value))
+		if len(futs) == inFlight || i == rows-1 {
+			for _, f := range futs {
+				if _, err := f.Wait(); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+			}
+			futs = futs[:0]
+		}
+	}
+	for r, n := range proposed {
+		if n <= 3*proposeBlock {
+			t.Fatalf("range %d proposed %d bytes, want more than three %d-byte blocks", r, n, proposeBlock)
+		}
+	}
+	// Quiesce: every replica has applied everything its leader logged.
+	for r := 0; r < tc.layout.NumRanges(); r++ {
+		st, _ := tc.leaderOf(uint32(r)).ReplicaStats(uint32(r))
+		for _, n := range tc.nodes {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if fst, _ := n.ReplicaStats(uint32(r)); fst.LastCommitted >= st.LastLSN {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never applied range %d through %v", n.ID(), r, st.LastLSN)
+				}
+			}
+		}
+	}
+	ep := tc.net.Join("probe")
+	for name := range tc.nodes {
+		for i := 0; i < rows; i++ {
+			rw := row(i)
+			resp, err := ep.Call(transportMsgGet(name, tc.layout.RangeOf(rw), rw, "c"))
+			if err != nil {
+				t.Fatalf("timeline get of %s at %s: %v", rw, name, err)
+			}
+			res, err := decodeGetResp(resp.Payload)
+			if err != nil || res.Status != StatusOK {
+				t.Fatalf("timeline get of %s at %s: status %d, %v", rw, name, res.Status, err)
+			}
+			if !bytes.Equal(res.Value, value(i)) {
+				t.Fatalf("%s at %s reads %d bytes that differ from the %d written", rw, name, len(res.Value), len(value(i)))
+			}
+		}
 	}
 }

@@ -107,9 +107,9 @@ func TestRowRespRejectsForgedCount(t *testing.T) {
 }
 
 func TestProposeBatchRejectsForgedCount(t *testing.T) {
-	b := encodeProposeBatch(proposeBatchPayload{CommittedThrough: wal.MakeLSN(1, 9)})
+	b := encodeProposeBatch(nil, proposeBatchPayload{CommittedThrough: wal.MakeLSN(1, 9)})
 	binary.LittleEndian.PutUint32(b[8:], 1<<30)
-	if _, err := decodeProposeBatch(b); err == nil {
+	if _, err := decodeProposeBatch(b, nil); err == nil {
 		t.Error("propose batch record count forged to 1<<30 decoded without error")
 	}
 }

@@ -40,19 +40,15 @@ func TestAdminEndpoints(t *testing.T) {
 	srv := httptest.NewServer(admin.NewHandler(sc.AdminSource()))
 	defer srv.Close()
 
-	// /status: layout-wide JSON view with live per-range numbers.
-	resp, err := http.Get(srv.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/status returned %d", resp.StatusCode)
-	}
-	var st admin.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("/status not JSON: %v\n%s", err, body)
+	// /status: layout-wide JSON view with live per-range numbers. A node
+	// that a new leader left out of proposes while its takeover message was
+	// in flight logs nothing until it catches up, so wait (bounded) until
+	// /status shows WAL appends on every node; the checks below still fail
+	// a node that never logs.
+	st := fetchStatus(t, srv.URL)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !everyNodeAppended(st); {
+		time.Sleep(10 * time.Millisecond)
+		st = fetchStatus(t, srv.URL)
 	}
 	if st.LayoutVersion == 0 || st.Replication != 3 {
 		t.Fatalf("bad layout header: %+v", st)
@@ -81,7 +77,7 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 
 	// /metrics: the text exposition must carry the same series.
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,4 +132,33 @@ func TestAdminEndpoints(t *testing.T) {
 	if leaderWrites == 0 || batches < leaderWrites {
 		t.Fatalf("leaders sent %d propose batches for %d writes, want at least one per write", batches, leaderWrites)
 	}
+}
+
+// fetchStatus reads and decodes the admin plane's /status.
+func fetchStatus(t *testing.T, url string) admin.Status {
+	t.Helper()
+	resp, err := http.Get(url + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/status returned %d", resp.StatusCode)
+	}
+	var st admin.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("/status not JSON: %v\n%s", err, body)
+	}
+	return st
+}
+
+// everyNodeAppended reports whether every node in st shows WAL appends.
+func everyNodeAppended(st admin.Status) bool {
+	for _, n := range st.Nodes {
+		if n.WALAppends == 0 {
+			return false
+		}
+	}
+	return len(st.Nodes) > 0
 }

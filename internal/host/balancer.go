@@ -382,10 +382,17 @@ func leastLoaded(candidates []string, perNode map[string]int64, not string) stri
 	return best
 }
 
+// ErrTransferNotTaken reports a leadership transfer after which another
+// node still leads: the cohort is reordered home-first and the range has an
+// open leader, but not the one asked for. The error names the node leading.
+var ErrTransferNotTaken = errors.New("host: leadership transfer did not take")
+
 // TransferLeadership steers range id's leadership to cohort member `to`:
 // the published cohort is reordered home-first (a zero-member-delta
 // mutation, so no adoption risk beyond the barrier) and the current
-// leader steps down; the home-node election tie-break does the rest.
+// leader steps down; the home-node election tie-break does the rest. When
+// another node still leads after three step-downs it returns
+// ErrTransferNotTaken.
 func (c *Cluster) TransferLeadership(id uint32, to string, timeout time.Duration) error {
 	deadline := simtime.Now().Add(timeout)
 	published, err := c.mutateLayout(func(l *cluster.Layout) (*cluster.Layout, error) {
@@ -416,8 +423,10 @@ func (c *Cluster) TransferLeadership(id uint32, to string, timeout time.Duration
 		}
 	}
 	// The home preference is an election tie-break, so under live load
-	// the old leader can re-win a round; retry, then accept whoever
-	// leads (the transfer is an optimization, not a correctness need).
+	// the old leader can re-win a round (and a member whose log is behind
+	// cannot win at all); retry, then report who leads. The transfer is an
+	// optimization, not a correctness need: the range has an open leader
+	// either way.
 	for attempt := 0; attempt < 3; attempt++ {
 		leader := c.LeaderOf(id)
 		if leader == "" || leader == to {
@@ -429,6 +438,9 @@ func (c *Cluster) TransferLeadership(id uint32, to string, timeout time.Duration
 		if err := c.waitOpenLeader(id, deadline); err != nil {
 			return err
 		}
+	}
+	if leader := c.LeaderOf(id); leader != "" && leader != to {
+		return fmt.Errorf("%w: range %d is led by %s, not %s", ErrTransferNotTaken, id, leader, to)
 	}
 	return nil
 }

@@ -393,8 +393,10 @@ func (c *Cluster) Rebalance(timeout time.Duration) error {
 	// Phase 3: order each cohort home-first in the published layout, so
 	// elections prefer the intended placement, and transfer leadership
 	// toward the home node so load actually spreads onto the new members.
+	// A transfer that did not take still leaves an open leader and the
+	// home-first order, which later elections follow.
 	for i, id := range ids {
-		if err := c.TransferLeadership(id, nodes[i%len(nodes)], time.Until(deadline)); err != nil {
+		if err := c.TransferLeadership(id, nodes[i%len(nodes)], time.Until(deadline)); err != nil && !errors.Is(err, ErrTransferNotTaken) {
 			return err
 		}
 	}
