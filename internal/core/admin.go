@@ -75,10 +75,7 @@ func (n *Node) markCurrent(rangeID uint32) {
 	if err := sess.EnsurePath(currentPath(rangeID)); err != nil {
 		return
 	}
-	_, err := sess.Create(currentPath(rangeID)+"/"+n.cfg.ID, nil, coord.FlagEphemeral)
-	if err != nil && !errors.Is(err, coord.ErrNodeExists) {
-		return
-	}
+	_, _ = sess.Create(currentPath(rangeID)+"/"+n.cfg.ID, nil, coord.FlagEphemeral)
 }
 
 // dropCurrent removes this node's catch-up marker for rangeID (replica

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -266,5 +267,404 @@ func TestNoSnapCatchupServedFromEngine(t *testing.T) {
 		if !rows[row0(i)] {
 			t.Fatalf("NoSnap catch-up (%d entries) is missing row %s", len(cr.Entries), row0(i))
 		}
+	}
+}
+
+// callTap shows every Call the wrapped endpoint makes to call before it is
+// sent; the function call returns runs when the Call returns.
+type callTap struct {
+	transport.Endpoint
+	call func(m transport.Message) func()
+}
+
+func (e callTap) Call(m transport.Message) (transport.Message, error) {
+	defer e.call(m)()
+	return e.Endpoint.Call(m)
+}
+
+// TestCatchupRangesIndependent: node c follows range x, led by a, and range
+// y, led by b, and misses writes on both. With c→a cut one way, x's
+// catch-up request is lost and its call waits out the call timeout; y must
+// reach its leader's commit point while that call is still in flight. One
+// range's lost call holds up no other range on the node.
+func TestCatchupRangesIndependent(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		watchX   = ^uint32(0)
+		caller   string
+		inFlight = make(chan struct{})
+		returned = make(chan struct{})
+		once     sync.Once
+	)
+	tc := newHookedTestCluster(t, 3, nil, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		return callTap{ep, func(m transport.Message) func() {
+			mu.Lock()
+			watched := name == caller && m.Kind == MsgCatchupReq && m.Cohort == watchX
+			mu.Unlock()
+			first := false
+			if watched {
+				once.Do(func() { first = true; close(inFlight) })
+			}
+			return func() {
+				if first {
+					close(returned)
+				}
+			}
+		}}
+	}})
+	tc.waitAllLeaders()
+	x, y := uint32(0), uint32(1)
+	a := tc.waitFollowing(x)
+	for tc.waitFollowing(y) == a {
+		tc.nodes[a].StepDown(y) // elections can hand a node every range
+		time.Sleep(time.Millisecond)
+	}
+	b := tc.waitFollowing(y)
+	var c string
+	for _, name := range tc.layout.Cohort(x) {
+		if name != a && name != b {
+			c = name
+		}
+	}
+
+	cl := tc.client()
+	tc.net.Partition(c, a)
+	tc.net.Partition(c, b)
+	for i := 0; i < 5; i++ {
+		for _, r := range []uint32{x, y} {
+			if _, err := cl.Put(fmt.Sprint(rowInRange(tc.layout, r), i), "c", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mu.Lock()
+	watchX, caller = x, c
+	mu.Unlock()
+	// a's commit messages reach c again, c's requests to a do not.
+	tc.net.PartitionOneWay(c, a)
+	tc.net.Heal(c, a)
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("x never asked for catch-up")
+	}
+	tc.net.Heal(c, b)
+
+	target, _ := tc.nodes[b].ReplicaStats(y)
+	for {
+		if st, _ := tc.nodes[c].ReplicaStats(y); st.LastCommitted >= target.LastCommitted {
+			break
+		}
+		select {
+		case <-returned:
+			st, _ := tc.nodes[c].ReplicaStats(y)
+			t.Fatalf("x's lost catch-up call returned while y was still behind: %s < %s",
+				st.LastCommitted, target.LastCommitted)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	select {
+	case <-returned:
+		t.Fatal("x's catch-up call returned, yet its request was cut")
+	default:
+	}
+}
+
+// TestCatchupOneRunPerReplica fires the gap, commit-beyond-log,
+// leader-change and layout-add triggers together on one follower replica
+// while its first catch-up run is held in its call: no second run starts
+// beside it, and the triggers that landed during the held run get a run
+// after it. A run's calls are sequential, so the catch-up calls in flight
+// count the runs.
+func TestCatchupOneRunPerReplica(t *testing.T) {
+	const rid = 0
+	var (
+		mu                      sync.Mutex
+		caller                  string
+		active, maxActive, runs int
+	)
+	counts := func() (int, int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return active, maxActive, runs
+	}
+	release := make(chan struct{})
+	tc := newHookedTestCluster(t, 3, nil, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		return callTap{ep, func(m transport.Message) func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if name != caller || m.Kind != MsgCatchupReq || m.Cohort != rid {
+				return func() {}
+			}
+			active++
+			runs++
+			maxActive = max(maxActive, active)
+			if runs == 1 {
+				mu.Unlock()
+				<-release
+				mu.Lock()
+			}
+			return func() {
+				mu.Lock()
+				active--
+				mu.Unlock()
+			}
+		}}
+	}})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	tc.waitAllLeaders()
+	leader := tc.waitFollowing(rid)
+	if _, err := tc.client().Put(row0(1), "c", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var follower *replica
+	for _, name := range tc.layout.Cohort(rid) {
+		if name != leader {
+			follower = tc.nodes[name].getReplica(rid)
+			mu.Lock()
+			caller = name
+			mu.Unlock()
+			break
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	follower.wantCatchup()
+	waitFor("the first run", func() bool { _, _, n := counts(); return n == 1 })
+
+	follower.mu.Lock()
+	epoch, last := follower.epoch, follower.lastLSN
+	follower.mu.Unlock()
+	gapped := transport.Message{From: leader, Kind: MsgProposeBatch, Cohort: rid,
+		Payload: encodeProposeBatch(nil, proposeBatchPayload{Recs: []proposeRec{{
+			LSN: wal.MakeLSN(epoch, last.Seq()+5),
+			Raw: EncodeWriteOp(nil, WriteOp{Row: row0(2), Cols: []ColWrite{{Col: "c", Value: []byte("v")}}}),
+		}}})}
+	triggers := []func(){
+		func() { follower.onProposeBatch(gapped) },
+		func() { follower.applyCommitted(wal.MakeLSN(epoch, last.Seq()+100), false) },
+		func() {
+			follower.mu.Lock()
+			follower.leaderID = "" // the leader it followed is gone
+			follower.mu.Unlock()
+			follower.becomeFollower(leader)
+		},
+		follower.wantCatchup, // what adoptLayout does for a replica it adds
+	}
+	var wg sync.WaitGroup
+	for _, fire := range triggers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fire()
+		}()
+	}
+	wg.Wait()
+	// A second run started by a trigger would take the mark and call
+	// at once; give one the time to show before the held run ends.
+	time.Sleep(50 * time.Millisecond)
+	releaseOnce.Do(func() { close(release) })
+
+	waitFor("a run after the triggers", func() bool { _, _, n := counts(); return n >= 2 })
+	waitFor("catch-up to go idle", func() bool { return follower.catchupRun.Load() == nil })
+	if _, most, n := counts(); most != 1 {
+		t.Fatalf("%d catch-up runs at once on one replica (of %d runs), want 1", most, n)
+	}
+}
+
+// openLeaderOtherThan returns the node that holds range rid's leader znode
+// and leads it open, if that is not old; "" otherwise.
+func (tc *testCluster) openLeaderOtherThan(rid uint32, old string) string {
+	sess := tc.coord.Connect()
+	defer sess.Close()
+	data, err := sess.Get(leaderPath(rid))
+	if err != nil || string(data) == old {
+		return ""
+	}
+	if n, ok := tc.nodes[string(data)]; ok {
+		if st, ok := n.ReplicaStats(rid); ok && st.Role == RoleLeader && st.Open {
+			return string(data)
+		}
+	}
+	return ""
+}
+
+// TestElectionNotHeldByFollowerCatchup: follower c's catch-up request to
+// leader a is lost, so its call waits out the call timeout. a then becomes
+// unreachable without closing a connection (a partition, a hung host) and
+// its session expires. The cohort must elect a new leader while c's call is
+// still in flight: in a cohort of three, b cannot win without c standing.
+func TestElectionNotHeldByFollowerCatchup(t *testing.T) {
+	const rid = 0
+	var (
+		mu       sync.Mutex
+		caller   string
+		inFlight = make(chan struct{})
+		returned = make(chan struct{})
+		once     sync.Once
+	)
+	tc := newHookedTestCluster(t, 3, nil, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		return callTap{ep, func(m transport.Message) func() {
+			mu.Lock()
+			watched := name == caller && m.Kind == MsgCatchupReq && m.Cohort == rid
+			mu.Unlock()
+			first := false
+			if watched {
+				once.Do(func() { first = true; close(inFlight) })
+			}
+			return func() {
+				if first {
+					close(returned)
+				}
+			}
+		}}
+	}})
+	tc.waitAllLeaders()
+	a := tc.waitFollowing(rid)
+	var c string
+	for _, name := range tc.layout.Cohort(rid) {
+		if name != a {
+			c = name
+		}
+	}
+
+	cl := tc.client()
+	tc.net.Partition(c, a)
+	for i := 0; i < 5; i++ {
+		if _, err := cl.Put(row0(i), "c", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	caller = c
+	mu.Unlock()
+	// a's commit messages reach c again, c's requests to a do not.
+	tc.net.PartitionOneWay(c, a)
+	tc.net.Heal(c, a)
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("c never asked for catch-up")
+	}
+
+	tc.net.Isolate(a)
+	tc.nodes[a].coordSess.Expire()
+	expired := time.Now()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if l := tc.openLeaderOtherThan(rid, a); l != "" {
+			t.Logf("%s leads %v after %s's session expired", l, time.Since(expired), a)
+			break
+		}
+		select {
+		case <-returned:
+			t.Fatalf("c's lost catch-up call returned %v after %s's session expired, and no new leader yet",
+				time.Since(expired), a)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no new leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-returned:
+		t.Fatal("c's catch-up call returned, yet its request was cut")
+	default:
+	}
+}
+
+// TestRecoveringCatchupEndsWithLeader: c restarts under leader a and its
+// catch-up request is lost. a then becomes unreachable without closing a
+// connection and its session expires. A recovering replica stands only once
+// its catch-up run has ended, so the run must end when the leader znode
+// goes, not retry a until its attempts run out: c asks a nothing more after
+// the lost call, and b and c elect a new leader.
+func TestRecoveringCatchupEndsWithLeader(t *testing.T) {
+	const rid = 0
+	var (
+		mu       sync.Mutex
+		caller   string
+		target   string
+		calls    int
+		inFlight = make(chan struct{})
+		release  = make(chan struct{})
+	)
+	tc := newHookedTestCluster(t, 3, nil, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		// A lost call costs its timeout; keep that short.
+		ep.(*transport.LocalEndpoint).SetCallTimeout(200 * time.Millisecond)
+		return callTap{ep, func(m transport.Message) func() {
+			mu.Lock()
+			watched := name == caller && m.To == target && m.Kind == MsgCatchupReq && m.Cohort == rid
+			if watched {
+				calls++
+			}
+			first := watched && calls == 1
+			mu.Unlock()
+			if first {
+				// Hold the call until a's session has expired, so
+				// that it times out with no leader named.
+				close(inFlight)
+				<-release
+			}
+			return func() {}
+		}}
+	}})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	tc.waitAllLeaders()
+	a := tc.waitFollowing(rid)
+	var c string
+	for _, name := range tc.layout.Cohort(rid) {
+		if name != a {
+			c = name
+		}
+	}
+
+	tc.crashNode(c)
+	cl := tc.client()
+	for i := 0; i < 5; i++ {
+		if _, err := cl.Put(row0(i), "c", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	caller, target = c, a
+	mu.Unlock()
+	tc.net.PartitionOneWay(c, a)
+	tc.restartNode(c)
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("c never asked a for catch-up")
+	}
+
+	tc.net.Isolate(a)
+	tc.nodes[a].coordSess.Expire()
+	expired := time.Now()
+	releaseOnce.Do(func() { close(release) })
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if l := tc.openLeaderOtherThan(rid, a); l != "" {
+			t.Logf("%s leads %v after %s's session expired", l, time.Since(expired), a)
+			break
+		}
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("no new leader; c asked a for catch-up %d times", calls)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("c asked a for catch-up %d times, want 1: its run outlived a's leadership", calls)
 	}
 }

@@ -73,11 +73,21 @@ func (r *replica) electionLoop() {
 			}
 			// Block until the leader znode changes (deleted on
 			// leader death), then loop.
-			r.waitEvent(leaderWatch)
+			r.waitEvent(leaderWatch, nil)
 		case errors.Is(err, coord.ErrNoNode):
-			// No leader: run the election protocol (Fig 7). The
-			// watch from above is spent by our own candidate
-			// traffic at worst; elect() manages its own waits.
+			// No leader: run the election protocol (Fig 7). A
+			// recovering replica stands only once its catch-up run
+			// has ended (§6.1); a follower's run against the dead
+			// leader must not hold up the election. The watch from
+			// above is spent by our own candidate traffic at worst;
+			// elect() manages its own waits.
+			r.mu.Lock()
+			recovering := r.role == RoleRecovering || r.mustPull
+			r.mu.Unlock()
+			if run := r.catchupRun.Load(); recovering && run != nil {
+				r.waitEvent(nil, *run)
+				continue
+			}
 			r.runElection()
 		default:
 			return // session closed
@@ -85,11 +95,12 @@ func (r *replica) electionLoop() {
 	}
 }
 
-// waitEvent blocks on a watch channel until it fires, the node stops, or
-// the replica retires.
-func (r *replica) waitEvent(ch <-chan coord.Event) {
+// waitEvent blocks until a watch channel fires, a catch-up run ends (idle
+// closes), the node stops, or the replica retires. A nil channel never fires.
+func (r *replica) waitEvent(ch <-chan coord.Event, idle <-chan struct{}) {
 	select {
 	case <-ch:
+	case <-idle:
 	case <-r.n.stopCh:
 	case <-r.stopCh:
 	case <-r.electionNudge:
@@ -106,20 +117,12 @@ func (r *replica) becomeFollower(leader string) {
 		r.demoteLocked(leader)
 	}
 	r.leaderID = leader
-	if r.role == RoleRecovering {
-		r.mu.Unlock()
-		// Recovering nodes must complete the catch-up phase before
-		// serving (§6.1); the loop flips the role to follower.
-		r.runCatchupLoop()
-		return
-	}
+	recovering := r.role == RoleRecovering
 	r.mu.Unlock()
-	if prev != leader {
-		// New leader after a takeover: our pending writes may need
-		// resolution; catch-up is idempotent and cheap when current.
-		// Through goLoop: Stop closes the log only after this loop has
-		// made its last append.
-		r.n.goLoop(r.runCatchupLoop)
+	// A recovering replica catches up before serving (§6.1); after a
+	// takeover our pending writes may need resolution (cheap if current).
+	if recovering || prev != leader {
+		r.wantCatchup()
 	}
 }
 
@@ -136,14 +139,9 @@ func (r *replica) runElection() {
 	if mustPull {
 		// A fresh replica of a split-created range holds none of the
 		// range's data yet; standing for election could elect an empty
-		// leader and lose the moved rows. Pull from the origin first.
-		r.n.nudgeCatchup(r)
-		select {
-		case <-time.After(r.n.cfg.ElectionTimeout):
-		case <-r.n.stopCh:
-		case <-r.stopCh:
-		case <-r.electionNudge:
-		}
+		// leader and lose the moved rows. Pull from the origin first;
+		// the election loop stands only once the run has ended.
+		r.wantCatchup()
 		return
 	}
 	if abstain {

@@ -194,13 +194,9 @@ type Node struct {
 	replicas    map[uint32]*replica
 	replicaSnap []*replica
 
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	catchupMu  sync.Mutex
-	catchupSet map[uint32]bool
-	catchupCh  chan *replica
+	stopCh chan struct{}
+	loopMu sync.Mutex
+	wg     sync.WaitGroup
 
 	// adoptions counts completed layout adoptions (reconfig events).
 	adoptions metrics.Counter
@@ -258,16 +254,14 @@ func NewNode(cfg Config, stores *Stores, ep transport.Endpoint, coordSvc *coord.
 		return nil, fmt.Errorf("core: open log: %w", err)
 	}
 	n := &Node{
-		cfg:        cfg,
-		stores:     stores,
-		ep:         ep,
-		coordSess:  coordSvc.Connect(),
-		log:        log,
-		meta:       stores.Meta,
-		replicas:   make(map[uint32]*replica),
-		stopCh:     make(chan struct{}),
-		catchupSet: make(map[uint32]bool),
-		catchupCh:  make(chan *replica, 64),
+		cfg:       cfg,
+		stores:    stores,
+		ep:        ep,
+		coordSess: coordSvc.Connect(),
+		log:       log,
+		meta:      stores.Meta,
+		replicas:  make(map[uint32]*replica),
+		stopCh:    make(chan struct{}),
 	}
 	n.layout = cfg.Layout
 	for _, rangeID := range cfg.Layout.RangesOf(cfg.ID) {
@@ -453,7 +447,7 @@ func (n *Node) adoptLayout(l *cluster.Layout) bool {
 	}
 	for _, r := range added {
 		n.startReplica(r)
-		n.nudgeCatchup(r)
+		r.wantCatchup()
 	}
 	if complete {
 		n.adoptions.Inc()
@@ -519,7 +513,6 @@ func (n *Node) Start() error {
 	n.goLoop(n.commitTimer)
 	n.goLoop(n.flushLoop)
 	n.goLoop(n.heartbeatLoop)
-	n.goLoop(n.catchupWorker)
 	// layoutLoop immediately adopts the published layout if it is newer
 	// than the bootstrap one, then follows every subsequent version.
 	n.goLoop(n.layoutLoop)
@@ -534,7 +527,14 @@ func (n *Node) startReplica(r *replica) {
 	n.goLoop(r.ackLoop)
 }
 
+// goLoop runs fn on a goroutine Stop waits for, unless the node has stopped:
+// message handlers start catch-up runs, and a wg.Add must not race wg.Wait.
 func (n *Node) goLoop(fn func()) {
+	n.loopMu.Lock()
+	defer n.loopMu.Unlock()
+	if n.stopped() {
+		return
+	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -689,39 +689,6 @@ func (n *Node) heartbeatLoop() {
 	}
 }
 
-// nudgeCatchup schedules an asynchronous catch-up for a replica that
-// detected it is behind; duplicates coalesce.
-func (n *Node) nudgeCatchup(r *replica) {
-	n.catchupMu.Lock()
-	if n.catchupSet[r.rangeID] {
-		n.catchupMu.Unlock()
-		return
-	}
-	n.catchupSet[r.rangeID] = true
-	n.catchupMu.Unlock()
-	select {
-	case n.catchupCh <- r:
-	default:
-		n.catchupMu.Lock()
-		delete(n.catchupSet, r.rangeID)
-		n.catchupMu.Unlock()
-	}
-}
-
-func (n *Node) catchupWorker() {
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case r := <-n.catchupCh:
-			r.runCatchupLoop()
-			n.catchupMu.Lock()
-			delete(n.catchupSet, r.rangeID)
-			n.catchupMu.Unlock()
-		}
-	}
-}
-
 // readEpochZnode returns the range's epoch as stored in the coordination
 // service (0 if unreadable). Candidates stamp their registrations with it
 // to scope election rounds.
@@ -773,6 +740,15 @@ func (n *Node) call(to string, m transport.Message) (transport.Message, error) {
 
 func (n *Node) reply(req transport.Message, m transport.Message) {
 	_ = n.ep.Reply(req, m)
+}
+
+// halt closes stopCh once, under loopMu (see goLoop).
+func (n *Node) halt() {
+	n.loopMu.Lock()
+	defer n.loopMu.Unlock()
+	if !n.stopped() {
+		close(n.stopCh)
+	}
 }
 
 func (n *Node) stopped() bool {
@@ -830,7 +806,7 @@ func (n *Node) LogTruncated(cohort uint32) wal.LSN { return n.log.Truncated(coho
 // Stop shuts the node down gracefully: loops stop, the session closes
 // (deleting its ephemerals), and the log is forced and closed.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() { close(n.stopCh) })
+	n.halt()
 	n.ep.Close()
 	n.coordSess.Close()
 	n.wg.Wait()
@@ -843,7 +819,7 @@ func (n *Node) Stop() {
 // is simply abandoned with the Node object; the unforced log tail is
 // discarded by Stores.Crash, which the simulation harness invokes next.
 func (n *Node) Crash() {
-	n.stopOnce.Do(func() { close(n.stopCh) })
+	n.halt()
 	n.ep.Close()
 	n.coordSess.Expire()
 	n.wg.Wait()

@@ -744,52 +744,60 @@ func (r *replica) demoteLocked(newLeader string) {
 	}
 }
 
-// runCatchupLoop retries catch-up until it succeeds; used when a follower
-// detects it is behind (gap in proposes, commit message beyond its log, or
-// restart with an existing leader).
+// wantCatchup is catch-up's one trigger (§6.1). It marks catch-up wanted and
+// starts a catch-up run unless one is going, so triggers coalesce per
+// replica and one range's lost call holds up no other range.
+func (r *replica) wantCatchup() {
+	r.catchupWanted.Store(true)
+	if r.catchupRun.Load() != nil {
+		return
+	}
+	done := make(chan struct{})
+	if r.catchupRun.CompareAndSwap(nil, &done) {
+		r.n.goLoop(func() { r.driveCatchup(done) })
+	}
+}
+
+// driveCatchup runs catch-up while it is wanted. It looks at the mark again
+// once idle, so a trigger that saw it running is not lost; closing done
+// tells the election loop it is idle.
+func (r *replica) driveCatchup(done chan struct{}) {
+	for r.catchupWanted.Swap(false) {
+		r.runCatchupLoop()
+	}
+	r.catchupRun.Store(nil)
+	close(done)
+	if r.catchupWanted.Load() {
+		r.wantCatchup()
+	}
+}
+
+// runCatchupLoop is one catch-up run: it retries catch-up until it
+// succeeds, this replica leads, or the attempts run out.
 func (r *replica) runCatchupLoop() {
-	for attempt := 0; ; attempt++ {
-		if r.exiting() {
-			return
-		}
+	for attempt := 0; !r.exiting(); attempt++ {
 		r.mu.Lock()
-		leader := r.leaderID
 		role := r.role
 		mustPull := r.mustPull
 		r.mu.Unlock()
 		if role == RoleLeader {
 			return
 		}
+		var err error
 		if mustPull {
 			// Split-created and still empty: seed from the origin
 			// cohort (or the range's own leader once one exists). The
-			// election gate re-nudges this loop until a pull succeeds,
+			// election gate re-triggers this loop until a pull succeeds,
 			// so bounded attempts here never strand the replica.
-			if err := r.splitPull(); err == nil {
-				r.mu.Lock()
-				if r.role == RoleRecovering {
-					r.role = RoleFollower
-				}
-				r.mu.Unlock()
-				r.n.markCurrent(r.rangeID)
-				return
-			}
-			if attempt > 10 {
-				return
-			}
-			time.Sleep(r.n.cfg.RetryInterval)
-			continue
+			err = r.splitPull()
+		} else if leader := r.n.readLeader(r.rangeID); leader == "" || leader == r.n.cfg.ID {
+			// No leader: the election loop owns recovery now. Each
+			// attempt asks the znode, so a leader gone without closing
+			// (partitioned, hung) ends the run once its znode goes.
+			return
+		} else {
+			err = r.catchUp(leader)
 		}
-		if leader == "" || leader == r.n.cfg.ID {
-			leader = r.n.readLeader(r.rangeID)
-			if leader == "" || leader == r.n.cfg.ID {
-				return // no leader: the election loop owns recovery now
-			}
-			r.mu.Lock()
-			r.leaderID = leader
-			r.mu.Unlock()
-		}
-		err := r.catchUp(leader)
 		if err == nil {
 			r.mu.Lock()
 			if r.role == RoleRecovering {
@@ -799,17 +807,12 @@ func (r *replica) runCatchupLoop() {
 			r.n.markCurrent(r.rangeID)
 			return
 		}
-		if errors.Is(err, ErrNotLeader) {
-			r.mu.Lock()
-			r.leaderID = ""
-			r.mu.Unlock()
-		}
-		if attempt > 50 || errors.Is(err, transport.ErrPeerClosed) {
-			// A closed peer will not answer the next fifty attempts
-			// either, and while this loop spins a recovering replica's
-			// election loop (which called it) is not standing for the
-			// election that replaces the dead leader. The leader znode's
-			// watch re-enters catch-up against the successor.
+		// A closed peer will not answer the next fifty attempts either,
+		// and while this loop spins a recovering replica's election loop
+		// does not stand for the election that replaces the dead leader.
+		// The leader znode's watch re-enters catch-up against the
+		// successor.
+		if mustPull && attempt > 10 || !mustPull && (attempt > 50 || errors.Is(err, transport.ErrPeerClosed)) {
 			return
 		}
 		time.Sleep(r.n.cfg.RetryInterval)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spinnaker/internal/cluster"
@@ -79,6 +80,7 @@ type replica struct {
 	nextSeq       uint64
 	lastLSN       wal.LSN // f.lst / l.lst
 	lastCommitted wal.LSN // f.cmt / l.cmt
+	loggedCommit  wal.LSN // leader: the commit point its last RecLastCommitted carried
 	leaderID      string
 	skipped       *wal.SkippedLSNs
 
@@ -141,6 +143,10 @@ type replica struct {
 
 	// election bookkeeping
 	electionNudge chan struct{}
+
+	// Catch-up (wantCatchup): wanted, and the running run's done channel.
+	catchupWanted atomic.Bool
+	catchupRun    atomic.Pointer[chan struct{}]
 
 	// m is the replica's hot-path instrumentation (see metrics.go);
 	// commitAdvanced (guarded by mu) is when lastCommitted last moved,
@@ -841,7 +847,7 @@ func (r *replica) onProposeBatch(m transport.Message) {
 	if gap {
 		// We missed proposes (e.g. across a healed partition); ask the
 		// leader for the committed writes in between.
-		r.n.nudgeCatchup(r)
+		r.wantCatchup()
 	}
 }
 
@@ -1034,18 +1040,13 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 	}
 	behind := false
 	if !viaCatchup {
-		if r.role == RoleRecovering || r.gapped {
-			r.mu.Unlock()
-			r.n.nudgeCatchup(r)
-			return
-		}
 		if lsn > r.lastLSN {
 			behind = true
 			lsn = r.lastLSN // commit only what we provably hold
 		}
-		if lsn <= r.lastCommitted {
+		if r.role == RoleRecovering || r.gapped || lsn <= r.lastCommitted {
 			r.mu.Unlock()
-			r.n.nudgeCatchup(r)
+			r.wantCatchup()
 			return
 		}
 	}
@@ -1069,13 +1070,14 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 	}
 	if behind {
 		// The leader has committed writes we never saw.
-		r.n.nudgeCatchup(r)
+		r.wantCatchup()
 	}
 }
 
 // sendCommitMessages is invoked by the node's commit timer on leader
 // replicas: followers are told to apply everything up to the last committed
-// LSN, and the leader records the same LSN locally, non-forced (§5). The
+// LSN, and the leader records the same LSN locally, non-forced (§5), if it
+// moved since its last record. The
 // same tick retransmits proposes that have gone unacknowledged for more
 // than two commit periods — TCP's retransmission made explicit, needed for
 // liveness when a propose is lost across a broken connection.
@@ -1088,12 +1090,16 @@ func (r *replica) sendCommitMessages() {
 	lsn := r.lastCommitted
 	gc := r.gcWatermarkLocked()
 	peers := r.peers
+	moved := lsn > r.loggedCommit
+	r.loggedCommit = lsn
 	r.mu.Unlock()
 	if !lsn.IsZero() {
 		payload := encodeCommitMsg(lsn, gc)
 		for _, peer := range peers {
 			r.n.send(peer, transport.Message{Kind: MsgCommit, Cohort: r.rangeID, Payload: payload})
 		}
+	}
+	if moved {
 		_, _ = r.n.log.Append(wal.Record{Cohort: r.rangeID, Type: wal.RecLastCommitted, LSN: lsn})
 	}
 

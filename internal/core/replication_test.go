@@ -806,3 +806,61 @@ func TestProposeBlocksKeepEveryValue(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleLeaderAppendsNothing: once a leader has recorded its commit point,
+// it appends nothing to its log while the commit point stays put. The
+// window is K commit periods, counted in the commit messages every leader
+// sends each period, not in wall-clock time.
+func TestIdleLeaderAppendsNothing(t *testing.T) {
+	var commitMsgs sync.Map // node → *atomic.Int64, MsgCommit sent
+	tc := newHookedTestCluster(t, 3, nil, testHooks{endpoint: func(name string, ep transport.Endpoint) transport.Endpoint {
+		sent := new(atomic.Int64)
+		commitMsgs.Store(name, sent)
+		return proposeTap{ep, func(m transport.Message) {
+			if m.Kind == MsgCommit {
+				sent.Add(1)
+			}
+		}}
+	}})
+	tc.waitAllLeaders()
+	c := tc.client()
+	leaders := make(map[string]int64) // leader → ranges it leads
+	for r := uint32(0); r < uint32(tc.layout.NumRanges()); r++ {
+		leaders[tc.waitFollowing(r)]++
+		if _, err := c.Put(rowInRange(tc.layout, r), "c", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	periods := func(k int64) {
+		t.Helper()
+		start := make(map[string]int64)
+		for name := range leaders {
+			v, _ := commitMsgs.Load(name)
+			start[name] = v.(*atomic.Int64).Load()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for name, led := range leaders {
+			v, _ := commitMsgs.Load(name)
+			// A period is one message to each of two peers per range led.
+			for v.(*atomic.Int64).Load() < start[name]+2*k*led {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s sent no commit messages", name)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	periods(3) // every leader records the commit point of the put
+
+	const k = 20
+	before := make(map[string]int64)
+	for name := range leaders {
+		before[name], _ = tc.nodes[name].log.Stats()
+	}
+	periods(k)
+	for name := range leaders {
+		if after, _ := tc.nodes[name].log.Stats(); after != before[name] {
+			t.Errorf("idle leader %s appended %d records in %d commit periods, want 0", name, after-before[name], k)
+		}
+	}
+}

@@ -159,7 +159,8 @@ func TestTableGetAllocs(t *testing.T) {
 
 // TestOpenAllocs: Open keeps only the keys of the entries it walks (the
 // sparse index and the last index block), so it allocates the table, the
-// index slice and two strings per key, and copies no value.
+// index slice and one string every key is a substring of, and copies no
+// value.
 func TestOpenAllocs(t *testing.T) {
 	const n, valueSize = 10*indexEvery + 5, 4096
 	var entries []kv.Entry
@@ -171,7 +172,6 @@ func TestOpenAllocs(t *testing.T) {
 		b.Add(e)
 	}
 	blob := b.Finish()
-	indexLen := (n + indexEvery - 1) / indexEvery
 	var (
 		tbl *Table
 		err error
@@ -180,8 +180,8 @@ func TestOpenAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := float64(2 + 2*(indexLen+1)); allocs > want {
-		t.Errorf("Open: %v allocs, want ≤ %v (table, index, a row and a column per index entry and for the max key)", allocs, want)
+	if allocs > 3 {
+		t.Errorf("Open: %v allocs, want ≤ 3 (table, index, one string of keys)", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -192,7 +192,7 @@ func TestOpenAllocs(t *testing.T) {
 	if perOpen := (after.TotalAlloc - before.TotalAlloc) / 10; perOpen >= valueSize {
 		t.Errorf("Open allocates %d bytes, at least one %d-byte value", perOpen, valueSize)
 	}
-	if tbl.minKey != entries[0].Key || tbl.maxKey != entries[n-1].Key {
-		t.Errorf("key range = %v, %v; want %v, %v", tbl.minKey, tbl.maxKey, entries[0].Key, entries[n-1].Key)
+	if tbl.index[0].key != entries[0].Key || tbl.maxKey != entries[n-1].Key {
+		t.Errorf("key range = %v, %v; want %v, %v", tbl.index[0].key, tbl.maxKey, entries[0].Key, entries[n-1].Key)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"spinnaker/internal/kv"
 	"spinnaker/internal/wal"
@@ -39,8 +40,7 @@ type Table struct {
 	count  int
 	minLSN wal.LSN
 	maxLSN wal.LSN
-	minKey kv.Key
-	maxKey kv.Key
+	maxKey kv.Key // the min key is index[0].key
 }
 
 type indexEnt struct {
@@ -207,10 +207,12 @@ func Open(id uint64, blob []byte) (*Table, error) {
 	t.data = blob[:indexOff]
 	// Index entries and the last block are walked in place: only their keys
 	// are kept, so their values are never copied. ViewEntry fails exactly
-	// where DecodeEntry would, which keeps every malformed-blob check.
+	// where DecodeEntry would, which keeps every malformed-blob check. The
+	// keys are then copied into one string, sized by the first walk.
 	t.index = make([]indexEnt, indexLen)
-	for i := uint64(0); i < indexLen; i++ {
-		off := binary.LittleEndian.Uint32(blob[indexOff+i*4:])
+	keyBytes := 0
+	for i := range t.index {
+		off := binary.LittleEndian.Uint32(blob[indexOff+uint64(i)*4:])
 		if int(off) > len(t.data) {
 			return nil, fmt.Errorf("%w: index entry out of bounds", ErrMalformed)
 		}
@@ -218,31 +220,44 @@ func Open(id uint64, blob []byte) (*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: index entry %d truncated", ErrMalformed, i)
 		}
-		t.index[i] = indexEnt{key: viewKey(v), off: off}
+		row, col := v.Key()
+		t.index[i].off = off
+		keyBytes += len(row) + len(col)
 	}
-	if len(t.index) > 0 {
-		// Key-range tags: the first entry is the min key; the max key is
-		// within the last index block (≤ indexEvery entries from its
-		// start).
-		t.minKey = t.index[0].key
-		var last kv.EntryView
-		for off := int(t.index[len(t.index)-1].off); off < len(t.data); {
-			v, n, ok := kv.ViewEntry(t.data[off:])
-			if !ok {
-				return nil, fmt.Errorf("%w: entry at offset %d truncated", ErrMalformed, off)
-			}
-			last = v
-			off += n
+	if len(t.index) == 0 {
+		return t, nil
+	}
+	// Key-range tag: the max key is within the last index block (≤
+	// indexEvery entries from its start).
+	var last kv.EntryView
+	for off := int(t.index[len(t.index)-1].off); off < len(t.data); {
+		v, n, ok := kv.ViewEntry(t.data[off:])
+		if !ok {
+			return nil, fmt.Errorf("%w: entry at offset %d truncated", ErrMalformed, off)
 		}
-		t.maxKey = viewKey(last)
+		last = v
+		off += n
 	}
+	row, col := last.Key()
+	var keys strings.Builder
+	keys.Grow(keyBytes + len(row) + len(col))
+	for i := range t.index {
+		v, _, _ := kv.ViewEntry(t.data[t.index[i].off:])
+		t.index[i].key = appendKey(&keys, v)
+	}
+	t.maxKey = appendKey(&keys, last)
 	return t, nil
 }
 
-// viewKey copies a located entry's key out of the blob.
-func viewKey(v kv.EntryView) kv.Key {
+// appendKey writes a located entry's key to keys and returns it as
+// substrings of keys' string, whose written bytes never change.
+func appendKey(keys *strings.Builder, v kv.EntryView) kv.Key {
 	row, col := v.Key()
-	return kv.Key{Row: string(row), Col: string(col)}
+	start := keys.Len()
+	keys.Write(row)
+	keys.Write(col)
+	s := keys.String()
+	return kv.Key{Row: s[start : start+len(row)], Col: s[start+len(row):]}
 }
 
 // ID returns the table's identifier.
@@ -271,7 +286,7 @@ func (t *Table) Blob() []byte { return t.blob }
 //
 //spinnaker:hotpath
 func (t *Table) MayContain(key kv.Key) bool {
-	if len(t.index) == 0 || key.Less(t.minKey) || t.maxKey.Less(key) {
+	if len(t.index) == 0 || key.Less(t.index[0].key) || t.maxKey.Less(key) {
 		return false
 	}
 	return bloomMayContain(t.bloom, key.Row, key.Col)
@@ -280,7 +295,7 @@ func (t *Table) MayContain(key kv.Key) bool {
 // SpansRow reports whether the table's key range intersects row (the bloom
 // filter is per cell key, so row scans prune on the range tags only).
 func (t *Table) SpansRow(row string) bool {
-	return len(t.index) > 0 && t.minKey.Row <= row && row <= t.maxKey.Row
+	return len(t.index) > 0 && t.index[0].key.Row <= row && row <= t.maxKey.Row
 }
 
 // Get returns the cell stored for key. It compares key against the encoded

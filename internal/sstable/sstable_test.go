@@ -318,8 +318,8 @@ func TestTableKeyRangeAndMayContain(t *testing.T) {
 		entry("d", "2", "v", 2),
 		entry("f", "1", "v", 3),
 	)
-	if tbl.minKey.Row != "b" || tbl.maxKey.Row != "f" {
-		t.Fatalf("key range = %v..%v", tbl.minKey, tbl.maxKey)
+	if tbl.index[0].key.Row != "b" || tbl.maxKey.Row != "f" {
+		t.Fatalf("key range = %v..%v", tbl.index[0].key, tbl.maxKey)
 	}
 	// Out-of-range keys are rejected without touching the bloom filter.
 	if tbl.MayContain(kv.Key{Row: "a", Col: "9"}) {
