@@ -16,12 +16,12 @@ func CodecBenchmarks() map[string]func(b *testing.B) {
 	raw := EncodeWriteOp(nil, WriteOp{Row: "user:0042134077", Cols: []ColWrite{{
 		Col: "c", Value: bytes.Repeat([]byte("v"), 256),
 	}}})
-	batch := func(n int) proposeBatchPayload {
-		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(3, 100)}
+	batch := func(n int) []proposeRec {
+		var recs []proposeRec
 		for i := 0; i < n; i++ {
-			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(3, uint64(101+i)), Raw: raw})
+			recs = append(recs, proposeRec{LSN: wal.MakeLSN(3, uint64(101+i)), Raw: raw})
 		}
-		return p
+		return recs
 	}
 	// The round trips use the write path's destinations: the drain loop's
 	// propose chunk, a replica's pending chunk, a pending write's reply.

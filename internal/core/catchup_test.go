@@ -444,10 +444,10 @@ func TestCatchupOneRunPerReplica(t *testing.T) {
 	epoch, last := follower.epoch, follower.lastLSN
 	follower.mu.Unlock()
 	gapped := transport.Message{From: leader, Kind: MsgProposeBatch, Cohort: rid,
-		Payload: encodeProposeBatch(nil, proposeBatchPayload{Recs: []proposeRec{{
+		Payload: encodeProposeBatch(nil, []proposeRec{{
 			LSN: wal.MakeLSN(epoch, last.Seq()+5),
 			Raw: EncodeWriteOp(nil, WriteOp{Row: row0(2), Cols: []ColWrite{{Col: "c", Value: []byte("v")}}}),
-		}}})}
+		}})}
 	triggers := []func(){
 		func() { follower.onProposeBatch(gapped) },
 		func() { follower.applyCommitted(wal.MakeLSN(epoch, last.Seq()+100), false) },

@@ -283,8 +283,7 @@ func (q *commitQueue) resetAcks() {
 
 // popThrough removes, in LSN order, all pending writes with LSN ≤ through
 // and returns out with them appended. Followers use it when a commit message
-// (or piggybacked commit LSN) arrives: "apply all pending writes up to a
-// certain LSN" (§5).
+// arrives: "apply all pending writes up to a certain LSN" (§5).
 //
 //spinnaker:hotpath
 func (q *commitQueue) popThrough(through wal.LSN, out []*pendingWrite) []*pendingWrite {

@@ -51,7 +51,7 @@ func (r *replica) electionLoop() {
 				// We hold the leader znode (re-found after a
 				// watch fired for an unrelated reason).
 				r.mu.Lock()
-				isLeader := r.role == RoleLeader
+				isLeader := r.isLeaderLocked()
 				r.mu.Unlock()
 				if !isLeader {
 					// The znode carries our id but we are not
@@ -76,15 +76,18 @@ func (r *replica) electionLoop() {
 			r.waitEvent(leaderWatch, nil)
 		case errors.Is(err, coord.ErrNoNode):
 			// No leader: run the election protocol (Fig 7). A
-			// recovering replica stands only once its catch-up run
-			// has ended (§6.1); a follower's run against the dead
-			// leader must not hold up the election. The watch from
-			// above is spent by our own candidate traffic at worst;
-			// elect() manages its own waits.
+			// recovering replica (restarted, demoted, or moved to a
+			// new leader it has not synced with) stands only once its
+			// catch-up run has ended (§6.1); each attempt of the run
+			// reads the leader znode, so the run ends once it is gone.
+			// A follower's run against the dead leader must not hold
+			// up the election. The watch from above is spent by our
+			// own candidate traffic at worst; elect() manages its own
+			// waits.
 			r.mu.Lock()
-			recovering := r.role == RoleRecovering || r.mustPull
+			awaits := r.awaitsSyncLocked()
 			r.mu.Unlock()
-			if run := r.catchupRun.Load(); recovering && run != nil {
+			if run := r.catchupRun.Load(); awaits && run != nil {
 				r.waitEvent(nil, *run)
 				continue
 			}
@@ -107,21 +110,13 @@ func (r *replica) waitEvent(ch <-chan coord.Event, idle <-chan struct{}) {
 	}
 }
 
-// becomeFollower records the leadership and, if this replica is behind,
-// starts catch-up.
+// becomeFollower records the leadership and, if this replica has not synced
+// with the leader's term, starts catch-up (§6.1).
 func (r *replica) becomeFollower(leader string) {
 	r.mu.Lock()
-	wasLeader := r.role == RoleLeader
-	prev := r.leaderID
-	if wasLeader && leader != r.n.cfg.ID {
-		r.demoteLocked(leader)
-	}
-	r.leaderID = leader
-	recovering := r.role == RoleRecovering
+	behind := r.followLocked(leader)
 	r.mu.Unlock()
-	// A recovering replica catches up before serving (§6.1); after a
-	// takeover our pending writes may need resolution (cheap if current).
-	if recovering || prev != leader {
+	if behind {
 		r.wantCatchup()
 	}
 }
@@ -132,11 +127,11 @@ func (r *replica) runElection() {
 	sess := r.n.coordSess
 
 	r.mu.Lock()
-	mustPull := r.mustPull
-	abstain := r.abstain
-	r.abstain = false
+	r.demoteLocked("") // a leader whose znode is gone cannot lead on
+	seeding := r.seedingLocked()
+	abstain := r.takeAbstainLocked()
 	r.mu.Unlock()
-	if mustPull {
+	if seeding {
 		// A fresh replica of a split-created range holds none of the
 		// range's data yet; standing for election could elect an empty
 		// leader and lose the moved rows. Pull from the origin first;
@@ -167,9 +162,12 @@ func (r *replica) runElection() {
 	}
 
 	r.mu.Lock()
-	r.role = RoleCandidate
+	standing := r.standLocked()
 	nLst := r.lastLSN
 	r.mu.Unlock()
+	if !standing {
+		return
+	}
 
 	// Lines 3-4: announce our candidacy in a sequential ephemeral znode
 	// carrying our last LSN, stamped with the epoch we observe. The stamp
@@ -190,6 +188,20 @@ func (r *replica) runElection() {
 	myName := myPath[strings.LastIndex(myPath, "/")+1:]
 
 	for !r.exiting() {
+		// A candidate that has meanwhile learned the leader (its takeover
+		// sync reached us) leaves the election to the election loop, and
+		// one that finds a leader elected without it (line 11; its round
+		// may never reach a quorum) follows that leader.
+		r.mu.Lock()
+		campaigning := r.campaigningLocked()
+		r.mu.Unlock()
+		if !campaigning {
+			return
+		}
+		if data, err := sess.Get(leaderPath(r.rangeID)); err == nil && string(data) != r.n.cfg.ID {
+			r.becomeFollower(string(data))
+			return
+		}
 		// Line 5: set a watch and wait for a majority of current-round
 		// candidacies.
 		watch, err := sess.WatchChildren(candidatesPath(r.rangeID))
@@ -358,9 +370,11 @@ func (r *replica) takeover() bool {
 	}
 
 	r.mu.Lock()
-	r.role = RoleLeader
-	r.open = false
-	r.leaderID = r.n.cfg.ID
+	if !r.claimLocked() {
+		// No longer a candidate: we learned a leader or retired meanwhile.
+		r.mu.Unlock()
+		return false
+	}
 	r.dropProposalsLocked() // a new term starts with no batch outstanding
 	lCmt := r.lastCommitted
 	lLst = r.lastLSN
@@ -390,7 +404,7 @@ func (r *replica) takeover() bool {
 	}
 	if caughtUp == 0 {
 		r.mu.Lock()
-		r.role = RoleCandidate
+		r.takeoverFailedLocked()
 		r.mu.Unlock()
 		return false
 	}
@@ -439,7 +453,7 @@ func (r *replica) takeover() bool {
 		}
 		if stop {
 			r.mu.Lock()
-			r.role = RoleCandidate
+			r.takeoverFailedLocked()
 			r.mu.Unlock()
 			return false
 		}
@@ -448,11 +462,9 @@ func (r *replica) takeover() bool {
 	// Line 10: open the cohort for writes, with LSNs above anything
 	// previously used (epoch bump + continuing sequence numbers, App. B).
 	r.mu.Lock()
-	if r.role != RoleLeader || r.retired {
-		// Demoted mid-takeover: a rival's late takeover sync (it lost
-		// the znode race after sending) or a layout change that retired
-		// us. Opening now would leave a non-leader serving strong
-		// reads; fail instead, release the claim, and re-elect.
+	if !r.openLocked() {
+		// Demoted or retired mid-takeover (see openLocked): fail
+		// instead, release the claim, and re-elect.
 		r.mu.Unlock()
 		return false
 	}
@@ -460,7 +472,6 @@ func (r *replica) takeover() bool {
 	if s := r.lastLSN.Seq(); s >= r.nextSeq {
 		r.nextSeq = s + 1
 	}
-	r.open = true
 	r.mu.Unlock()
 	// An open leader is by definition caught up; publish the marker the
 	// reconfiguration executor waits on.

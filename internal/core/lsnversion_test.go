@@ -191,8 +191,8 @@ func TestLeaderLogsAndProposesClientBytes(t *testing.T) {
 			}
 			mu.Lock()
 			if m.Cohort == rangeID {
-				for i := range b.Writes {
-					proposed[b.Writes[i].lsn] = append([]byte(nil), b.Writes[i].raw...)
+				for i := range b {
+					proposed[b[i].lsn] = append([]byte(nil), b[i].raw...)
 				}
 			}
 			mu.Unlock()

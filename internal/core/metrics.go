@@ -119,7 +119,7 @@ func (r *replica) metricsSnapshot() RangeMetrics {
 	r.mu.Lock()
 	m := RangeMetrics{
 		Range:            r.rangeID,
-		Role:             r.role.String(),
+		Role:             r.roleLocked().String(),
 		Leader:           r.leaderID,
 		Epoch:            r.epoch,
 		Low:              r.low,

@@ -121,11 +121,6 @@ type Config struct {
 	// evaluates 1–15s (Table 1); the in-process default is 25ms, playing
 	// the role of the paper's 1s at the harness's reduced time scale.
 	CommitPeriod time.Duration
-	// PiggybackCommits carries the commit LSN on propose messages
-	// (App. D.1: "the commit period can be made substantially smaller
-	// without much overhead by piggy-backing the commit message on
-	// propose messages").
-	PiggybackCommits bool
 	// WriteTimeout bounds how long a client write waits for quorum.
 	WriteTimeout time.Duration
 	// ElectionTimeout is the retry interval while waiting for election
@@ -408,14 +403,13 @@ func (n *Node) adoptLayout(l *cluster.Layout) bool {
 			complete = false
 			continue
 		}
-		r.role = RoleRecovering
-		if r.hasOrigin {
-			// A split-created range: its data lives with the origin
-			// range's cohort. Do not stand for election (an empty
-			// candidate could win an empty leadership and the moved
-			// rows would be lost) until the first pull succeeds.
-			r.mustPull = true
-		}
+		// A split-created range: its data lives with the origin range's
+		// cohort. Do not stand for election (an empty candidate could win
+		// an empty leadership and the moved rows would be lost) until the
+		// first pull succeeds.
+		r.mu.Lock()
+		r.recoverLocked(r.hasOrigin)
+		r.mu.Unlock()
 		built[id] = r
 	}
 

@@ -457,18 +457,11 @@ const (
 	minProposeRecEncodedSize = 8 + 2 + 2
 )
 
-// proposeBatchPayload is the body of MsgProposeBatch as the leader encodes
-// it: the commit piggyback (App. D.1: the follower may apply everything at or
-// below CommittedThrough) followed by the batch's records in ascending LSN
-// order. In steady state the records are the contiguous run of writes the
-// leader sequenced since the previous batch; retransmissions may carry
-// non-contiguous records, so every record carries its full LSN.
-type proposeBatchPayload struct {
-	CommittedThrough wal.LSN
-	Recs             []proposeRec
-}
-
-// encodeProposeBatch encodes p into bytes taken from c. The drain loop
+// encodeProposeBatch encodes the body of MsgProposeBatch, the batch's records
+// in ascending LSN order, into bytes taken from c. In steady state the
+// records are the contiguous run of writes the leader sequenced since the
+// previous batch; retransmissions may carry non-contiguous records, so every
+// record carries its full LSN. The drain loop
 // passes its propose chunk: the transport holds a payload asynchronously
 // (one send per peer, and the in-process transport hands the same slice to
 // every receiver, whose pending writes and memtables alias it), which is
@@ -476,32 +469,24 @@ type proposeBatchPayload struct {
 // nil and get an exact allocation.
 //
 //spinnaker:hotpath
-func encodeProposeBatch(c *chunk[byte], p proposeBatchPayload) []byte {
-	size := 12
-	for i := range p.Recs {
-		size += 8 + len(p.Recs[i].Raw)
+func encodeProposeBatch(c *chunk[byte], recs []proposeRec) []byte {
+	size := 4
+	for i := range recs {
+		size += 8 + len(recs[i].Raw)
 	}
 	buf := c.take(size)
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(p.CommittedThrough))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(p.Recs)))
-	off := 12
-	for i := range p.Recs {
-		rec := &p.Recs[i]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(recs)))
+	off := 4
+	for i := range recs {
+		rec := &recs[i]
 		binary.LittleEndian.PutUint64(buf[off:], uint64(rec.LSN))
 		off += 8 + copy(buf[off+8:], rec.Raw)
 	}
 	return buf
 }
 
-// proposeBatch is a decoded MsgProposeBatch: the commit piggyback and the
-// batch's writes, each decoded in place into the pending write that the
-// follower's commit queue holds it in.
-type proposeBatch struct {
-	CommittedThrough wal.LSN
-	Writes           []pendingWrite
-}
-
-// decodeProposeBatch parses a batched propose into pending writes taken
+// decodeProposeBatch parses a batched propose (MsgProposeBatch) into the
+// pending writes the follower's commit queue holds its writes in, taken
 // together from c (the replica's pending chunk; nil allocates them), with no
 // other allocation for a batch of single-column writes. Each write's row,
 // column names and values alias the payload, and its raw slices the
@@ -511,38 +496,37 @@ type proposeBatch struct {
 //
 //spinnaker:aliases
 //spinnaker:hotpath
-func decodeProposeBatch(b []byte, c *chunk[pendingWrite]) (proposeBatch, error) {
-	var p proposeBatch
-	if len(b) < 12 {
-		return p, errProposeBatchTruncated
+func decodeProposeBatch(b []byte, c *chunk[pendingWrite]) ([]pendingWrite, error) {
+	if len(b) < 4 {
+		return nil, errProposeBatchTruncated
 	}
-	p.CommittedThrough = wal.LSN(binary.LittleEndian.Uint64(b[0:8]))
-	count := int(binary.LittleEndian.Uint32(b[8:12]))
-	off := 12
+	count := int(binary.LittleEndian.Uint32(b[0:4]))
+	off := 4
 	// A record is at least its LSN plus an empty WriteOp; validate the
 	// count against the payload before allocating (a forged count must not
 	// drive a huge make — the decodeManifest hardening, applied here).
 	if count > (len(b)-off)/minProposeRecEncodedSize {
-		return p, errProposeBatchCount
+		return nil, errProposeBatchCount
 	}
+	var ws []pendingWrite
 	if count > 0 {
-		p.Writes = c.take(count)
+		ws = c.take(count)
 	}
-	for i := range p.Writes {
-		w := &p.Writes[i]
+	for i := range ws {
+		w := &ws[i]
 		if len(b)-off < 8 {
-			return proposeBatch{}, errProposeBatchTruncated
+			return nil, errProposeBatchTruncated
 		}
 		w.lsn = wal.LSN(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 		n, err := decodeWriteOp(b[off:], &w.op, w.cols[:], true)
 		if err != nil {
-			return proposeBatch{}, err
+			return nil, err
 		}
 		w.raw = b[off : off+n : off+n]
 		off += n
 	}
-	return p, nil
+	return ws, nil
 }
 
 // decodeWrite parses a client's MsgWrite payload in place into a pending

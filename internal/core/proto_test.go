@@ -112,7 +112,7 @@ func TestWriteOpRefusesUnknownFlags(t *testing.T) {
 		if _, err := decodeWrite(forged, nil); !errors.Is(err, errWriteOpFlags) {
 			t.Errorf("flag bit %d: decodeWrite err = %v, want errWriteOpFlags", bit, err)
 		}
-		batch := encodeProposeBatch(nil, proposeBatchPayload{Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: forged}}})
+		batch := encodeProposeBatch(nil, []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: forged}})
 		if _, err := decodeProposeBatch(batch, nil); !errors.Is(err, errWriteOpFlags) {
 			t.Errorf("flag bit %d: decodeProposeBatch err = %v, want errWriteOpFlags", bit, err)
 		}
@@ -318,46 +318,43 @@ func TestRoleString(t *testing.T) {
 }
 
 func TestProposeBatchRoundTrip(t *testing.T) {
-	p := proposeBatchPayload{
-		CommittedThrough: wal.MakeLSN(1, 40),
-		Recs: []proposeRec{
-			{LSN: wal.MakeLSN(1, 41), Raw: EncodeWriteOp(nil, WriteOp{Row: "a", Cols: []ColWrite{{Col: "c", Value: []byte("x")}}})},
-			{LSN: wal.MakeLSN(1, 42), Raw: EncodeWriteOp(nil, WriteOp{Row: "b", Cols: []ColWrite{{Col: "d", Delete: true}}})},
-		},
+	recs := []proposeRec{
+		{LSN: wal.MakeLSN(1, 41), Raw: EncodeWriteOp(nil, WriteOp{Row: "a", Cols: []ColWrite{{Col: "c", Value: []byte("x")}}})},
+		{LSN: wal.MakeLSN(1, 42), Raw: EncodeWriteOp(nil, WriteOp{Row: "b", Cols: []ColWrite{{Col: "d", Delete: true}}})},
 	}
-	got, err := decodeProposeBatch(encodeProposeBatch(nil, p), nil)
+	got, err := decodeProposeBatch(encodeProposeBatch(nil, recs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CommittedThrough != p.CommittedThrough || len(got.Writes) != 2 {
+	if len(got) != 2 {
 		t.Fatalf("decoded %+v", got)
 	}
-	w0, w1 := &got.Writes[0], &got.Writes[1]
-	if w0.lsn != p.Recs[0].LSN || w0.op.Row != "a" ||
+	w0, w1 := &got[0], &got[1]
+	if w0.lsn != recs[0].LSN || w0.op.Row != "a" ||
 		!bytes.Equal(w0.op.Cols[0].Value, []byte("x")) {
 		t.Errorf("rec 0 = %+v", w0)
 	}
-	if w1.lsn != p.Recs[1].LSN || !w1.op.Cols[0].Delete {
+	if w1.lsn != recs[1].LSN || !w1.op.Cols[0].Delete {
 		t.Errorf("rec 1 = %+v", w1)
 	}
 	// Each write's raw is the leader's record bytes, what the follower logs.
-	for i := range got.Writes {
-		if w := &got.Writes[i]; !bytes.Equal(w.raw, p.Recs[i].Raw) {
+	for i := range got {
+		if w := &got[i]; !bytes.Equal(w.raw, recs[i].Raw) {
 			t.Errorf("rec %d raw = %x", i, w.raw)
 		}
 	}
 }
 
 func TestProposeBatchEmpty(t *testing.T) {
-	got, err := decodeProposeBatch(encodeProposeBatch(nil, proposeBatchPayload{}), nil)
-	if err != nil || len(got.Writes) != 0 {
+	got, err := decodeProposeBatch(encodeProposeBatch(nil, nil), nil)
+	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %+v, %v", got, err)
 	}
 }
 
 func TestProposeBatchTruncation(t *testing.T) {
-	buf := encodeProposeBatch(nil, proposeBatchPayload{
-		Recs: []proposeRec{{LSN: wal.MakeLSN(1, 1), Raw: EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}})}},
+	buf := encodeProposeBatch(nil, []proposeRec{
+		{LSN: wal.MakeLSN(1, 1), Raw: EncodeWriteOp(nil, WriteOp{Row: "r", Cols: []ColWrite{{Col: "c"}}})},
 	})
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeProposeBatch(buf[:cut], nil); err == nil {
@@ -389,25 +386,25 @@ func TestProposeDecodeAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	for _, recs := range []int{1, 16} {
-		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(2, 7)}
+		var p []proposeRec
 		var ops []WriteOp
 		for i := 0; i < recs; i++ {
 			ops = append(ops, allocsOp(i, 1))
-			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Raw: EncodeWriteOp(nil, ops[i])})
+			p = append(p, proposeRec{LSN: wal.MakeLSN(2, uint64(8+i)), Raw: EncodeWriteOp(nil, ops[i])})
 		}
 		payload := encodeProposeBatch(nil, p)
 		pending := chunk[pendingWrite]{size: pendingBlock}
 		var (
-			got proposeBatch
+			got []pendingWrite
 			err error
 		)
 		n := testing.AllocsPerRun(1000, func() { got, err = decodeProposeBatch(payload, &pending) })
-		if err != nil || len(got.Writes) != recs {
-			t.Fatalf("%d records: decoded %d, %v", recs, len(got.Writes), err)
+		if err != nil || len(got) != recs {
+			t.Fatalf("%d records: decoded %d, %v", recs, len(got), err)
 		}
-		for i := range got.Writes {
-			if w := &got.Writes[i]; !reflect.DeepEqual(w.op, ops[i]) || w.lsn != p.Recs[i].LSN {
-				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", recs, i, w.lsn, w.op, p.Recs[i].LSN, ops[i])
+		for i := range got {
+			if w := &got[i]; !reflect.DeepEqual(w.op, ops[i]) || w.lsn != p[i].LSN {
+				t.Fatalf("%d records: record %d = %v %+v, want %v %+v", recs, i, w.lsn, w.op, p[i].LSN, ops[i])
 			}
 		}
 		if n > 0 {
@@ -534,20 +531,20 @@ func TestChunkBlockBoundaryMidBatch(t *testing.T) {
 	props := chunk[byte]{size: 1 << 10}
 	pending := chunk[pendingWrite]{size: 8}
 	type kept struct {
-		b   proposeBatch
+		b   []pendingWrite
 		ops []WriteOp
 	}
 	var all []kept
 	seq := uint64(1)
 	for batch := 0; batch < 12; batch++ {
 		recs := 1 + batch%5 // 1..5 writes: the 8-write block ends mid-batch
-		p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(1, seq-1)}
+		var p []proposeRec
 		var ops []WriteOp
 		for i := 0; i < recs; i++ {
 			op := WriteOp{Row: fmt.Sprintf("row-%03d", seq), Cols: []ColWrite{{Col: "c",
 				Value: bytes.Repeat([]byte{byte(seq)}, 60+int(seq))}}}
 			ops = append(ops, op)
-			p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(1, seq), Raw: EncodeWriteOp(nil, op)})
+			p = append(p, proposeRec{LSN: wal.MakeLSN(1, seq), Raw: EncodeWriteOp(nil, op)})
 			seq++
 		}
 		left := pending.size - pending.next
@@ -555,17 +552,17 @@ func TestChunkBlockBoundaryMidBatch(t *testing.T) {
 			left = 0
 		}
 		b, err := decodeProposeBatch(encodeProposeBatch(&props, p), &pending)
-		if err != nil || len(b.Writes) != recs {
-			t.Fatalf("batch %d: %d writes, %v", batch, len(b.Writes), err)
+		if err != nil || len(b) != recs {
+			t.Fatalf("batch %d: %d writes, %v", batch, len(b), err)
 		}
-		if recs > left && &b.Writes[0] != &pending.block[0] {
+		if recs > left && &b[0] != &pending.block[0] {
 			t.Fatalf("batch %d: %d writes with %d slots left did not start a new block", batch, recs, left)
 		}
 		all = append(all, kept{b, ops})
 	}
 	for i, k := range all {
-		for j := range k.b.Writes {
-			if w := &k.b.Writes[j]; !reflect.DeepEqual(w.op, k.ops[j]) {
+		for j := range k.b {
+			if w := &k.b[j]; !reflect.DeepEqual(w.op, k.ops[j]) {
 				t.Fatalf("batch %d write %d = %+v, want %+v", i, j, w.op, k.ops[j])
 			}
 		}
@@ -594,13 +591,13 @@ func TestChunkNilAllocatesExactly(t *testing.T) {
 // repeats).
 
 // benchBatch builds n representative 256-byte single-column writes.
-func benchBatch(n int) proposeBatchPayload {
+func benchBatch(n int) []proposeRec {
 	raw := EncodeWriteOp(nil, WriteOp{Row: "user:0042134077", Cols: []ColWrite{{
 		Col: "c", Value: bytes.Repeat([]byte("v"), 256),
 	}}})
-	p := proposeBatchPayload{CommittedThrough: wal.MakeLSN(3, 100)}
+	var p []proposeRec
 	for i := 0; i < n; i++ {
-		p.Recs = append(p.Recs, proposeRec{LSN: wal.MakeLSN(3, uint64(101+i)), Raw: raw})
+		p = append(p, proposeRec{LSN: wal.MakeLSN(3, uint64(101+i)), Raw: raw})
 	}
 	return p
 }
@@ -610,8 +607,8 @@ func benchmarkProposeBatch(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		got, err := decodeProposeBatch(encodeProposeBatch(nil, p), nil)
-		if err != nil || len(got.Writes) != n {
-			b.Fatalf("decoded %d recs, err %v", len(got.Writes), err)
+		if err != nil || len(got) != n {
+			b.Fatalf("decoded %d recs, err %v", len(got), err)
 		}
 	}
 }

@@ -125,13 +125,10 @@ func (r *replica) localRecover(recs []wal.Record) error {
 		r.epoch = e
 	}
 	r.nextSeq = lst.Seq() + 1
-	r.role = RoleRecovering
-	if r.hasOrigin && lst.IsZero() && cmt.IsZero() {
-		// A split-created range with no durable state yet (a restart
-		// before the first pull completed): the range's data lives with
-		// the origin cohort, so gate elections until a pull succeeds.
-		r.mustPull = true
-	}
+	// A split-created range with no durable state yet (a restart before
+	// the first pull completed): the range's data lives with the origin
+	// cohort, so gate elections until a pull succeeds.
+	r.recoverLocked(r.hasOrigin && lst.IsZero() && cmt.IsZero())
 	r.mu.Unlock()
 	return nil
 }
@@ -289,9 +286,7 @@ func (r *replica) truncateAbsentLocked(ambiguous, present []wal.LSN) error {
 
 // absorbedThroughLocked records that the replica now holds the complete
 // committed state through cmt: the log position, epoch and next sequence
-// number move up to it. Every absorb source (range leader, takeover, split
-// pull, snapshot) delivers that state, so a split-created replica now holds
-// its range's data and may stand for election. Callers hold r.mu.
+// number move up to it. Callers hold r.mu.
 //
 //spinnaker:locked(mu)
 func (r *replica) absorbedThroughLocked(cmt wal.LSN) {
@@ -302,42 +297,42 @@ func (r *replica) absorbedThroughLocked(cmt wal.LSN) {
 		r.epoch = e
 	}
 	r.nextSeq = r.lastLSN.Seq() + 1
-	r.mustPull = false
 }
 
-// splitPull seeds a fresh replica of a split-created range. If the range
-// already has a leader, ordinary catch-up against it delivers everything.
-// Otherwise the state still lives with the origin range's cohort: pull the
-// origin leader's committed rows in our bounds (served only once the origin
-// has adopted the shrunk bounds and drained in-flight writes to those rows,
-// so the pull is complete by construction).
-func (r *replica) splitPull() error {
+// splitPull seeds a fresh replica of a split-created range and returns the
+// range leader it synced with ("" after a pull from the origin). If the
+// range already has a leader, ordinary catch-up against it delivers
+// everything. Otherwise the state still lives with the origin range's
+// cohort: pull the origin leader's committed rows in our bounds (served only
+// once the origin has adopted the shrunk bounds and drained in-flight writes
+// to those rows, so the pull is complete by construction).
+func (r *replica) splitPull() (string, error) {
 	if leader := r.n.readLeader(r.rangeID); leader != "" && leader != r.n.cfg.ID {
 		if err := r.catchUp(leader); err == nil {
-			return nil
+			return leader, nil
 		}
 	}
 	r.mu.Lock()
 	low, high := r.low, r.high
 	r.mu.Unlock()
 	if !r.hasOrigin {
-		return fmt.Errorf("core: range %d has no origin to pull from", r.rangeID)
+		return "", fmt.Errorf("core: range %d has no origin to pull from", r.rangeID)
 	}
 	leader := r.n.readLeader(r.origin)
 	if leader == "" {
-		return fmt.Errorf("core: origin range %d has no leader", r.origin)
+		return "", fmt.Errorf("core: origin range %d has no leader", r.origin)
 	}
 	var cr catchupResp
 	if leader == r.n.cfg.ID {
 		// This node leads the origin range; serve the pull locally.
 		or := r.n.getReplica(r.origin)
 		if or == nil {
-			return fmt.Errorf("core: origin range %d not served here", r.origin)
+			return "", fmt.Errorf("core: origin range %d not served here", r.origin)
 		}
 		var ok bool
 		cr, ok = or.serveSplitPull(low, high)
 		if !ok {
-			return fmt.Errorf("core: origin range %d not ready for split pull", r.origin)
+			return "", fmt.Errorf("core: origin range %d not ready for split pull", r.origin)
 		}
 	} else {
 		resp, err := r.n.call(leader, transport.Message{
@@ -345,16 +340,16 @@ func (r *replica) splitPull() error {
 			Payload: encodeCatchupReq(catchupReq{SplitPull: true, FilterLow: low, FilterHigh: high}),
 		})
 		if err != nil {
-			return fmt.Errorf("core: split pull call: %w", err)
+			return "", fmt.Errorf("core: split pull call: %w", err)
 		}
 		if cr, err = decodeCatchupResp(resp.Payload); err != nil {
-			return err
+			return "", err
 		}
 		if cr.Status != StatusOK {
-			return fmt.Errorf("core: split pull refused: status %d", cr.Status)
+			return "", fmt.Errorf("core: split pull refused: status %d", cr.Status)
 		}
 	}
-	return r.absorbCatchup(cr, nil)
+	return "", r.absorbCatchup(cr, nil)
 }
 
 // serveSplitPull is the origin leader's side of a split pull: once we have
@@ -363,7 +358,7 @@ func (r *replica) splitPull() error {
 // sub-range's complete committed state.
 func (r *replica) serveSplitPull(low, high string) (catchupResp, bool) {
 	r.mu.Lock()
-	if r.role != RoleLeader || !(r.high != "" && r.high <= low) {
+	if !r.isLeaderLocked() || !(r.high != "" && r.high <= low) {
 		r.mu.Unlock()
 		return catchupResp{}, false // not leading, or the shrink has not reached us
 	}
@@ -417,7 +412,7 @@ func (r *replica) onCatchupReq(m transport.Message) {
 		resp, ok := r.serveSplitPull(req.FilterLow, req.FilterHigh)
 		if !ok {
 			r.mu.Lock()
-			isLeader := r.role == RoleLeader
+			isLeader := r.isLeaderLocked()
 			r.mu.Unlock()
 			status := StatusUnavailable // not shrunk or not drained yet; retry
 			if !isLeader {
@@ -431,7 +426,7 @@ func (r *replica) onCatchupReq(m transport.Message) {
 		return
 	}
 	r.mu.Lock()
-	if r.role != RoleLeader {
+	if !r.isLeaderLocked() {
 		r.mu.Unlock()
 		r.n.reply(m, transport.Message{Cohort: r.rangeID,
 			Payload: encodeCatchupResp(catchupResp{Status: StatusNotLeader})})
@@ -685,20 +680,17 @@ func (r *replica) presentLSNsLocked(asked []wal.LSN) []wal.LSN {
 // onTakeover is the follower's side of leader takeover (Fig 6 lines 5-6):
 // the new leader catches us up to its l.cmt and sends a commit message.
 // The payload reuses the catch-up response format; Present covers our whole
-// ambiguous range so dead branches are truncated immediately.
+// ambiguous range so dead branches are truncated immediately, after which
+// we follow the new leader.
 func (r *replica) onTakeover(m transport.Message) {
 	cr, err := decodeCatchupResp(m.Payload)
 	if err != nil {
 		return
 	}
 	r.mu.Lock()
-	if r.role == RoleLeader {
-		// We believed we led; a takeover from a higher epoch demotes us.
-		r.demoteLocked(m.From)
-	}
-	r.leaderID = m.From
-	if r.role == RoleRecovering {
-		r.role = RoleFollower
+	if r.followLocked(m.From); !r.maySyncLocked() {
+		r.mu.Unlock()
+		return // retired
 	}
 	r.mu.Unlock()
 
@@ -707,41 +699,11 @@ func (r *replica) onTakeover(m transport.Message) {
 		return
 	}
 	r.mu.Lock()
+	r.syncedLocked(m.From)
 	cmt := r.lastCommitted
 	r.mu.Unlock()
 	r.n.markCurrent(r.rangeID)
 	r.n.reply(m, transport.Message{Cohort: r.rangeID, Payload: encodeLSN(cmt)})
-}
-
-// demoteLocked turns a (stale) leader back into a follower, failing any
-// writes still waiting for quorum; callers hold r.mu.
-//
-//spinnaker:locked(mu)
-func (r *replica) demoteLocked(newLeader string) {
-	r.role = RoleFollower
-	r.open = false
-	r.leaderID = newLeader
-	// Wake the election loop: it may be blocked watching our own leader
-	// znode (which will never change by itself). On waking it finds the
-	// znode held-but-not-led and deletes it so a real election can run;
-	// without the nudge the whole cohort waits on the orphan forever.
-	select {
-	case r.electionNudge <- struct{}{}:
-	default:
-	}
-	// Drop any proposals still waiting in the batcher: the new leader
-	// owns the replication stream now (followers would reject them as
-	// stale-epoch anyway). The window re-arms with them, so a batch left
-	// outstanding here cannot hold back a later term's first write.
-	r.dropProposalsLocked()
-	// Pending writes keep their places in the queue — they are in our
-	// durable log and may yet be committed by the new leader's
-	// re-proposals. Their waiting clients, however, must not hang.
-	for _, lsn := range r.queue.snapshotOrder() {
-		if p, ok := r.queue.get(lsn); ok {
-			p.finish(writeOutcome{status: StatusAmbiguous, detail: "leadership lost mid-replication"})
-		}
-	}
 }
 
 // wantCatchup is catch-up's one trigger (§6.1). It marks catch-up wanted and
@@ -773,24 +735,28 @@ func (r *replica) driveCatchup(done chan struct{}) {
 }
 
 // runCatchupLoop is one catch-up run: it retries catch-up until it
-// succeeds, this replica leads, or the attempts run out.
+// succeeds, this replica no longer follows (it stands, leads or retired), or
+// the attempts run out.
 func (r *replica) runCatchupLoop() {
 	for attempt := 0; !r.exiting(); attempt++ {
 		r.mu.Lock()
-		role := r.role
-		mustPull := r.mustPull
+		maySync := r.maySyncLocked()
+		mustPull := r.seedingLocked()
 		r.mu.Unlock()
-		if role == RoleLeader {
+		if !maySync {
 			return
 		}
-		var err error
+		var (
+			leader string
+			err    error
+		)
 		if mustPull {
 			// Split-created and still empty: seed from the origin
 			// cohort (or the range's own leader once one exists). The
 			// election gate re-triggers this loop until a pull succeeds,
 			// so bounded attempts here never strand the replica.
-			err = r.splitPull()
-		} else if leader := r.n.readLeader(r.rangeID); leader == "" || leader == r.n.cfg.ID {
+			leader, err = r.splitPull()
+		} else if leader = r.n.readLeader(r.rangeID); leader == "" || leader == r.n.cfg.ID {
 			// No leader: the election loop owns recovery now. Each
 			// attempt asks the znode, so a leader gone without closing
 			// (partitioned, hung) ends the run once its znode goes.
@@ -800,11 +766,11 @@ func (r *replica) runCatchupLoop() {
 		}
 		if err == nil {
 			r.mu.Lock()
-			if r.role == RoleRecovering {
-				r.role = RoleFollower
-			}
+			synced := r.syncedLocked(leader)
 			r.mu.Unlock()
-			r.n.markCurrent(r.rangeID)
+			if synced {
+				r.n.markCurrent(r.rangeID)
+			}
 			return
 		}
 		// A closed peer will not answer the next fifty attempts either,

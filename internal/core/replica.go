@@ -65,17 +65,13 @@ type replica struct {
 	mu sync.Mutex
 	// peers is copy-on-write: applyLayout installs a fresh slice and nothing
 	// writes to an installed one, so a reader may keep it past mu.
-	peers    []string // the other cohort members (layout-managed)
-	quorum   int      // majority of the cohort, counting ourselves
-	low      string   // serving bounds: [low, high), high=="" means top
-	high     string
-	home     string // the layout's preferred leader (election tie-break)
-	mustPull bool   // split-created and not yet seeded from the origin
-	abstain  bool   // sit out the next election round (leadership transfer)
-	retired  bool
+	peers  []string // the other cohort members (layout-managed)
+	quorum int      // majority of the cohort, counting ourselves
+	low    string   // serving bounds: [low, high), high=="" means top
+	high   string
+	home   string // the layout's preferred leader (election tie-break)
 
-	role          Role
-	open          bool // leader only: cohort open for writes (Fig 6 line 10)
+	lc            lifecycle // the replica's phase; see lifecycle.go
 	epoch         uint32
 	nextSeq       uint64
 	lastLSN       wal.LSN // f.lst / l.lst
@@ -83,11 +79,6 @@ type replica struct {
 	loggedCommit  wal.LSN // leader: the commit point its last RecLastCommitted carried
 	leaderID      string
 	skipped       *wal.SkippedLSNs
-
-	// gapped is set when a propose arrives with a sequence gap (lost
-	// messages); until catch-up repairs the gap, commit messages must
-	// not advance lastCommitted past state we might not hold.
-	gapped bool
 
 	queue  *commitQueue
 	engine *storage.Engine
@@ -195,7 +186,7 @@ func (r *replica) applyLayout(l *cluster.Layout) {
 			delete(r.peerFloors, p)
 		}
 	}
-	isLeader := r.role == RoleLeader
+	isLeader := r.isLeaderLocked()
 	r.mu.Unlock()
 	if isLeader {
 		// Quorum or membership may have changed; re-evaluate pending
@@ -212,14 +203,10 @@ func (r *replica) applyLayout(l *cluster.Layout) {
 // the surviving members, which hold them in their durable logs).
 func (r *replica) retire() {
 	r.mu.Lock()
-	if r.retired {
+	if !r.retireLocked() {
 		r.mu.Unlock()
 		return
 	}
-	r.retired = true
-	r.role = RoleFollower
-	r.open = false
-	r.leaderID = ""
 	r.dropProposalsLocked()
 	for _, lsn := range r.queue.snapshotOrder() {
 		if p, ok := r.queue.get(lsn); ok {
@@ -268,12 +255,10 @@ func (r *replica) retire() {
 // Node.StepDown.
 func (r *replica) stepDown() bool {
 	r.mu.Lock()
-	if r.role != RoleLeader {
+	if !r.stepDownLocked() {
 		r.mu.Unlock()
 		return false
 	}
-	r.abstain = true
-	r.demoteLocked("")
 	r.mu.Unlock()
 	// Guarded release, exactly as in retire and the election loop's
 	// orphan cleanup: the demote nudge may already have woken the
@@ -337,7 +322,7 @@ func (r *replica) submitWriteAsync(req transport.Message) {
 		r.n.replyWrite(req, r.wrongLayoutOutcome(), 0, nil)
 		return
 	}
-	if r.role != RoleLeader || !r.open {
+	if !r.mayServeStrongLocked() {
 		leader := r.leaderID
 		r.mu.Unlock()
 		if leader != "" && leader != r.n.cfg.ID {
@@ -575,16 +560,12 @@ func (r *replica) drainProposals(props *chunk[byte]) {
 		end := r.batchEnd
 		r.batchEnd = 0
 		r.batchOut = recs[len(recs)-1].LSN
-		committedThrough := wal.LSN(0)
-		if r.n.cfg.PiggybackCommits {
-			committedThrough = r.lastCommitted
-		}
 		peers := r.proposalPeersLocked()
 		r.mu.Unlock()
 		// Send first, then force: the followers' round trip overlaps the
 		// leader's force (Fig 4).
 		sent := time.Now()
-		r.sendProposals(props, peers, committedThrough, recs)
+		r.sendProposals(props, peers, recs)
 		var forceErr error
 		if end > 0 {
 			forceErr = r.n.log.ForceTo(end)
@@ -649,10 +630,8 @@ func (r *replica) proposalPeersLocked() []string {
 // with one cumulative MsgAckBatch.
 //
 //spinnaker:hotpath
-func (r *replica) sendProposals(props *chunk[byte], peers []string, committedThrough wal.LSN, recs []proposeRec) {
-	payload := encodeProposeBatch(props, proposeBatchPayload{
-		CommittedThrough: committedThrough, Recs: recs,
-	})
+func (r *replica) sendProposals(props *chunk[byte], peers []string, recs []proposeRec) {
+	payload := encodeProposeBatch(props, recs)
 	r.m.proposes.Inc()
 	for _, peer := range peers {
 		r.n.send(peer, transport.Message{
@@ -727,29 +706,41 @@ func (r *replica) tryCommit() {
 //spinnaker:hotpath
 func (r *replica) onProposeBatch(m transport.Message) {
 	r.mu.Lock()
-	if r.role == RoleRecovering {
-		r.mu.Unlock()
-		return // catch-up will deliver these writes' effects
-	}
-	b, err := decodeProposeBatch(m.Payload, &r.pending)
-	if err != nil || len(b.Writes) == 0 {
+	if !r.isLeaderLocked() && !r.mayAppendLocked() {
+		// Not synced with this term: we may hold dead branches at the
+		// term's sequence numbers. Catch-up (or the leader's takeover
+		// sync) will deliver these writes' effects.
 		r.mu.Unlock()
 		return
 	}
-	if m.From != r.leaderID && r.leaderID != "" {
-		// A propose from a node we do not believe leads the cohort.
-		// Accept only if it carries a strictly higher epoch (we are
-		// behind on leadership news; the election loop will refresh
-		// leaderID). Equal epochs must be rejected too: after a
-		// takeover, a deposed-but-live leader still sends at the old
-		// epoch, and a follower that already follows the new leader
-		// but has not bumped its epoch would otherwise lend the old
-		// leader acks — letting it commit writes the new leader's
+	ws, err := decodeProposeBatch(m.Payload, &r.pending)
+	if err != nil || len(ws) == 0 {
+		r.mu.Unlock()
+		return
+	}
+	if m.From != r.leaderID {
+		// A propose from a node we do not follow. Equal or lower epochs
+		// are rejected: after a takeover, a deposed-but-live leader still
+		// sends at the old epoch, and a follower that already follows the
+		// new leader but has not bumped its epoch would otherwise lend the
+		// old leader acks — letting it commit writes the new leader's
 		// history will truncate.
-		if b.Writes[0].lsn.Epoch() <= r.epoch {
+		e := ws[0].lsn.Epoch()
+		if e <= r.epoch {
 			r.mu.Unlock()
 			return
 		}
+		// A higher epoch: a leader whose term we have not synced with (we
+		// are behind on leadership news or, if we lead, deposed; a leader
+		// steps down rather than let its next write collide with the new
+		// leader's LSN space). We may hold dead branches at the new term's
+		// sequence numbers, so we follow it through catch-up and append
+		// nothing until then.
+		r.followLocked(m.From)
+		r.epoch = e
+		r.mu.Unlock()
+		r.wantCatchup()
+		return
 	}
 	var (
 		end int64
@@ -759,16 +750,9 @@ func (r *replica) onProposeBatch(m transport.Message) {
 	// replica's chunk; the log records go into the replica's scratch list.
 	toLog := r.logScratch[:0]
 	last := r.lastLSN
-	for i := range b.Writes {
-		w := &b.Writes[i]
+	for i := range ws {
+		w := &ws[i]
 		if e := w.lsn.Epoch(); e > r.epoch {
-			if r.role == RoleLeader {
-				// A higher-epoch proposal stream proves we were deposed;
-				// step down rather than silently adopting the epoch (our
-				// next write would otherwise collide with the real
-				// leader's LSN space).
-				r.demoteLocked(m.From)
-			}
 			r.epoch = e
 		}
 		if w.lsn <= r.lastCommitted || r.queue.has(w.lsn) {
@@ -825,9 +809,9 @@ func (r *replica) onProposeBatch(m transport.Message) {
 			// The logged writes are the batch's writes with the LSNs of
 			// toLog, in the same (ascending) order.
 			j := 0
-			for i := range b.Writes {
-				if j < len(toLog) && b.Writes[i].lsn == toLog[j].LSN {
-					r.queue.add(&b.Writes[i])
+			for i := range ws {
+				if j < len(toLog) && ws[i].lsn == toLog[j].LSN {
+					r.queue.add(&ws[i])
 					j++
 				}
 			}
@@ -836,9 +820,9 @@ func (r *replica) onProposeBatch(m transport.Message) {
 		r.logScratch = toLog[:0]
 	}
 	if gap {
-		r.gapped = true
+		r.gapLocked()
 	}
-	r.ack.add(end, r.lastLSN, m.From, b.CommittedThrough)
+	r.ack.add(end, r.lastLSN, m.From)
 	r.mu.Unlock()
 	select {
 	case r.ackNudge <- struct{}{}:
@@ -852,26 +836,24 @@ func (r *replica) onProposeBatch(m transport.Message) {
 }
 
 // ackDue is what a follower owes the leader for the proposes it logged since
-// its ack loop last ran: a force, one cumulative ack, and the piggybacked
-// commit to apply. Acks are cumulative, so any number of batches merge into
-// one.
+// its ack loop last ran: a force and one cumulative ack. Acks are
+// cumulative, so any number of batches merge into one.
 type ackDue struct {
 	due bool
 	// end is the highest log offset a batch appended through. A batch that
 	// appended nothing (all re-proposals) sets all instead: the records it
 	// re-acks may belong to an append whose force is still running, so the
 	// whole log is forced.
-	end       int64
-	all       bool
-	through   wal.LSN // the ack watermark: lastLSN after the latest batch
-	to        string  // the sender of the latest batch
-	committed wal.LSN // the highest piggybacked commit LSN
+	end     int64
+	all     bool
+	through wal.LSN // the ack watermark: lastLSN after the latest batch
+	to      string  // the sender of the latest batch
 }
 
 // add merges one logged batch into the debt.
 //
 //spinnaker:hotpath
-func (a *ackDue) add(end int64, through wal.LSN, to string, committed wal.LSN) {
+func (a *ackDue) add(end int64, through wal.LSN, to string) {
 	a.due = true
 	if end == 0 {
 		a.all = true
@@ -879,17 +861,13 @@ func (a *ackDue) add(end int64, through wal.LSN, to string, committed wal.LSN) {
 		a.end = end
 	}
 	a.through, a.to = through, to
-	if committed > a.committed {
-		a.committed = committed
-	}
 }
 
 // ackLoop forces and acks for the replica's follower side, one loop per
 // replica instead of a goroutine per batch: each round takes everything
 // onProposeBatch logged since the last one, forces through it, marks the
-// pending writes forced, sends one cumulative MsgAckBatch and applies the
-// piggybacked commit. It runs for the replica's life and owns the chunk the
-// ack payloads are encoded into.
+// pending writes forced and sends one cumulative MsgAckBatch. It runs for
+// the replica's life and owns the chunk the ack payloads are encoded into.
 func (r *replica) ackLoop() {
 	acks := chunk[byte]{size: ackBlock}
 	for {
@@ -911,8 +889,8 @@ func (r *replica) ackLoop() {
 }
 
 // payAck forces the log through a, marks the pending writes it covers
-// forced, sends the cumulative ack, encoded into acks, and applies the
-// piggybacked commit. A failed force sends no ack.
+// forced and sends the cumulative ack, encoded into acks. A failed force
+// sends no ack.
 func (r *replica) payAck(a ackDue, acks *chunk[byte]) {
 	var err error
 	if a.all {
@@ -930,9 +908,6 @@ func (r *replica) payAck(a ackDue, acks *chunk[byte]) {
 		}
 		r.n.send(a.to, transport.Message{Kind: MsgAckBatch, Cohort: r.rangeID,
 			Payload: encodeAck(acks, a.through, r.engine.Checkpoint())})
-	}
-	if a.committed > 0 {
-		r.applyCommitted(a.committed, false)
 	}
 }
 
@@ -995,7 +970,7 @@ func (r *replica) gcWatermarkLocked() wal.LSN {
 func (r *replica) tombstoneGC() wal.LSN {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.role == RoleLeader {
+	if r.isLeaderLocked() {
 		return r.gcWatermarkLocked()
 	}
 	return r.gcFloor
@@ -1023,11 +998,13 @@ func (r *replica) onCommitMsg(m transport.Message) {
 // applyCommitted advances the follower's committed state through lsn.
 //
 // A commit LSN from the steady-state protocol (viaCatchup=false) may only
-// advance past writes this replica actually holds: a recovering replica, or
-// one that detected a sequence gap, must not mark state committed that only
-// the catch-up phase can deliver — otherwise its later catch-up request
-// would advertise an f.cmt above its real state and the leader would skip
-// the missing writes. Catch-up responses (viaCatchup=true) carry the state
+// advance past writes this replica actually holds, and only on a replica
+// synced with the leader's term (mayAdvanceCommitLocked): a recovering
+// replica may hold dead branches the new term truncated, and one that
+// detected a sequence gap must not mark state committed that only the
+// catch-up phase can deliver — otherwise its later catch-up request would
+// advertise an f.cmt above its real state and the leader would skip the
+// missing writes. Catch-up responses (viaCatchup=true) carry the state
 // itself, so they advance unconditionally.
 //
 //spinnaker:hotpath
@@ -1044,7 +1021,7 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 			behind = true
 			lsn = r.lastLSN // commit only what we provably hold
 		}
-		if r.role == RoleRecovering || r.gapped || lsn <= r.lastCommitted {
+		if !r.mayAdvanceCommitLocked() || lsn <= r.lastCommitted {
 			r.mu.Unlock()
 			r.wantCatchup()
 			return
@@ -1056,9 +1033,6 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 	}
 	r.lastCommitted = lsn
 	r.commitAdvanced = time.Now()
-	if viaCatchup {
-		r.gapped = false
-	}
 	r.mu.Unlock()
 
 	// Non-forced log write of the last committed LSN (§5).
@@ -1083,7 +1057,7 @@ func (r *replica) applyCommitted(lsn wal.LSN, viaCatchup bool) {
 // liveness when a propose is lost across a broken connection.
 func (r *replica) sendCommitMessages() {
 	r.mu.Lock()
-	if r.role != RoleLeader {
+	if !r.isLeaderLocked() {
 		r.mu.Unlock()
 		return
 	}
@@ -1122,7 +1096,7 @@ func (r *replica) reproposeRecs(recs []proposeRec) {
 	r.mu.Lock()
 	peers := r.proposalPeersLocked()
 	r.mu.Unlock()
-	r.sendProposals(nil, peers, 0, recs)
+	r.sendProposals(nil, peers, recs)
 }
 
 // --- Read path (§3, §5) -----------------------------------------------------
@@ -1158,9 +1132,9 @@ func (r *replica) get(req getReq) getResp {
 func (r *replica) serveGet(req getReq) getResp {
 	r.mu.Lock()
 	inBounds := r.inBoundsLocked(req.Row)
-	isLeader := r.role == RoleLeader
-	recovering := r.role == RoleRecovering || r.mustPull
-	open := r.open
+	isLeader := r.isLeaderLocked()
+	open := r.mayServeStrongLocked()
+	timeline := r.mayServeTimelineLocked()
 	leader := r.leaderID
 	r.mu.Unlock()
 	if !inBounds {
@@ -1176,11 +1150,12 @@ func (r *replica) serveGet(req getReq) getResp {
 		if !open {
 			return getResp{Status: StatusUnavailable}
 		}
-	} else if recovering {
+	} else if !timeline {
 		// A joining member that has not finished catch-up holds an
-		// empty (or partial) engine: serving a timeline read here would
-		// answer "not found" for long-committed rows — worse than
-		// stale. Let the client retry another cohort member.
+		// empty (or partial) engine, and a deposed leader may hold dead
+		// writes: serving a timeline read here would answer "not found"
+		// for long-committed rows, or a value no leader committed.
+		// Let the client retry another cohort member.
 		return getResp{Status: StatusUnavailable}
 	}
 	cell, ok := r.engine.Get(kv.Key{Row: req.Row, Col: req.Col})
@@ -1208,9 +1183,9 @@ func (r *replica) getRow(req getReq) rowResp {
 func (r *replica) serveGetRow(req getReq) rowResp {
 	r.mu.Lock()
 	inBounds := r.inBoundsLocked(req.Row)
-	isLeader := r.role == RoleLeader
-	recovering := r.role == RoleRecovering || r.mustPull
-	open := r.open
+	isLeader := r.isLeaderLocked()
+	open := r.mayServeStrongLocked()
+	timeline := r.mayServeTimelineLocked()
 	r.mu.Unlock()
 	if !inBounds {
 		return rowResp{Status: StatusWrongLayout}
@@ -1222,7 +1197,7 @@ func (r *replica) serveGetRow(req getReq) rowResp {
 		if !open {
 			return rowResp{Status: StatusUnavailable}
 		}
-	} else if recovering {
+	} else if !timeline {
 		// See get: a mid-catch-up engine must not answer timeline reads.
 		return rowResp{Status: StatusUnavailable}
 	}
@@ -1267,13 +1242,13 @@ func (r *replica) stats() ReplicaStats {
 	defer r.mu.Unlock()
 	return ReplicaStats{
 		Range:         r.rangeID,
-		Role:          r.role,
+		Role:          r.roleLocked(),
 		Epoch:         r.epoch,
 		LastLSN:       r.lastLSN,
 		LastCommitted: r.lastCommitted,
 		Pending:       r.queue.len(),
 		Leader:        r.leaderID,
-		Open:          r.open,
+		Open:          r.mayServeStrongLocked(),
 		Quorum:        r.quorum,
 		Peers:         append([]string(nil), r.peers...),
 		Low:           r.low,

@@ -107,8 +107,8 @@ func TestRowRespRejectsForgedCount(t *testing.T) {
 }
 
 func TestProposeBatchRejectsForgedCount(t *testing.T) {
-	b := encodeProposeBatch(nil, proposeBatchPayload{CommittedThrough: wal.MakeLSN(1, 9)})
-	binary.LittleEndian.PutUint32(b[8:], 1<<30)
+	b := encodeProposeBatch(nil, nil)
+	binary.LittleEndian.PutUint32(b, 1<<30)
 	if _, err := decodeProposeBatch(b, nil); err == nil {
 		t.Error("propose batch record count forged to 1<<30 decoded without error")
 	}

@@ -60,9 +60,6 @@ type Options struct {
 	Device wal.DeviceProfile
 	// CommitPeriod is Spinnaker's commit-message interval.
 	CommitPeriod time.Duration
-	// PiggybackCommits carries the commit LSN on propose messages (the
-	// embedded API's option).
-	PiggybackCommits bool
 	// KeyWidth is the zero-padded decimal width of row keys (default 8).
 	KeyWidth int
 	// WriteTimeout bounds client writes.
@@ -169,14 +166,13 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	c.cfg = core.Config{
-		Layout:           layout,
-		CommitPeriod:     opts.CommitPeriod,
-		PiggybackCommits: opts.PiggybackCommits,
-		WriteTimeout:     opts.WriteTimeout,
-		FlushBytes:       opts.FlushBytes,
-		MaxTables:        opts.MaxTables,
-		SegmentBytes:     opts.SegmentBytes,
-		FlushInterval:    opts.FlushInterval,
+		Layout:        layout,
+		CommitPeriod:  opts.CommitPeriod,
+		WriteTimeout:  opts.WriteTimeout,
+		FlushBytes:    opts.FlushBytes,
+		MaxTables:     opts.MaxTables,
+		SegmentBytes:  opts.SegmentBytes,
+		FlushInterval: opts.FlushInterval,
 	}
 	if opts.Dir == "" {
 		// Harness scale; a deployment keeps core's defaults.

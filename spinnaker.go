@@ -124,9 +124,6 @@ type Options struct {
 	// LogDevice selects the logging-device latency profile (default
 	// DeviceInstant).
 	LogDevice LogDevice
-	// PiggybackCommits carries commit information on propose messages
-	// (App. D.1), shrinking staleness without extra messages.
-	PiggybackCommits bool
 	// ReadyTimeout bounds the wait for initial leader elections
 	// (default 30s).
 	ReadyTimeout time.Duration
@@ -170,13 +167,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	sc, err := host.New(host.Options{
-		Nodes:            opts.Nodes,
-		Replication:      opts.Replication,
-		NetworkDelay:     opts.NetworkDelay,
-		Device:           profile,
-		CommitPeriod:     opts.CommitPeriod,
-		PiggybackCommits: opts.PiggybackCommits,
-		FaultSeed:        opts.FaultSeed,
+		Nodes:        opts.Nodes,
+		Replication:  opts.Replication,
+		NetworkDelay: opts.NetworkDelay,
+		Device:       profile,
+		CommitPeriod: opts.CommitPeriod,
+		FaultSeed:    opts.FaultSeed,
 		LinkFaults: transport.LinkFaults{
 			DropProb:    opts.LinkFaults.DropProb,
 			DupProb:     opts.LinkFaults.DupProb,
